@@ -25,16 +25,11 @@ func Backends() []string {
 }
 
 // PackerFor resolves a backend selection name to a tam.Packer. The
-// empty string — no selection — returns nil, which every consumer
-// treats as the historical default path (tam.Optimize, untagged cache
-// keys), keeping default bytes bit-identical. An unknown name is an
-// error listing the selectable backends; the serving layer maps it to a
-// 400.
+// empty string — no selection — is the default occupancy backend, as in
+// tam.Lookup. An unknown name is an error listing the selectable
+// backends; the serving layer maps it to a 400.
 func PackerFor(name string) (tam.Packer, error) {
-	switch name {
-	case "":
-		return nil, nil
-	case BackendTournament:
+	if name == BackendTournament {
 		return NewTournamentPacker(), nil
 	}
 	p, err := tam.Lookup(name)

@@ -81,9 +81,9 @@ type Engine struct {
 	designHits, designMisses, evictions, plans atomic.Uint64
 
 	// backends holds one counter block per registered tam backend,
-	// fixed at construction: packs routed through an explicitly
-	// selected backend count here (the default path stays
-	// uninstrumented), and tournament wins land in the winner's block.
+	// fixed at construction: every engine pack counts in its backend's
+	// block (default packs in occupancy's), and tournament wins land in
+	// the winner's block.
 	backends map[string]*backendCounters
 }
 
@@ -91,9 +91,9 @@ type Engine struct {
 // engine-owned design copy, its cross-width staircase cache, and one
 // cold schedule cache per TAM width.
 type engineSession struct {
-	engine    *Engine
-	hash      string
-	design    *Design
+	engine *Engine
+	hash   string
+	design *Design
 	// digitalHash keys the engine's cross-design digital-jobs cache;
 	// empty when hashing failed or the module cache is disabled.
 	digitalHash string
@@ -110,10 +110,9 @@ type engineSession struct {
 }
 
 // widthKey keys a session's schedule caches: one cache per (TAM width,
-// packing backend) pair. The default path uses the empty backend, so
-// pre-existing cache keys — and the schedules behind them — are exactly
-// what they were before backends existed; a selected backend's
-// schedules can never be served to (or from) another backend.
+// resolved packer name) pair, so an empty backend selection and
+// "occupancy" share one cache, while a backend's schedules can never be
+// served to (or from) another backend.
 type widthKey struct {
 	width   int
 	backend string
@@ -160,16 +159,12 @@ func (e *Engine) workers() int {
 	return DefaultWorkers()
 }
 
-// packerFor resolves a backend selection to an instrumented packer:
-// individual backends are wrapped so every pack lands in the engine's
-// per-backend counters, and a tournament additionally feeds the win
-// counter of each pack's winner. The empty selection returns nil — the
-// uninstrumented default path — so default planning stays bit- and
-// cost-identical to an engine without backends.
+// packerFor resolves a backend selection (empty = the default
+// occupancy backend) to an instrumented packer: individual backends are
+// wrapped so every pack lands in the engine's per-backend counters, and
+// a tournament additionally feeds the win counter of each pack's winner.
 func (e *Engine) packerFor(name string) (tam.Packer, error) {
 	switch name {
-	case "":
-		return nil, nil
 	case BackendTournament:
 		backends := make([]tam.Packer, 0, len(e.backends))
 		for _, n := range tam.Backends() {
@@ -320,11 +315,11 @@ func (s *engineSession) sweepDigital() (*DigitalJobsCache, string) {
 }
 
 // sweepCache implements sweepCaches: the session's cold schedule cache
-// for width w under the given packing backend (empty = default),
-// created on first use. (width, backend) pairs are LRU-bounded
-// (maxWidths): evicting one only unshares it — planners already
-// holding the cache keep using it safely — so a client scanning
-// thousands of widths cannot grow the session without limit.
+// for width w under the named (resolved) packer, created on first use.
+// (width, backend) pairs are LRU-bounded (maxWidths): evicting one only
+// unshares it — planners already holding the cache keep using it safely
+// — so a client scanning thousands of widths cannot grow the session
+// without limit.
 func (s *engineSession) sweepCache(w int, backend string) *ScheduleCache {
 	key := widthKey{width: w, backend: backend}
 	s.mu.Lock()
@@ -359,16 +354,15 @@ func (s *engineSession) sweepPacker(name string) (tam.Packer, error) {
 
 // planner builds a planner wired to the session's caches, with the
 // paper's defaults — exactly what the one-shot Plan free function runs,
-// plus cache reuse. A non-empty backend routes packing through the
-// named backend (or the tournament) and its own backend-tagged
-// schedule cache.
+// plus cache reuse. Packing goes through the selected backend (or the
+// tournament) and that packer's own schedule cache.
 func (s *engineSession) planner(width int, w Weights, workers int, backend string) (*Planner, error) {
 	pk, err := s.engine.packerFor(backend)
 	if err != nil {
 		return nil, err
 	}
 	pl := NewPlanner(s.design, width, w)
-	pl.Cache = s.sweepCache(width, backend)
+	pl.Cache = s.sweepCache(width, pk.Name())
 	pl.Staircases = s.sweepStairs(width)
 	pl.Digital, pl.DigitalKey = s.sweepDigital()
 	pl.Workers = workers
@@ -386,9 +380,8 @@ type PlanOptions struct {
 	Bounded bool
 	// Backend selects the packing backend by name — "occupancy",
 	// "rectangle", or "tournament" (every backend packs, best makespan
-	// wins). Empty means the default occupancy path with its historical
-	// cache keys and bit-identical results; an unknown name is an
-	// error. Schedules are cached under backend-tagged keys, so
+	// wins). Empty means the default occupancy backend; an unknown name
+	// is an error. Schedules are cached per resolved backend, so
 	// backends never serve each other's packings.
 	Backend string
 }
@@ -438,7 +431,12 @@ func (e *Engine) Schedule(ctx context.Context, d *Design, p partition.Partition,
 	}
 	s.plans.Add(1)
 	e.plans.Add(1)
-	ev := NewSharedEvaluator(s.design, width, s.sweepCache(width, ""))
+	pk, err := s.engine.packerFor("")
+	if err != nil {
+		return nil, err
+	}
+	ev := NewSharedEvaluator(s.design, width, s.sweepCache(width, pk.Name()))
+	ev.Packer = pk
 	ev.Staircases = s.sweepStairs(width)
 	ev.Digital, ev.DigitalKey = s.sweepDigital()
 	return ev.ScheduleContext(ctx, p)
@@ -546,11 +544,9 @@ type EngineMetrics struct {
 	// Plans is the engine-lifetime count of planning calls (Plan,
 	// PlanExhaustive, Schedule, Sweep), across live and evicted sessions.
 	Plans uint64 `json:"plans"`
-	// BackendPacks counts TAM packs routed through an explicitly
-	// selected packing backend, by backend name (tournament packs count
-	// once per participating backend). Nil until a backend-routed pack
-	// happens, so default-path responses keep their historical bytes;
-	// default-path packs are the Schedule misses above.
+	// BackendPacks counts TAM packs by backend name — default packs
+	// under occupancy, tournament packs once per participating backend.
+	// Nil until the engine's first pack.
 	BackendPacks map[string]BackendPackStats `json:"backend_packs,omitempty"`
 	// TournamentWins counts, per backend name, the tournament packs the
 	// backend won (smallest makespan, ties to registry order). Nil until

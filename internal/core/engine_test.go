@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mixsoc/internal/tam"
 )
 
 // variantDesign returns a design whose content differs from the paper
@@ -416,5 +418,33 @@ func TestEngineMetricsMonotonicAcrossEviction(t *testing.T) {
 	m2 := eng2.Metrics()
 	if m2.ScheduleTotal.Misses <= m2.Schedule.Misses {
 		t.Errorf("width eviction dropped counters: total %+v, live %+v", m2.ScheduleTotal, m2.Schedule)
+	}
+}
+
+// An empty backend selection resolves to the occupancy packer: it shares
+// occupancy's schedule cache — an explicit "occupancy" plan after a
+// default one packs nothing new — and its packs count under occupancy.
+func TestEngineDefaultBackendIsOccupancy(t *testing.T) {
+	eng := NewEngine(EngineOptions{Workers: 1})
+	ctx := context.Background()
+	def, err := eng.PlanWith(ctx, warmTestDesign(), 32, EqualWeights, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Metrics()
+	occ, err := eng.PlanWith(ctx, warmTestDesign(), 32, EqualWeights, PlanOptions{Backend: tam.BackendOccupancy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := eng.Metrics()
+	if !sameResult(def, occ) {
+		t.Fatal("occupancy plan diverges from the default plan")
+	}
+	if after.Schedule.Misses != before.Schedule.Misses || after.Schedules != before.Schedules {
+		t.Errorf("occupancy plan after a default plan packed anew: misses %d -> %d, schedules %d -> %d",
+			before.Schedule.Misses, after.Schedule.Misses, before.Schedules, after.Schedules)
+	}
+	if packs := before.BackendPacks[tam.BackendOccupancy].OK; packs == 0 || packs != before.Schedule.Misses {
+		t.Errorf("default packs counted under occupancy = %d, want the %d schedule misses", packs, before.Schedule.Misses)
 	}
 }

@@ -162,14 +162,12 @@ type Evaluator struct {
 	// seeding (not results, but timing) nondeterministic.
 	Warm []*ScheduleCache
 
-	// Packer, when non-nil, is the packing backend every TAM run goes
-	// through; nil means the default occupancy backend (tam.Optimize),
-	// preserving the historical behaviour bit-for-bit. When set, the
-	// backing cache must be private to this backend (see
-	// Engine.sweepCache's backend-tagged keys): entries carry no backend
-	// tag of their own, so mixing backends in one cache would serve one
-	// backend's schedule as another's. Set it before the evaluator's
-	// first use.
+	// Packer is the packing backend every TAM run goes through;
+	// NewSharedEvaluator sets the default occupancy backend. The backing
+	// cache must be private to this backend (see Engine.sweepCache's
+	// per-backend keys): entries carry no backend tag of their own, so
+	// mixing backends in one cache would serve one backend's schedule as
+	// another's. Set it before the evaluator's first use.
 	Packer tam.Packer
 
 	cache *ScheduleCache
@@ -199,7 +197,7 @@ func NewSharedEvaluator(d *Design, width int, cache *ScheduleCache) *Evaluator {
 	if cache == nil {
 		cache = NewScheduleCache()
 	}
-	return &Evaluator{Design: d, Width: width, cache: cache, counted: map[string]bool{}}
+	return &Evaluator{Design: d, Width: width, Packer: tam.OccupancyPacker{}, cache: cache, counted: map[string]bool{}}
 }
 
 // Runs returns the number of TAM optimizer invocations accounted so far:
@@ -283,11 +281,7 @@ func (e *Evaluator) fill(ctx context.Context, p partition.Partition, key string,
 	if ctx != nil {
 		opts = append(opts, tam.WithContext(ctx))
 	}
-	if e.Packer != nil {
-		ent.s, ent.err = e.Packer.Pack(jobs, e.Width, opts...)
-		return
-	}
-	ent.s, ent.err = tam.Optimize(jobs, e.Width, opts...)
+	ent.s, ent.err = e.Packer.Pack(jobs, e.Width, opts...)
 }
 
 // Schedule returns the rectangle-packed schedule for configuration p,

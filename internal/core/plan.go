@@ -70,10 +70,10 @@ type Planner struct {
 	// Warm-started packing is not guaranteed to reproduce cold makespans
 	// bit-for-bit; leave it empty where exact reproduction matters.
 	Warm []*ScheduleCache
-	// Packer, when non-nil, is the packing backend every TAM run goes
-	// through (see Evaluator.Packer and PackerFor); nil is the default
-	// occupancy path, bit-identical to the historical planner. A
-	// non-nil Packer needs a Cache private to that backend.
+	// Packer is the packing backend every TAM run goes through (see
+	// Evaluator.Packer and PackerFor); NewPlanner sets the default
+	// occupancy backend, and nil means it too. A shared Cache must be
+	// private to the backend.
 	Packer tam.Packer
 }
 
@@ -89,6 +89,7 @@ func NewPlanner(d *Design, width int, w Weights) *Planner {
 		Policy:      partition.PaperPolicy,
 		Epsilon:     0,
 		PrunePrelim: true,
+		Packer:      tam.OccupancyPacker{},
 	}
 }
 
@@ -148,7 +149,9 @@ func (pl *Planner) evaluator() *Evaluator {
 	e.Digital = pl.Digital
 	e.DigitalKey = pl.DigitalKey
 	e.Warm = pl.Warm
-	e.Packer = pl.Packer
+	if pl.Packer != nil {
+		e.Packer = pl.Packer
+	}
 	return e
 }
 

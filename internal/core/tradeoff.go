@@ -120,8 +120,8 @@ type sweepCaches interface {
 	// sweepStairs returns a staircase cache covering widths up to maxW.
 	sweepStairs(maxW int) *wrapper.StaircaseCache
 	// sweepCache returns the cold schedule cache for width w under the
-	// named packing backend (empty = default); distinct backends must
-	// get distinct caches.
+	// named (resolved) packer; distinct backends must get distinct
+	// caches.
 	sweepCache(w int, backend string) *ScheduleCache
 }
 
@@ -203,7 +203,7 @@ func sweepWithCaches(ctx context.Context, d *Design, widths []int, weights []Wei
 	caches := make(map[int]*ScheduleCache, len(selWidths))
 	for w := range selWidths {
 		if prov != nil && !opt.WarmStart {
-			caches[w] = prov.sweepCache(w, opt.Backend)
+			caches[w] = prov.sweepCache(w, packer.Name())
 		} else {
 			caches[w] = NewScheduleCache()
 		}

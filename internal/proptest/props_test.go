@@ -118,8 +118,8 @@ func checkPacking(t *testing.T, d *core.Design) {
 	if s.Makespan != maxEnd {
 		t.Fatalf("makespan %d != latest placement end %d", s.Makespan, maxEnd)
 	}
-	if lb := tam.LowerBound(jobs, propWidth); s.Makespan < lb {
-		t.Fatalf("makespan %d below lower bound %d", s.Makespan, lb)
+	if lb := tam.AdmissibleLowerBound(jobs, propWidth); s.Makespan < lb {
+		t.Fatalf("makespan %d below admissible lower bound %d", s.Makespan, lb)
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -157,64 +158,72 @@ func (e *distributedSweepError) Error() string {
 		len(shards), len(e.Failures))
 }
 
-// sweep answers a cold /v1/sweep by fanning shards out to the fleet's
-// assignable workers and merging the partials; the result is
-// byte-identical to the in-process sweep for the same spec. ok=false
-// (with no error) means the fleet is empty and the caller should sweep
-// in-process.
-func (c *coordinator) sweep(ctx context.Context, sp *sweepSpec, req SweepRequest) (resp *SweepResponse, ok bool, err error) {
-	cells := sp.cells()
-	homes, ok := c.fleet.assign(cells)
-	if !ok {
-		return nil, false, nil
-	}
-	of := len(homes)
-
-	type shardOutcome struct {
-		resp     *ShardResponse
-		failures []WorkerFailure
-		err      error // non-nil only for request-level aborts (ctx)
-	}
-	outcomes := make([]shardOutcome, of)
+// runShards is the one shard runner behind both distributed
+// synchronous sweeps and durable jobs. It solves every shard of sp's
+// grid, split len(parts) ways, that parts does not already hold: shard
+// s goes to the fleet from home homes[s%len(homes)] through
+// coordinator.runShard, or — when homes is nil — in-process through
+// Server.Shard. Each partial lands in parts and, when onShard is set, is
+// handed to it as it lands. The caller's homes stand for the whole call:
+// re-assigning here could turn a sweep whose fleet just emptied into
+// local shards queued behind the very pool slot that sweep holds.
+//
+// It returns nil once every shard has a partial, ctx's error when ctx
+// ended the run, and otherwise a *distributedSweepError whose failures
+// are grouped by shard in shard order, each shard's attempts in the
+// order they ran.
+func (s *Server) runShards(ctx context.Context, sp *sweepSpec, req SweepRequest, homes []string, parts []*ShardResponse, onShard func(shard int, resp *ShardResponse)) error {
+	// Shards carry the normalized axes and no client deadline: every
+	// attempt runs under its own shard deadline.
+	req.WTs, req.TimeoutMS = sp.wts, 0
+	failures := make([][]WorkerFailure, len(parts))
 	var wg sync.WaitGroup
-	for shard := 0; shard < of; shard++ {
+	for shard, have := range parts {
+		if have != nil {
+			continue
+		}
 		wg.Add(1)
-		go func(shard int) {
+		go func() {
 			defer wg.Done()
-			resp, failures, err := c.runShard(ctx, sp, req, shard, of, homes[shard])
-			outcomes[shard] = shardOutcome{resp: resp, failures: failures, err: err}
-		}(shard)
+			shardReq := ShardRequest{SweepRequest: req, Shard: shard, Of: len(parts)}
+			if homes != nil {
+				parts[shard], failures[shard] = s.coord.runShard(ctx, sp, shardReq, homes[shard%len(homes)])
+			} else if resp, err := s.Shard(ctx, shardReq); err != nil {
+				failures[shard] = []WorkerFailure{{Shard: shard, Error: err.Error()}}
+			} else {
+				parts[shard] = resp
+			}
+			if parts[shard] != nil && onShard != nil {
+				onShard(shard, parts[shard])
+			}
+		}()
 	}
 	wg.Wait()
+	if !slices.Contains(parts, nil) {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		// The request itself died (deadline, client abort or shutdown);
+		// report that, not a worker failure.
+		return err
+	}
+	return &distributedSweepError{Failures: slices.Concat(failures...)}
+}
 
-	var failures []WorkerFailure
-	for _, o := range outcomes {
-		if o.err != nil {
-			// The request itself died (deadline or client abort); report
-			// that, not a worker failure.
-			return nil, true, o.err
-		}
-		failures = append(failures, o.failures...)
-	}
-	for _, o := range outcomes {
-		if o.resp == nil {
-			return nil, true, &distributedSweepError{Failures: failures}
-		}
-	}
-
-	// Merge: shard s owns dense cells s, s+of, s+2·of, … in order, so
-	// the j-th point of shard s lands at cell s + j·of. Placement is
-	// all that happens here — post already verified every partial
-	// against the merge contract (hash, geometry, and each point's grid
-	// coordinate), so a contract-violating worker was reassigned like
-	// any other failure, not discovered after the retry loop ended.
-	points := make([]core.SweepPoint, cells)
-	for shard, o := range outcomes {
-		for j, pt := range o.resp.Points {
-			points[shard+j*of] = pt
+// mergeShards places a complete set of round-robin partials into the
+// dense weights-major point list: shard s owns cells s, s+of, s+2·of, …
+// in order, so the j-th point of shard s lands at cell s + j·of.
+// Placement is all that happens here — every partial already passed the
+// merge contract (verifyShardPartial) or came from Server.Shard — so the
+// merged bytes equal an unsharded sweep's.
+func mergeShards(sp *sweepSpec, parts []*ShardResponse) *SweepResponse {
+	points := make([]core.SweepPoint, sp.cells())
+	for shard, part := range parts {
+		for j, pt := range part.Points {
+			points[shard+j*len(parts)] = pt
 		}
 	}
-	return &SweepResponse{DesignHash: sp.hash, Points: points}, true, nil
+	return &SweepResponse{DesignHash: sp.hash, Points: points}
 }
 
 // runShard computes one shard on the fleet: the home worker gets the
@@ -222,29 +231,16 @@ func (c *coordinator) sweep(ctx context.Context, sp *sweepSpec, req SweepRequest
 // untried member (fleet.nextWorker — freshly consulted per attempt, so
 // evictions and hot-adds during the sweep steer the retries) after an
 // exponentially growing backoff. Every outcome feeds the fleet's state
-// machine. The returned error is non-nil only when the *request*
-// context died; per-worker problems come back as WorkerFailures with a
-// nil response.
-func (c *coordinator) runShard(ctx context.Context, sp *sweepSpec, req SweepRequest, shard, of int, home string) (*ShardResponse, []WorkerFailure, error) {
-	want, err := experiments.RoundRobin(sp.cells(), shard, of)
+// machine. A nil response means the shard failed; the failures say why,
+// and runShards tells a dead request context apart from them.
+func (c *coordinator) runShard(ctx context.Context, sp *sweepSpec, req ShardRequest, home string) (*ShardResponse, []WorkerFailure) {
+	want, err := experiments.RoundRobin(sp.cells(), req.Shard, req.Of)
 	if err != nil {
-		return nil, nil, err
+		return nil, []WorkerFailure{{Shard: req.Shard, Error: err.Error()}}
 	}
-	shardReq := ShardRequest{
-		Design:     req.Design,
-		SOC:        req.SOC,
-		Benchmark:  req.Benchmark,
-		Widths:     sp.widths,
-		WTs:        sp.wts,
-		Exhaustive: req.Exhaustive,
-		Bounded:    req.Bounded,
-		Backend:    req.Backend,
-		Shard:      shard,
-		Of:         of,
-	}
-	body, err := json.Marshal(shardReq)
+	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, nil, err
+		return nil, []WorkerFailure{{Shard: req.Shard, Error: err.Error()}}
 	}
 
 	// attempts == 0 means "every current member once": the loop runs
@@ -261,24 +257,24 @@ func (c *coordinator) runShard(ctx context.Context, sp *sweepSpec, req SweepRequ
 		tried[worker] = true
 		if attempt > 0 {
 			backoff := c.retryBackoff << min(attempt-1, retryBackoffCap)
-			if err := c.sleep(ctx, backoff); err != nil {
-				return nil, failures, err
+			if c.sleep(ctx, backoff) != nil {
+				break
 			}
 		}
-		resp, failure := c.post(ctx, worker, shard, of, body, sp, want)
+		resp, failure := c.post(ctx, worker, req.Shard, req.Of, body, sp, want)
 		if failure == nil {
 			c.fleet.reportSuccess(worker, 0)
-			return resp, failures, nil
+			return resp, failures
 		}
 		c.fleet.reportFailure(worker, failure.Error)
 		failures = append(failures, *failure)
 		if ctx.Err() != nil {
 			// The request deadline (or the client) killed the sweep;
 			// reassignment cannot help.
-			return nil, failures, ctx.Err()
+			break
 		}
 	}
-	return nil, failures, nil
+	return nil, failures
 }
 
 // post runs one shard attempt against one worker under the per-shard

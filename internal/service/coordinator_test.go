@@ -106,9 +106,7 @@ func TestShardEndpointPartialsInterleave(t *testing.T) {
 
 	parts := make([]ShardResponse, 2)
 	for s := 0; s < 2; s++ {
-		status, body := post(t, ts, "/v1/shard", ShardRequest{
-			Widths: distTestGrid.Widths, WTs: distTestGrid.WTs, Shard: s, Of: 2,
-		})
+		status, body := post(t, ts, "/v1/shard", ShardRequest{SweepRequest: distTestGrid, Shard: s, Of: 2})
 		if status != http.StatusOK {
 			t.Fatalf("shard %d: status %d: %s", s, status, body)
 		}
@@ -288,17 +286,23 @@ func TestCoordinatorKeepsWarmSweepInProcess(t *testing.T) {
 	}
 }
 
-// /v1/shard validation: bad shard geometry and empty shards are 400s,
-// not 500s.
+// /v1/shard validation: bad shard geometry, empty shards and warm
+// starts are 400s, not 500s.
 func TestShardRequestValidation(t *testing.T) {
 	_, ts := newTestServer(t)
+	shard := func(widths []int, wts []float64, shard, of int) ShardRequest {
+		return ShardRequest{SweepRequest: SweepRequest{Widths: widths, WTs: wts}, Shard: shard, Of: of}
+	}
+	warm := shard([]int{32}, nil, 0, 1)
+	warm.WarmStart = true
 	bad := []ShardRequest{
-		{Widths: []int{32}, Shard: 0, Of: 0},                     // of out of range
-		{Widths: []int{32}, Shard: 2, Of: 2},                     // shard out of range
-		{Widths: []int{32}, Shard: 1, Of: 2},                     // owns no cells
-		{Widths: []int{32, 32}, Shard: 0, Of: 1},                 // duplicate width axis
-		{Widths: []int{32, 40}, WTs: []float64{0.5, 0.5}, Of: 1}, // duplicate weight axis
-		{Widths: nil, Shard: 0, Of: 1},                           // no widths
+		shard([]int{32}, nil, 0, 0),                     // of out of range
+		shard([]int{32}, nil, 2, 2),                     // shard out of range
+		shard([]int{32}, nil, 1, 2),                     // owns no cells
+		shard([]int{32, 32}, nil, 0, 1),                 // duplicate width axis
+		shard([]int{32, 40}, []float64{0.5, 0.5}, 0, 1), // duplicate weight axis
+		shard(nil, nil, 0, 1),                           // no widths
+		warm,                                            // shards solve cold
 	}
 	for _, req := range bad {
 		status, body := post(t, ts, "/v1/shard", req)

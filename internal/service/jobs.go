@@ -22,15 +22,15 @@ package service
 // verifyShardPartial, shared with coordinator.post), deletes the ones
 // that fail it, and re-runs only the missing shards.
 //
-// The shard work itself reuses the existing machinery unchanged: on a
-// coordinator with a live fleet each missing shard goes through
-// coordinator.runShard (per-attempt deadlines, retry-by-reassignment,
-// fleet state-machine feedback); on a standalone server the shards
-// solve in-process through Server.Shard, each holding one worker-pool
-// slot, so jobs and interactive requests share the same saturation
-// bound. Either way every partial is bit-identical to the same cells
-// of an unsharded sweep, which is what makes the checkpoint files
-// mergeable across process lifetimes.
+// The shard work goes through Server.runShards, the runner synchronous
+// distributed sweeps use: on a coordinator with a live fleet each
+// missing shard gets per-attempt deadlines, retry-by-reassignment and
+// fleet state-machine feedback; on a standalone server the shards solve
+// in-process through Server.Shard, each holding one worker-pool slot,
+// so jobs and interactive requests share the same saturation bound.
+// Either way every partial is bit-identical to the same cells of an
+// unsharded sweep, which is what makes the checkpoint files mergeable
+// across process lifetimes, and mergeShards assembles the result.
 
 import (
 	"context"
@@ -41,11 +41,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
-	"mixsoc/internal/core"
 	"mixsoc/internal/experiments"
 )
 
@@ -150,20 +148,16 @@ type JobEvent struct {
 
 // jobManifest is the durable identity of one job —
 // <job-dir>/<id>/job.json — everything recovery needs to re-derive the
-// sweep spec and the shard split exactly as submitted.
+// sweep spec and the shard split exactly as submitted. encoding/json
+// flattens the embedded request in place, so the file's field order is
+// the one older binaries wrote (warm_start and timeout_ms are always
+// unset, hence omitted).
 type jobManifest struct {
-	ID         string          `json:"id"`
-	DesignHash string          `json:"design_hash"`
-	Design     json.RawMessage `json:"design,omitempty"`
-	SOC        string          `json:"soc,omitempty"`
-	Benchmark  string          `json:"benchmark,omitempty"`
-	Widths     []int           `json:"widths"`
-	WTs        []float64       `json:"wts"`
-	Exhaustive bool            `json:"exhaustive,omitempty"`
-	Bounded    bool            `json:"bounded,omitempty"`
-	Backend    string          `json:"backend,omitempty"`
-	Of         int             `json:"of"`
-	CreatedAt  string          `json:"created_at"`
+	ID         string `json:"id"`
+	DesignHash string `json:"design_hash"`
+	SweepRequest
+	Of        int    `json:"of"`
+	CreatedAt string `json:"created_at"`
 }
 
 // jobShardState is one shard's in-memory progress: its verified
@@ -272,7 +266,7 @@ func jobID(sp *sweepSpec, exhaustive, bounded bool, backend string) string {
 // submission returns the existing job.
 func (m *jobManager) submit(req SweepRequest) (j *job, created bool, err error) {
 	observe := func(result string) { m.srv.metrics.observeJobSubmission(result) }
-	sp, err := validateSweep(req.Design, req.SOC, req.Benchmark, req.Widths, req.WTs)
+	sp, err := validateSweep(req)
 	if err != nil {
 		observe(jobSubmitRejected)
 		return nil, false, err
@@ -288,11 +282,6 @@ func (m *jobManager) submit(req SweepRequest) (j *job, created bool, err error) 
 	if !sp.distributable() {
 		observe(jobSubmitRejected)
 		return nil, false, badRequestf("durable jobs need duplicate-free width and wt axes (cells are checkpointed by grid coordinate)")
-	}
-
-	if err := validateBackend(req.Backend); err != nil {
-		observe(jobSubmitRejected)
-		return nil, false, err
 	}
 
 	id := jobID(sp, req.Exhaustive, req.Bounded, req.Backend)
@@ -321,20 +310,14 @@ func (m *jobManager) submit(req SweepRequest) (j *job, created bool, err error) 
 	}
 
 	of := m.chooseOf(sp.cells())
+	req.WTs = sp.wts
 	j = &job{
 		manifest: jobManifest{
-			ID:         id,
-			DesignHash: sp.hash,
-			Design:     req.Design,
-			SOC:        req.SOC,
-			Benchmark:  req.Benchmark,
-			Widths:     sp.widths,
-			WTs:        sp.wts,
-			Exhaustive: req.Exhaustive,
-			Bounded:    req.Bounded,
-			Backend:    req.Backend,
-			Of:         of,
-			CreatedAt:  time.Now().UTC().Format(time.RFC3339),
+			ID:           id,
+			DesignHash:   sp.hash,
+			SweepRequest: req,
+			Of:           of,
+			CreatedAt:    time.Now().UTC().Format(time.RFC3339),
 		},
 		state:     JobStateRunning,
 		shards:    make([]jobShardState, of),
@@ -401,51 +384,24 @@ func (m *jobManager) startRunner(j *job, sp *sweepSpec) {
 }
 
 // run drives one job to a terminal state: solve every missing shard
-// (fleet or local), checkpoint each partial as it lands, then merge
-// and persist the result. A manager shutdown mid-run leaves the job
-// "running" with its checkpoints on disk — exactly the state recovery
-// resumes from.
+// (fleet or local) through runShards, checkpoint each partial as it
+// lands, then merge and persist the result. A manager shutdown mid-run
+// leaves the job "running" with its checkpoints on disk — exactly the
+// state recovery resumes from.
 func (m *jobManager) run(j *job, sp *sweepSpec) {
 	defer m.wg.Done()
 	start := time.Now()
 	of := j.manifest.Of
-	req := SweepRequest{
-		Design:     j.manifest.Design,
-		SOC:        j.manifest.SOC,
-		Benchmark:  j.manifest.Benchmark,
-		Widths:     j.manifest.Widths,
-		WTs:        j.manifest.WTs,
-		Exhaustive: j.manifest.Exhaustive,
-		Bounded:    j.manifest.Bounded,
-		Backend:    j.manifest.Backend,
+	homes, _ := m.srv.fleet.assign(sp.cells())
+	parts := make([]*ShardResponse, of)
+	j.mu.Lock()
+	for shard, sh := range j.shards {
+		parts[shard] = sh.resp
 	}
-	homes, fleetOK := m.srv.fleet.assign(sp.cells())
-
-	var (
-		wg       sync.WaitGroup
-		failMu   sync.Mutex
-		failures []WorkerFailure
-	)
-	for shard := 0; shard < of; shard++ {
-		j.mu.Lock()
-		have := j.shards[shard].resp != nil
-		j.mu.Unlock()
-		if have {
-			continue
-		}
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			resp, fails := m.solveShard(sp, req, shard, of, homes, fleetOK)
-			failMu.Lock()
-			failures = append(failures, fails...)
-			failMu.Unlock()
-			if resp != nil {
-				m.completeShard(j, shard, resp, false)
-			}
-		}(shard)
-	}
-	wg.Wait()
+	j.mu.Unlock()
+	err := m.srv.runShards(m.ctx, sp, j.manifest.SweepRequest, homes, parts, func(shard int, resp *ShardResponse) {
+		m.completeShard(j, shard, resp, false)
+	})
 
 	if m.ctx.Err() != nil {
 		// Shutting down: leave the job running — its checkpoints are the
@@ -453,56 +409,22 @@ func (m *jobManager) run(j *job, sp *sweepSpec) {
 		return
 	}
 	j.mu.Lock()
-	if j.done == of {
-		if err := m.finishJob(j, sp); err != nil {
-			j.errMsg = err.Error()
-			j.terminalLocked(JobStateFailed)
+	if err == nil {
+		err = m.finishJob(j, mergeShards(sp, parts))
+	}
+	if dist, ok := err.(*distributedSweepError); ok {
+		j.failures = dist.Failures
+		if homes == nil {
+			err = fmt.Errorf("service: sweep job failed: %d of %d shard(s) unsolved", of-j.done, of)
 		}
-	} else {
-		sort.Slice(failures, func(a, b int) bool { return failures[a].Shard < failures[b].Shard })
-		j.failures = failures
-		j.errMsg = (&distributedSweepError{Failures: failures}).Error()
-		if !fleetOK {
-			j.errMsg = fmt.Sprintf("service: sweep job failed: %d of %d shard(s) unsolved", of-j.done, of)
-		}
+	}
+	if err != nil {
+		j.errMsg = err.Error()
 		j.terminalLocked(JobStateFailed)
 	}
 	state := j.state
 	j.mu.Unlock()
 	m.srv.metrics.observeJobFinished(state, time.Since(start))
-}
-
-// solveShard computes one shard's verified partial: through the
-// coordinator's retry loop when the fleet has workers, in-process
-// (holding one worker-pool slot) otherwise. A nil response means the
-// shard failed; the failures say why.
-func (m *jobManager) solveShard(sp *sweepSpec, req SweepRequest, shard, of int, homes []string, fleetOK bool) (*ShardResponse, []WorkerFailure) {
-	if fleetOK {
-		resp, failures, err := m.srv.coord.runShard(m.ctx, sp, req, shard, of, homes[shard%len(homes)])
-		if err != nil && m.ctx.Err() == nil {
-			failures = append(failures, WorkerFailure{Shard: shard, Error: err.Error()})
-		}
-		return resp, failures
-	}
-	resp, err := m.srv.Shard(m.ctx, ShardRequest{
-		Design:     req.Design,
-		SOC:        req.SOC,
-		Benchmark:  req.Benchmark,
-		Widths:     req.Widths,
-		WTs:        req.WTs,
-		Exhaustive: req.Exhaustive,
-		Bounded:    req.Bounded,
-		Backend:    req.Backend,
-		Shard:      shard,
-		Of:         of,
-	})
-	if err != nil {
-		if m.ctx.Err() != nil {
-			return nil, nil
-		}
-		return nil, []WorkerFailure{{Shard: shard, Error: err.Error()}}
-	}
-	return resp, nil
 }
 
 // completeShard records one verified partial: checkpoint it to the job
@@ -538,26 +460,17 @@ func shardFileName(shard, of int) string {
 	return fmt.Sprintf("shard_%d_of_%d.json", shard, of)
 }
 
-// finishJob merges a fully-solved job's partials into the dense
-// weights-major point list and persists the response bytes — the exact
+// finishJob persists a fully-solved job's merged response — the exact
 // bytes a synchronous sweep would have returned, served verbatim by
 // GET /v1/sweeps/{id}/result. Called with j.mu held.
-func (m *jobManager) finishJob(j *job, sp *sweepSpec) error {
-	points := make([]core.SweepPoint, sp.cells())
-	for shard := range j.shards {
-		// Shard s owns dense cells s, s+of, s+2·of, … in order (the
-		// RoundRobin rule), same placement as the synchronous merge.
-		for i, pt := range j.shards[shard].resp.Points {
-			points[shard+i*j.manifest.Of] = pt
-		}
-	}
-	data, err := json.MarshalIndent(&SweepResponse{DesignHash: sp.hash, Points: points}, "", "  ")
+func (m *jobManager) finishJob(j *job, resp *SweepResponse) error {
+	data, err := json.MarshalIndent(resp, "", "  ")
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
 	if j.dir != "" {
-		if err := experiments.WriteJSONFile(filepath.Join(j.dir, "result.json"), &SweepResponse{DesignHash: sp.hash, Points: points}); err != nil {
+		if err := experiments.WriteJSONFile(filepath.Join(j.dir, "result.json"), resp); err != nil {
 			m.logf("job %s: persisting result: %v", j.manifest.ID, err)
 		}
 	}
@@ -700,11 +613,8 @@ func (m *jobManager) recoverJob(dir string) error {
 	if err := experiments.ReadJSONFile(filepath.Join(dir, "job.json"), &man); err != nil {
 		return err
 	}
-	sp, err := validateSweep(man.Design, man.SOC, man.Benchmark, man.Widths, man.WTs)
+	sp, err := validateSweep(man.SweepRequest)
 	if err != nil {
-		return fmt.Errorf("manifest does not validate: %w", err)
-	}
-	if err := validateBackend(man.Backend); err != nil {
 		return fmt.Errorf("manifest does not validate: %w", err)
 	}
 	if man.ID != jobID(sp, man.Exhaustive, man.Bounded, man.Backend) {

@@ -9,9 +9,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"mixsoc/internal/experiments"
 )
 
 // jobTestGrid is the sweep the durable-job tests run: two cells, so a
@@ -171,12 +176,13 @@ func TestJobSubmitValidationAndLookupErrors(t *testing.T) {
 	_, ts := newJobServer(t, t.TempDir())
 
 	bad := []SweepRequest{
-		{Widths: []int{32}, WarmStart: true},           // sequential, unshardable
-		{Widths: []int{32}, TimeoutMS: 1000},           // detached jobs have no request deadline
-		{Widths: []int{32, 32}},                        // duplicate width axis
-		{Widths: []int{32, 40}, WTs: []float64{1, 1}},  // duplicate weight axis
-		{Widths: nil},                                  // no widths
-		{Widths: []int{0}},                             // width out of range
+		{Widths: []int{32}, WarmStart: true},          // sequential, unshardable
+		{Widths: []int{32}, TimeoutMS: 1000},          // detached jobs have no request deadline
+		{Widths: []int{32, 32}},                       // duplicate width axis
+		{Widths: []int{32, 40}, WTs: []float64{1, 1}}, // duplicate weight axis
+		{Widths: nil},      // no widths
+		{Widths: []int{0}}, // width out of range
+		{Widths: []int{32}, Backend: "no-such-backend"}, // unknown packing backend
 	}
 	for _, req := range bad {
 		if status, body := post(t, ts, "/v1/sweeps", req); status != http.StatusBadRequest {
@@ -445,6 +451,101 @@ func TestJobFailureAndResubmissionResume(t *testing.T) {
 	}
 	if got := scrape(t, ts)[`msoc_job_submissions_total{result="resumed"}`]; got != 1 {
 		t.Errorf("resumed submissions = %v, want 1", got)
+	}
+}
+
+// A failed job's 502 body must list its failures grouped by shard in
+// shard order, each shard's attempts in the order they happened. Four
+// shards on four failing workers make 16 failures, past the size at
+// which an unstable sort starts reordering equal shard keys.
+func TestJobFailuresKeepPerShardAttemptOrder(t *testing.T) {
+	var mu sync.Mutex
+	hits := map[int][]string{} // shard → workers in attempt order
+	urls := make([]string, 4)
+	for i := range urls {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var req ShardRequest
+			if r.URL.Path == "/v1/shard" && json.NewDecoder(r.Body).Decode(&req) == nil {
+				mu.Lock()
+				hits[req.Shard] = append(hits[req.Shard], fmt.Sprint(i))
+				mu.Unlock()
+			}
+			http.Error(w, "no planner here", http.StatusInternalServerError)
+		}))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	s := New(Options{WorkerURLs: urls, RetryBackoff: time.Millisecond})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	grid := SweepRequest{Widths: []int{32, 40, 48, 56}, WTs: []float64{0.5}}
+	jr := submitJob(t, ts, grid, http.StatusAccepted)
+	if jr.ShardsTotal != 4 {
+		t.Fatalf("4-cell job on 4 workers split into %d shards, want 4", jr.ShardsTotal)
+	}
+	waitJobState(t, ts, jr.ID, JobStateFailed, time.Minute)
+	status, body := getJSON(t, ts, "/v1/sweeps/"+jr.ID+"/result")
+	var er ErrorResponse
+	if status != http.StatusBadGateway || json.Unmarshal(body, &er) != nil {
+		t.Fatalf("failed job result: status %d, want a 502 ErrorResponse (%s)", status, body)
+	}
+	if len(er.Workers) != 16 {
+		t.Fatalf("502 lists %d failures, want 16 (4 shards × 4 workers): %s", len(er.Workers), body)
+	}
+	got := map[int][]string{}
+	for i, f := range er.Workers {
+		if i > 0 && f.Shard < er.Workers[i-1].Shard {
+			t.Fatalf("failure %d (shard %d) follows shard %d: not in shard order", i, f.Shard, er.Workers[i-1].Shard)
+		}
+		got[f.Shard] = append(got[f.Shard], fmt.Sprint(slices.Index(urls, f.Worker)))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(got, hits) {
+		t.Fatalf("per-shard attempt order in the 502 = %v, workers saw %v", got, hits)
+	}
+}
+
+// A job directory written by an earlier release — job.json plus one of
+// its two shard checkpoints — must recover under the same job ID, keep
+// the checkpoint, recompute only the missing shard and serve the
+// synchronous sweep's bytes; and the manifest must re-encode to the
+// bytes on disk, so the embedded request changed nothing on the wire.
+func TestJobRecoversCommittedJobDirectory(t *testing.T) {
+	const id = "f3ec1c94f3d84ba5"
+	manifestPath := filepath.Join("testdata", "jobs", id, "job.json")
+	onDisk, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man jobManifest
+	if err := experiments.ReadJSONFile(manifestPath, &man); err != nil {
+		t.Fatal(err)
+	}
+	reencoded := filepath.Join(t.TempDir(), "job.json")
+	if err := experiments.WriteJSONFile(reencoded, &man); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(reencoded); err != nil || !bytes.Equal(again, onDisk) {
+		t.Fatalf("manifest re-encodes differently (err %v):\n%s\nwant:\n%s", err, again, onDisk)
+	}
+	if testing.Short() {
+		t.Skip("solver sweeps are slow")
+	}
+
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "jobs"))); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newJobServer(t, dir)
+	final := waitJobState(t, ts, id, JobStateDone, 2*time.Minute)
+	if !final.Recovered || !final.Shards[0].Recovered || final.Shards[1].Recovered {
+		t.Fatalf("recovered job progress = %+v, want shard 0 recovered and shard 1 recomputed", final)
+	}
+	if _, got := getJSON(t, ts, "/v1/sweeps/"+id+"/result"); !bytes.Equal(got, inProcessSweepBytes(t, jobTestGrid)) {
+		t.Fatal("recovered job's result differs from the synchronous sweep")
 	}
 }
 

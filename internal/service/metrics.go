@@ -324,7 +324,7 @@ func (m *metricsRegistry) render(w io.Writer, em core.EngineMetrics, fleet []Wor
 	p.value("msoc_engine_schedule_cache_total", labels{"result", "miss"}, float64(em.ScheduleTotal.Misses))
 	// Backend families enumerate the registry in fixed order so every
 	// (backend, result) series is present at zero from the first scrape.
-	p.family("msoc_backend_packs_total", "TAM packs routed through an explicitly selected packing backend, by backend and outcome (tournament packs count once per participating backend; default-path packs are the schedule-cache misses).", "counter")
+	p.family("msoc_backend_packs_total", "TAM packs by packing backend and outcome (requests without a backend pack with occupancy; tournament packs count once per participating backend).", "counter")
 	for _, backend := range tam.Backends() {
 		st := em.BackendPacks[backend]
 		p.value("msoc_backend_packs_total", labels{"backend", backend, "result", "error"}, float64(st.Errors))

@@ -352,10 +352,12 @@ type sweepSpec struct {
 // (widths[i%len(widths)], weights[i/len(widths)]).
 func (sp *sweepSpec) cells() int { return len(sp.widths) * len(sp.weights) }
 
-// validateSweep checks a sweep's axes, bounds and design — shared by
-// the in-process sweep, the coordinator, and the worker shard endpoint,
-// so all three accept exactly the same grids.
-func validateSweep(design json.RawMessage, soc, benchmark string, widths []int, wts []float64) (*sweepSpec, error) {
+// validateSweep checks a sweep's axes, bounds, backend and design —
+// shared by the in-process sweep, the coordinator, the worker shard
+// endpoint and durable jobs, so all of them accept exactly the same
+// grids.
+func validateSweep(req SweepRequest) (*sweepSpec, error) {
+	widths, wts := req.Widths, req.WTs
 	if len(widths) == 0 {
 		return nil, badRequestf("sweep needs at least one width")
 	}
@@ -378,7 +380,10 @@ func validateSweep(design json.RawMessage, soc, benchmark string, widths []int, 
 	if cells := len(widths) * len(weights); cells > MaxSweepCells {
 		return nil, badRequestf("sweep grid of %d cells exceeds the %d-cell bound", cells, MaxSweepCells)
 	}
-	d, err := resolveDesign(design, soc, benchmark)
+	if err := validateBackend(req.Backend); err != nil {
+		return nil, err
+	}
+	d, err := resolveDesign(req.Design, req.SOC, req.Benchmark)
 	if err != nil {
 		return nil, err
 	}
@@ -416,16 +421,14 @@ func (sp *sweepSpec) distributable() bool {
 }
 
 // Sweep computes the response of POST /v1/sweep for req; see Plan. On a
-// coordinator (Options.WorkerURLs set) cold sweeps are fanned out to
-// the workers and merged byte-identically to the in-process path;
-// warm-started sweeps — whose cross-width chaining is inherently
-// sequential — and grids with duplicate axis values plan in-process.
+// coordinator (a non-empty fleet) cold sweeps are fanned out to the
+// workers through runShards and merged byte-identically to the
+// in-process path; warm-started sweeps — whose cross-width chaining is
+// inherently sequential — and grids with duplicate axis values plan
+// in-process, as one engine sweep under one pool slot.
 func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
-	sp, err := validateSweep(req.Design, req.SOC, req.Benchmark, req.Widths, req.WTs)
+	sp, err := validateSweep(req)
 	if err != nil {
-		return nil, err
-	}
-	if err := validateBackend(req.Backend); err != nil {
 		return nil, err
 	}
 
@@ -438,10 +441,14 @@ func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, e
 	defer release()
 
 	if !req.WarmStart && sp.distributable() {
-		if resp, distributed, err := s.coord.sweep(ctx, sp, req); distributed {
-			return resp, err
+		if homes, ok := s.fleet.assign(sp.cells()); ok {
+			parts := make([]*ShardResponse, len(homes))
+			if err := s.runShards(ctx, sp, req, homes, parts, nil); err != nil {
+				return nil, err
+			}
+			return mergeShards(sp, parts), nil
 		}
-		// distributed == false: the fleet is empty, sweep in-process.
+		// The fleet is empty: sweep in-process.
 	}
 	points, err := s.engine.Sweep(ctx, sp.design, sp.widths, sp.weights, core.SweepOptions{
 		Exhaustive: req.Exhaustive,
@@ -458,13 +465,14 @@ func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, e
 // Shard computes the response of POST /v1/shard for req: the shard's
 // round-robin slice of the full (widths × wts) grid, solved cold
 // through core.SweepOptions.Select so every returned point is
-// bit-identical to the same cell of an unsharded sweep.
+// bit-identical to the same cell of an unsharded sweep. Shards always
+// solve cold, so warm_start is a 400.
 func (s *Server) Shard(ctx context.Context, req ShardRequest) (*ShardResponse, error) {
-	sp, err := validateSweep(req.Design, req.SOC, req.Benchmark, req.Widths, req.WTs)
-	if err != nil {
-		return nil, err
+	if req.WarmStart {
+		return nil, badRequestf("shards solve cold: warm_start chains widths sequentially and cannot be sharded")
 	}
-	if err := validateBackend(req.Backend); err != nil {
+	sp, err := validateSweep(req.SweepRequest)
+	if err != nil {
 		return nil, err
 	}
 	if !sp.distributable() {

@@ -285,7 +285,8 @@ func TestRequestValidation(t *testing.T) {
 		{"/v1/sweep", SweepRequest{}},
 		{"/v1/sweep", SweepRequest{Widths: make([]int, MaxSweepCells+1)}},
 		{"/v1/sweep", SweepRequest{Widths: []int{32}, Backend: "no-such-backend"}},
-		{"/v1/shard", ShardRequest{Widths: []int{32}, Backend: "no-such-backend", Of: 1}},
+		{"/v1/shard", ShardRequest{SweepRequest: SweepRequest{Widths: []int{32}, Backend: "no-such-backend"}, Of: 1}},
+		{"/v1/shard", ShardRequest{SweepRequest: SweepRequest{Widths: []int{32}, WarmStart: true}, Of: 1}},
 	}
 	for _, tc := range bad {
 		status, body := post(t, ts, tc.path, tc.body)

@@ -130,43 +130,20 @@ type SweepResponse struct {
 }
 
 // ShardRequest is the body of POST /v1/shard — the worker half of a
-// distributed sweep. It names the coordinator's full (widths × wts)
-// grid plus this worker's round-robin slice of it, so every worker
-// derives the same cell numbering without coordination (the
-// experiments.RoundRobin rule shared with the grid runner).
+// distributed sweep. It is the coordinator's full sweep — design bytes
+// forwarded verbatim, so the worker resolves and hashes the identical
+// design, and the full (widths × wts) axes, not just this shard's —
+// plus this worker's round-robin slice of it, so every worker derives
+// the same cell numbering without coordination (the
+// experiments.RoundRobin rule shared with the grid runner). Shards
+// solve cold: warm_start is a 400.
 type ShardRequest struct {
-	// Design is an inline design; see PlanRequest.Design. The
-	// coordinator forwards its request's design bytes verbatim, so the
-	// worker resolves — and hashes — the identical design.
-	Design json.RawMessage `json:"design,omitempty"`
-	// SOC is an uploaded .soc body, forwarded verbatim like Design; see
-	// PlanRequest.SOC.
-	SOC string `json:"soc,omitempty"`
-	// Benchmark names a built-in design; see PlanRequest.Benchmark.
-	Benchmark string `json:"benchmark,omitempty"`
-	// Widths is the full sweep's TAM width axis (not just this shard's).
-	Widths []int `json:"widths"`
-	// WTs is the full sweep's test-time weight axis.
-	WTs []float64 `json:"wts,omitempty"`
-	// Exhaustive selects the exhaustive baseline per grid point.
-	Exhaustive bool `json:"exhaustive,omitempty"`
-	// Bounded enables branch-and-bound pruning per grid point; the
-	// coordinator forwards it verbatim (see PlanRequest.Bounded —
-	// per-point best cost and selection are unchanged by it, so sharded
-	// merges stay byte-compatible with unsharded bounded sweeps).
-	Bounded bool `json:"bounded,omitempty"`
-	// Backend selects the packing backend per grid point, forwarded
-	// verbatim by the coordinator so every shard packs with the same
-	// algorithm; see PlanRequest.Backend.
-	Backend string `json:"backend,omitempty"`
+	SweepRequest
 	// Shard is this worker's index in the round-robin split: it owns the
 	// weights-major cells shard, shard+of, shard+2·of, ….
 	Shard int `json:"shard"`
 	// Of is the total number of shards in the split.
 	Of int `json:"of"`
-	// TimeoutMS caps this shard's planning time; see
-	// PlanRequest.TimeoutMS.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
 // ShardResponse is the body of a successful POST /v1/shard: the shard's

@@ -105,7 +105,7 @@ func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 		return nil, err
 	}
 
-	target := LowerBound(jobs, width)
+	target := packTarget(jobs, width)
 
 	// Serialization groups behave like one long chain: one useful weight
 	// for a job is its whole group's serial time rather than its own

@@ -43,7 +43,7 @@ func PackRectangle(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 		return nil, err
 	}
 
-	target := LowerBound(jobs, width)
+	target := packTarget(jobs, width)
 
 	// The group chain weight and per-job preferred rectangle, shared
 	// with Optimize's ordering logic (see the groupTotal comment there).

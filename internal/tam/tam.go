@@ -207,50 +207,35 @@ func (s *Schedule) Utilization() float64 {
 	return float64(used) / (float64(s.Width) * float64(s.Makespan))
 }
 
-// LowerBound returns the packing lower bound for the jobs in a bin of
-// the given width: the larger of the total volume divided by the width
-// and the longest unavoidable job/group time.
-func LowerBound(jobs []*Job, width int) int64 {
-	var volume int64
-	var longest int64
-	groupTime := map[string]int64{}
-	for _, j := range jobs {
-		volume += j.volume(width)
-		mt := j.minTime(width)
-		if mt > longest {
-			longest = mt
-		}
-		if j.Group != "" {
-			groupTime[j.Group] += mt
-		}
-	}
-	for _, t := range groupTime {
-		if t > longest {
-			longest = t
-		}
-	}
-	if lb := (volume + int64(width) - 1) / int64(width); lb > longest {
-		return lb
-	}
-	return longest
+// packTarget is the packers' improvement target: the makespan at which
+// they stop polishing. It is lowerBound with each job's volume taken at
+// its widest usable option, which tracks what greedy packings actually
+// spend but can exceed the area of a schedule that narrows a job — so
+// it is not a bound on every valid schedule. AdmissibleLowerBound is.
+func packTarget(jobs []*Job, width int) int64 {
+	return lowerBound(jobs, width, (*Job).volume)
 }
 
-// AdmissibleLowerBound is LowerBound with the volume term taken at
-// each job's cheapest usable option instead of its widest. LowerBound
-// is the packer's improvement target — its widest-option volume tracks
-// what greedy packings actually spend, but can exceed the area of a
-// schedule that narrows a job, so it is not a bound on every valid
-// schedule. This one is: any placement of job j covers at least
-// minVolume(j) wire-cycles and runs at least its widest-option time,
-// and a shared wrapper group's jobs serialize, so no valid schedule of
-// the jobs — packed by this library or otherwise — finishes earlier.
-// Branch-and-bound pruning needs exactly that admissibility.
+// AdmissibleLowerBound returns a makespan no valid schedule of the jobs
+// in a bin of the given width — packed by this library or otherwise —
+// can beat: any placement of job j covers at least minVolume(j)
+// wire-cycles and runs at least its widest-option time, and a shared
+// wrapper group's jobs serialize. Branch-and-bound pruning needs exactly
+// that admissibility.
 func AdmissibleLowerBound(jobs []*Job, width int) int64 {
+	return lowerBound(jobs, width, (*Job).minVolume)
+}
+
+// lowerBound is the body packTarget and AdmissibleLowerBound share: the
+// larger of the total job volume (as the volume function measures it)
+// divided by the width, rounded up, and the longest unavoidable job or
+// serialized group time.
+func lowerBound(jobs []*Job, width int, volumeOf func(*Job, int) int64) int64 {
 	var volume int64
 	var longest int64
 	groupTime := map[string]int64{}
 	for _, j := range jobs {
-		volume += j.minVolume(width)
+		volume += volumeOf(j, width)
 		mt := j.minTime(width)
 		if mt > longest {
 			longest = mt

@@ -139,17 +139,17 @@ func TestLowerBound(t *testing.T) {
 		groupJob("d", "g", 1, 15),
 	}
 	// volume = 20+30+12+15 = 77; width 4 -> ceil(77/4) = 20; longest job 30.
-	if lb := LowerBound(jobs, 4); lb != 30 {
-		t.Errorf("LowerBound = %d, want 30", lb)
+	if lb := packTarget(jobs, 4); lb != 30 {
+		t.Errorf("packTarget = %d, want 30", lb)
 	}
 	// width 1: volume bound 77.
-	if lb := LowerBound(jobs, 1); lb != 77 {
-		t.Errorf("LowerBound(1) = %d, want 77", lb)
+	if lb := packTarget(jobs, 1); lb != 77 {
+		t.Errorf("packTarget(1) = %d, want 77", lb)
 	}
 	// group bound dominates when jobs are short but serialized.
 	g := []*Job{groupJob("c", "g", 1, 12), groupJob("d", "g", 1, 15)}
-	if lb := LowerBound(g, 64); lb != 27 {
-		t.Errorf("group LowerBound = %d, want 27", lb)
+	if lb := packTarget(g, 64); lb != 27 {
+		t.Errorf("group packTarget = %d, want 27", lb)
 	}
 }
 
@@ -214,7 +214,7 @@ func TestP93791PackingQuality(t *testing.T) {
 		if len(s.Placements) != len(jobs) {
 			t.Fatalf("w=%d: placed %d of %d jobs", w, len(s.Placements), len(jobs))
 		}
-		lb := LowerBound(jobs, w)
+		lb := packTarget(jobs, w)
 		ratio := float64(s.Makespan) / float64(lb)
 		t.Logf("W=%d: makespan %d, LB %d, ratio %.3f, util %.1f%%",
 			w, s.Makespan, lb, ratio, 100*s.Utilization())
@@ -303,7 +303,7 @@ func TestOptimizeProperty(t *testing.T) {
 		if s.Validate() != nil {
 			return false
 		}
-		return s.Makespan >= LowerBound(jobs, width)
+		return s.Makespan >= AdmissibleLowerBound(jobs, width)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

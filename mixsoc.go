@@ -133,8 +133,8 @@ var EqualWeights = core.EqualWeights
 func PackingBackends() []string { return core.Backends() }
 
 // PackerFor resolves a packing-backend name to a Packer. The empty
-// name resolves to (nil, nil) — the planner's default occupancy path,
-// byte-identical to leaving Planner.Packer unset.
+// name resolves to the default occupancy backend, the one NewPlanner
+// already sets.
 func PackerFor(name string) (Packer, error) { return core.PackerFor(name) }
 
 // NewEngine returns a long-lived planning engine: it keeps a wrapper
