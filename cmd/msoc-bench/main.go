@@ -188,23 +188,33 @@ func benchmarks() []benchmark {
 		// wall time is the point; its metrics are intentionally NOT the
 		// cold sweep's (warm packing trades a few percent of schedule
 		// quality), so they are tracked as their own trail entries.
-		{"sweep-warm", func() (map[string]float64, error) {
-			points, err := core.SweepWith(experiments.Design(), experiments.PaperWidths,
-				[]core.Weights{core.EqualWeights}, core.SweepOptions{Exhaustive: true, WarmStart: true})
-			if err != nil {
-				return nil, err
-			}
-			best, err := core.BestOver(points)
-			if err != nil {
-				return nil, err
-			}
-			return map[string]float64{
-				"points":   float64(len(points)),
-				"bestCost": best.Result.Best.Cost,
-				"bestW":    float64(best.Width),
-			}, nil
-		}},
+		sweepBenchmark("sweep-warm", true),
+		// sweep-paper-cold is sweep-warm's cold twin: the same grid with
+		// every width packed from scratch, so the trail records what
+		// warm start buys.
+		sweepBenchmark("sweep-paper-cold", false),
 	}
+}
+
+// sweepBenchmark times an exhaustive equal-weight sweep of the paper
+// design over the paper widths, with or without warm-start chaining.
+func sweepBenchmark(name string, warm bool) benchmark {
+	return benchmark{name, func() (map[string]float64, error) {
+		points, err := core.SweepWith(experiments.Design(), experiments.PaperWidths,
+			[]core.Weights{core.EqualWeights}, core.SweepOptions{Exhaustive: true, WarmStart: warm})
+		if err != nil {
+			return nil, err
+		}
+		best, err := core.BestOver(points)
+		if err != nil {
+			return nil, err
+		}
+		return map[string]float64{
+			"points":   float64(len(points)),
+			"bestCost": best.Result.Best.Cost,
+			"bestW":    float64(best.Width),
+		}, nil
+	}}
 }
 
 // registryBenchmark times Cost_Optimizer on a named registry design at
@@ -280,7 +290,7 @@ func main() {
 	out := flag.String("out", ".", "directory for the BENCH_*.json files")
 	repeat := flag.Int("repeat", 3, "runs per benchmark; the best wall time is reported")
 	workers := flag.Int("workers", 0, "cap the worker pool (0 = all CPUs)")
-	which := flag.String("bench", "all", "benchmark to run: table1, table3, table4, plan-heuristic, plan-exhaustive, plan-bounded, plan-rectangle, plan-d695m, plan-g1023m, plan-t512505m, near-dup-cache, sweep-warm, or all")
+	which := flag.String("bench", "all", "benchmark to run: table1, table3, table4, plan-heuristic, plan-exhaustive, plan-bounded, plan-rectangle, plan-d695m, plan-g1023m, plan-t512505m, near-dup-cache, sweep-warm, sweep-paper-cold, or all")
 	compare := flag.Bool("compare", false, "compare two perf trails (files or directories) given as positional args and exit non-zero on regression")
 	trend := flag.Bool("trend", false, "print per-benchmark wall-time trajectories across the trails given as positional args (chronological order) and exit non-zero on regression")
 	shardSpec := flag.String("shard", "", "compute one shard of the experiment grid, as N/M (e.g. 0/2); writes SHARD_N_of_M.json into -out")

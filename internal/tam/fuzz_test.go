@@ -1,6 +1,7 @@
 package tam
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -37,13 +38,92 @@ func randomJobs(seed int64, nJobs, binWidth int) []*Job {
 	return jobs
 }
 
-// FuzzBitmaskFitter packs random job sets twice — once with the bitset
-// band search (single-word for bins ≤ 64 wires, multi-word beyond) and
-// once with the per-wire counter scan it replaced — and requires
-// bit-identical earliest-fit answers and placements at every step. The
-// counter scan is the reference implementation; any divergence is a bug
-// in the bitset paths.
-func FuzzBitmaskFitter(f *testing.F) {
+// earliestFitScan is the per-wire counter-scan reference for
+// fitter.earliestFit: the same candidate sweep and occupancy counters,
+// but each candidate's band search is an O(W) scan of the counters
+// rather than a bitset walk. Production code never takes it.
+func (f *fitter) earliestFitScan(j *Job, w int, dur int64, placements []Placement, limit int64) (int64, int, bool) {
+	n := len(placements)
+	byStart, byEnd := f.byStart, f.byEnd
+
+	occ := f.occ[:f.binWidth]
+	clear(occ)
+	groupActive := 0
+	si, ei := 0, 0
+	gen := candGen{placements: placements, byStart: byStart, byEnd: byEnd, dur: dur}
+	for t := int64(0); t <= limit; {
+		for si < n && placements[byStart[si]].Start < t+dur {
+			p := &placements[byStart[si]]
+			for wire := p.WireLo; wire < p.WireLo+p.Width; wire++ {
+				occ[wire]++
+			}
+			if j.Group != "" && p.Job.Group == j.Group {
+				groupActive++
+			}
+			si++
+		}
+		for ei < n && placements[byEnd[ei]].End <= t {
+			p := &placements[byEnd[ei]]
+			for wire := p.WireLo; wire < p.WireLo+p.Width; wire++ {
+				occ[wire]--
+			}
+			if j.Group != "" && p.Job.Group == j.Group {
+				groupActive--
+			}
+			ei++
+		}
+		if groupActive == 0 {
+			// Lowest contiguous band of w free wires in the profile.
+			run := 0
+			for wire := 0; wire < f.binWidth; wire++ {
+				if occ[wire] != 0 {
+					run = 0
+					continue
+				}
+				run++
+				if run >= w {
+					return t, wire - w + 1, true
+				}
+			}
+		}
+		nt := gen.next(t)
+		if nt == math.MaxInt64 {
+			break
+		}
+		t = nt
+	}
+	return 0, 0, false
+}
+
+// bestPlacementScan is the reference for fitter.bestPlacement: every
+// width option is swept in full by the counter scan, with none of
+// bestPlacement's incumbent pruning, and the minimum in (end, width,
+// start, wire) order wins.
+func (f *fitter) bestPlacementScan(j *Job, placements []Placement) (Placement, bool) {
+	var best Placement
+	found := false
+	f.prepare(placements)
+	for _, opt := range f.opts[j] {
+		t, wireLo, ok := f.earliestFitScan(j, opt.Width, opt.Time, placements, math.MaxInt64)
+		if !ok {
+			continue
+		}
+		p := Placement{Job: j, Width: opt.Width, Start: t, End: t + opt.Time, WireLo: wireLo}
+		if !found || cmp.Or(cmp.Compare(p.End, best.End), cmp.Compare(p.Width, best.Width),
+			cmp.Compare(p.Start, best.Start), cmp.Compare(p.WireLo, best.WireLo)) < 0 {
+			best, found = p, true
+		}
+	}
+	return best, found
+}
+
+// FuzzFitterReference packs random job sets (bin widths 1–256, so both
+// one-word and multi-word bitsets) and requires the bitset fitter to
+// match the counter-scan reference at every step: raw earliest-fit
+// answers for every width option, with and without a pruning limit,
+// and the chosen placement. Any divergence is a bug in the bitset
+// sweep or in bestPlacement's pruning.
+func FuzzFitterReference(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(12))
 	f.Add(int64(7), uint8(1), uint8(5))
 	f.Add(int64(42), uint8(63), uint8(16))
@@ -62,43 +142,36 @@ func FuzzBitmaskFitter(f *testing.F) {
 
 		cfg := config{improvePasses: len(jobs), paretoOnly: true}
 		opts := newOptionTable(jobs, binWidth, cfg)
-		mask := newFitter(opts, binWidth, cfg)
+		bitset := newFitter(opts, binWidth, cfg)
 		scan := newFitter(opts, binWidth, cfg)
-		scan.useMask = false
-		if !mask.useMask {
-			t.Fatalf("binWidth %d should select a bitset path", binWidth)
-		}
-		if (binWidth > 64) != (mask.busyWords != nil) {
-			t.Fatalf("binWidth %d: wrong bitset representation selected", binWidth)
-		}
 
 		s := &Schedule{Width: binWidth}
 		for _, j := range jobs {
 			// Raw earliest-fit answers must agree for every width option,
 			// with and without a pruning limit.
-			mask.prepare(s.Placements)
+			bitset.prepare(s.Placements)
 			scan.prepare(s.Placements)
 			for _, opt := range opts[j] {
 				for _, limit := range []int64{math.MaxInt64, 100} {
-					mt, mw, mok := mask.earliestFit(j, opt.Width, opt.Time, s.Placements, limit)
-					st, sw, sok := scan.earliestFit(j, opt.Width, opt.Time, s.Placements, limit)
-					if mt != st || mw != sw || mok != sok {
-						t.Fatalf("earliestFit(%s, w=%d, dur=%d, limit=%d) diverges: mask (%d,%d,%v) scan (%d,%d,%v)",
-							j.ID, opt.Width, opt.Time, limit, mt, mw, mok, st, sw, sok)
+					bt, bw, bok := bitset.earliestFit(j, opt.Width, opt.Time, s.Placements, limit)
+					st, sw, sok := scan.earliestFitScan(j, opt.Width, opt.Time, s.Placements, limit)
+					if bt != st || bw != sw || bok != sok {
+						t.Fatalf("earliestFit(%s, w=%d, dur=%d, limit=%d) diverges: bitset (%d,%d,%v) scan (%d,%d,%v)",
+							j.ID, opt.Width, opt.Time, limit, bt, bw, bok, st, sw, sok)
 					}
 				}
 			}
-			mp, mok := mask.bestPlacement(j, s.Placements)
-			sp, sok := scan.bestPlacement(j, s.Placements)
-			if mok != sok || mp != sp {
-				t.Fatalf("bestPlacement(%s) diverges: mask %+v/%v scan %+v/%v", j.ID, mp, mok, sp, sok)
+			bp, bok := bitset.bestPlacement(j, s.Placements)
+			sp, sok := scan.bestPlacementScan(j, s.Placements)
+			if bok != sok || bp != sp {
+				t.Fatalf("bestPlacement(%s) diverges: bitset %+v/%v scan %+v/%v", j.ID, bp, bok, sp, sok)
 			}
-			if !mok {
+			if !bok {
 				t.Fatalf("could not place %s in width-%d bin", j.ID, binWidth)
 			}
-			s.Placements = append(s.Placements, mp)
-			if mp.End > s.Makespan {
-				s.Makespan = mp.End
+			s.Placements = append(s.Placements, bp)
+			if bp.End > s.Makespan {
+				s.Makespan = bp.End
 			}
 		}
 		if err := s.Validate(); err != nil {
@@ -107,45 +180,9 @@ func FuzzBitmaskFitter(f *testing.F) {
 	})
 }
 
-// TestRunMask pins the word-trick band search against a bit-by-bit
-// reference on exhaustive small masks and random 64-bit ones.
-func TestRunMask(t *testing.T) {
-	ref := func(free uint64, w int) uint64 {
-		var out uint64
-		for i := 0; i+w <= 64; i++ {
-			all := true
-			for b := i; b < i+w; b++ {
-				if free&(1<<uint(b)) == 0 {
-					all = false
-					break
-				}
-			}
-			if all {
-				out |= 1 << uint(i)
-			}
-		}
-		return out
-	}
-	for free := uint64(0); free < 1<<10; free++ {
-		for w := 1; w <= 10; w++ {
-			if got, want := runMask(free, w)&((1<<10)-1), ref(free, w)&((1<<10)-1); got != want {
-				t.Fatalf("runMask(%#b, %d) = %#b, want %#b", free, w, got, want)
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 2000; i++ {
-		free := rng.Uint64()
-		w := 1 + rng.Intn(64)
-		if got, want := runMask(free, w), ref(free, w); got != want {
-			t.Fatalf("runMask(%#x, %d) = %#x, want %#x", free, w, got, want)
-		}
-	}
-}
-
-// TestLowestFreeRun pins the multi-word band search against a
-// wire-by-wire reference across word-boundary-straddling runs, partial
-// last words, and random bitsets.
+// TestLowestFreeRun pins the bitset band search against a wire-by-wire
+// reference on one-word and multi-word bins: word-boundary-straddling
+// runs, partial last words, and random bitsets.
 func TestLowestFreeRun(t *testing.T) {
 	ref := func(busy []uint64, binWidth, w int) int {
 		run := 0
@@ -167,9 +204,10 @@ func TestLowestFreeRun(t *testing.T) {
 		}
 	}
 
-	// Hand-picked shapes: empty bitset, a run straddling the 64-bit
-	// boundary, a fully busy middle word, and a partial last word.
-	for _, binWidth := range []int{65, 100, 128, 129, 200} {
+	// Hand-picked shapes over one-word and multi-word bins: an empty
+	// bitset, and a free run straddling the 64-bit boundary (in a
+	// one-word bin, a free run in the bin's top wires).
+	for _, binWidth := range []int{1, 31, 64, 65, 100, 128, 129, 200} {
 		words := (binWidth + 63) / 64
 		empty := make([]uint64, words)
 		for _, w := range []int{1, 63, 64, 65, binWidth, binWidth + 1} {
@@ -178,7 +216,7 @@ func TestLowestFreeRun(t *testing.T) {
 			}
 		}
 		straddle := make([]uint64, words)
-		for wire := 0; wire < 60; wire++ {
+		for wire := 0; wire < min(60, binWidth-1); wire++ {
 			set(straddle, wire)
 		}
 		for wire := 70; wire < binWidth; wire++ {
@@ -193,7 +231,7 @@ func TestLowestFreeRun(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 5000; i++ {
-		binWidth := 65 + rng.Intn(200)
+		binWidth := 1 + rng.Intn(264)
 		words := (binWidth + 63) / 64
 		busy := make([]uint64, words)
 		for wi := range busy {

@@ -13,13 +13,12 @@ import (
 // with a single time sweep per query instead of the per-candidate full
 // rescans of the naive formulation. One fitter serves one packing
 // goroutine: it owns reusable scratch buffers (start/end-sorted
-// placement indices and a per-wire occupancy profile) so steady-state
-// queries allocate nothing. The per-job width options (the Pareto
-// staircase, or the full staircase under WithFullStaircase) are
-// precomputed once per Optimize call and shared read-only between
-// fitters.
+// placement indices, a per-wire occupancy profile and its busy bitset)
+// so steady-state queries allocate nothing. The per-job width options
+// (the Pareto staircase, or the full staircase under WithFullStaircase)
+// are precomputed once per pack and shared read-only between fitters.
 //
-// Two generations of speedup over the naive rescan live here:
+// Two speedups over the naive rescan live here:
 //
 //   - the candidate start times of a query (0, each placed rectangle's
 //     end, and each start minus the query duration) are not collected
@@ -27,36 +26,27 @@ import (
 //     order by merging the byStart/byEnd index orders, which
 //     bestPlacement builds once per job and shares across every width
 //     option of that job;
-//   - the band search maintains a busy bitset alongside the per-wire
-//     counters, turning the O(W) lowest-free-band scan at each
-//     candidate time into word operations: a single uint64 with a
-//     shift-and-AND lowest-run search for bins of at most 64 wires —
-//     every width the paper sweeps — (see runMask), and a multi-word
-//     bitset walked a word at a time (see lowestFreeRun) for wider
-//     bins. The counter scan survives only as the reference
-//     implementation both bitset paths are fuzzed against
-//     (FuzzBitmaskFitter).
+//   - the band search keeps a busy bitset alongside the per-wire
+//     counters and walks it a word at a time (see lowestFreeRun), so
+//     each candidate check is a few word operations instead of an O(W)
+//     counter scan. A bin of at most 64 wires — every width the paper
+//     sweeps — is simply a one-word bitset (a dedicated single-word
+//     search measured slower than this walk). The counter scan lives
+//     on only in the tests, as the reference this sweep is fuzzed
+//     against (FuzzFitterReference).
 type fitter struct {
 	binWidth int
 	cfg      config
-
-	// useMask selects the bitset band search (the default for every bin
-	// width; tests clear it to force the counter-scan reference).
-	// widthMask has the low binWidth bits set so wires outside a ≤ 64
-	// bin read as busy; busyWords is the multi-word busy bitset of a
-	// wider bin.
-	useMask   bool
-	widthMask uint64
-	busyWords []uint64
 
 	// opts maps each job to its candidate width options, precomputed by
 	// newOptionTable. Read-only after construction; safe to share.
 	opts map[*Job][]wrapper.Point
 
 	// Scratch buffers, reused across queries.
-	byStart []int32 // placement indices ordered by Start
-	byEnd   []int32 // placement indices ordered by End
-	occ     []int32 // occupancy count per wire during the sweep window
+	byStart []int32  // placement indices ordered by Start
+	byEnd   []int32  // placement indices ordered by End
+	occ     []int32  // occupancy count per wire during the sweep window
+	busy    []uint64 // bit w set iff occ[w] != 0
 }
 
 // newOptionTable precomputes the width options the packer will try for
@@ -71,19 +61,13 @@ func newOptionTable(jobs []*Job, binWidth int, cfg config) map[*Job][]wrapper.Po
 }
 
 func newFitter(opts map[*Job][]wrapper.Point, binWidth int, cfg config) *fitter {
-	f := &fitter{
+	return &fitter{
 		binWidth: binWidth,
 		cfg:      cfg,
 		opts:     opts,
 		occ:      make([]int32, binWidth),
-		useMask:  true,
+		busy:     make([]uint64, (binWidth+63)/64),
 	}
-	if binWidth <= 64 {
-		f.widthMask = ^uint64(0) >> uint(64-binWidth)
-	} else {
-		f.busyWords = make([]uint64, (binWidth+63)/64)
-	}
-	return f
 }
 
 // fork returns a fitter sharing the read-only option table but owning
@@ -160,31 +144,19 @@ func (g *candGen) next(t int64) int64 {
 // The candidates are visited in ascending order while two monotone
 // cursors maintain the set of placements overlapping the moving window
 // [t, t+dur) as a per-wire occupancy profile plus a count of active
-// same-group placements, making each candidate check O(1) for the group
-// constraint and — on the bitmask path — a few word operations for the
+// same-group placements. The counters are needed because two placements
+// may cover the same wire at different times within one window; the
+// busy bitset mirrors which counters are nonzero, so each candidate
+// check is O(1) for the group constraint and O(W/64) word steps for the
 // band search.
 func (f *fitter) earliestFit(j *Job, w int, dur int64, placements []Placement, limit int64) (int64, int, bool) {
-	switch {
-	case !f.useMask:
-		return f.earliestFitScan(j, w, dur, placements, limit)
-	case f.binWidth <= 64:
-		return f.earliestFitMask(j, w, dur, placements, limit)
-	}
-	return f.earliestFitMaskWide(j, w, dur, placements, limit)
-}
-
-// earliestFitMask is the ≤ 64-wire fast path: the per-wire counters are
-// still maintained (two placements may cover the same wire at different
-// times within one window), but a busy mask tracks which wires have a
-// nonzero count, so each candidate check is a lowest-run-of-zeros word
-// search instead of an O(W) scan.
-func (f *fitter) earliestFitMask(j *Job, w int, dur int64, placements []Placement, limit int64) (int64, int, bool) {
 	n := len(placements)
 	byStart, byEnd := f.byStart, f.byEnd
 
 	occ := f.occ[:f.binWidth]
 	clear(occ)
-	var busy uint64
+	busy := f.busy
+	clear(busy)
 	groupActive := 0
 	si, ei := 0, 0
 	gen := candGen{placements: placements, byStart: byStart, byEnd: byEnd, dur: dur}
@@ -192,82 +164,6 @@ func (f *fitter) earliestFitMask(j *Job, w int, dur int64, placements []Placemen
 		// Admit placements entering the window: Start < t+dur. A
 		// placement that also already ended (End <= t) is retired by the
 		// second cursor in the same step, so the profile stays exact.
-		for si < n && placements[byStart[si]].Start < t+dur {
-			p := &placements[byStart[si]]
-			for wire := p.WireLo; wire < p.WireLo+p.Width; wire++ {
-				if occ[wire] == 0 {
-					busy |= 1 << uint(wire)
-				}
-				occ[wire]++
-			}
-			if j.Group != "" && p.Job.Group == j.Group {
-				groupActive++
-			}
-			si++
-		}
-		for ei < n && placements[byEnd[ei]].End <= t {
-			p := &placements[byEnd[ei]]
-			for wire := p.WireLo; wire < p.WireLo+p.Width; wire++ {
-				occ[wire]--
-				if occ[wire] == 0 {
-					busy &^= 1 << uint(wire)
-				}
-			}
-			if j.Group != "" && p.Job.Group == j.Group {
-				groupActive--
-			}
-			ei++
-		}
-		if groupActive == 0 {
-			if m := runMask(^busy&f.widthMask, w); m != 0 {
-				return t, bits.TrailingZeros64(m), true
-			}
-		}
-		nt := gen.next(t)
-		if nt == math.MaxInt64 {
-			break
-		}
-		t = nt
-	}
-	return 0, 0, false
-}
-
-// runMask reduces a free-wire mask to the set of band starts: bit i of
-// the result is set iff bits i..i+w-1 of free are all set. The shift-
-// and-AND doubling runs in O(log w) word operations; the lowest set bit
-// of the result is the lowest free band, matching the counter scan's
-// first-run answer exactly.
-func runMask(free uint64, w int) uint64 {
-	m := free
-	d := 1
-	for d < w {
-		s := d
-		if s > w-d {
-			s = w - d
-		}
-		m &= m >> uint(s)
-		d += s
-	}
-	return m
-}
-
-// earliestFitMaskWide is the > 64-wire bitset path: the same sweep as
-// earliestFitMask, with the busy bits spread across a []uint64 bitset
-// and the band search walking it a word at a time (lowestFreeRun), so a
-// candidate check costs O(W/64) word steps plus one step per free/busy
-// transition instead of an O(W) per-wire scan.
-func (f *fitter) earliestFitMaskWide(j *Job, w int, dur int64, placements []Placement, limit int64) (int64, int, bool) {
-	n := len(placements)
-	byStart, byEnd := f.byStart, f.byEnd
-
-	occ := f.occ[:f.binWidth]
-	clear(occ)
-	busy := f.busyWords
-	clear(busy)
-	groupActive := 0
-	si, ei := 0, 0
-	gen := candGen{placements: placements, byStart: byStart, byEnd: byEnd, dur: dur}
-	for t := int64(0); t <= limit; {
 		for si < n && placements[byStart[si]].Start < t+dur {
 			p := &placements[byStart[si]]
 			for wire := p.WireLo; wire < p.WireLo+p.Width; wire++ {
@@ -360,62 +256,6 @@ func lowestFreeRun(busy []uint64, binWidth, w int) int {
 		}
 	}
 	return -1
-}
-
-// earliestFitScan is the per-wire counter-scan reference implementation
-// the two bitset paths are differentially fuzzed against; production
-// queries always take a bitset path.
-func (f *fitter) earliestFitScan(j *Job, w int, dur int64, placements []Placement, limit int64) (int64, int, bool) {
-	n := len(placements)
-	byStart, byEnd := f.byStart, f.byEnd
-
-	occ := f.occ[:f.binWidth]
-	clear(occ)
-	groupActive := 0
-	si, ei := 0, 0
-	gen := candGen{placements: placements, byStart: byStart, byEnd: byEnd, dur: dur}
-	for t := int64(0); t <= limit; {
-		for si < n && placements[byStart[si]].Start < t+dur {
-			p := &placements[byStart[si]]
-			for wire := p.WireLo; wire < p.WireLo+p.Width; wire++ {
-				occ[wire]++
-			}
-			if j.Group != "" && p.Job.Group == j.Group {
-				groupActive++
-			}
-			si++
-		}
-		for ei < n && placements[byEnd[ei]].End <= t {
-			p := &placements[byEnd[ei]]
-			for wire := p.WireLo; wire < p.WireLo+p.Width; wire++ {
-				occ[wire]--
-			}
-			if j.Group != "" && p.Job.Group == j.Group {
-				groupActive--
-			}
-			ei++
-		}
-		if groupActive == 0 {
-			// Lowest contiguous band of w free wires in the profile.
-			run := 0
-			for wire := 0; wire < f.binWidth; wire++ {
-				if occ[wire] != 0 {
-					run = 0
-					continue
-				}
-				run++
-				if run >= w {
-					return t, wire - w + 1, true
-				}
-			}
-		}
-		nt := gen.next(t)
-		if nt == math.MaxInt64 {
-			break
-		}
-		t = nt
-	}
-	return 0, 0, false
 }
 
 // bestPlacement finds the placement of j minimizing (end, width, start,

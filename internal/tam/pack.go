@@ -1,15 +1,17 @@
 package tam
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"mixsoc/internal/wrapper"
 )
 
-// Option configures Optimize.
+// Option configures a packing backend (Optimize, PackRectangle).
 type Option func(*config)
 
 type config struct {
@@ -29,12 +31,6 @@ func (c *config) ctxErr() error {
 	return c.ctx.Err()
 }
 
-// WithImprovePasses bounds the post-packing improvement loop; 0 disables
-// it (used by the ablation benches). The default is one pass per job.
-func WithImprovePasses(n int) Option {
-	return func(c *config) { c.improvePasses = n }
-}
-
 // WithFullStaircase makes the packer consider every width from the
 // narrowest option up to the bin width, synthesizing flat staircase
 // steps, instead of only the strictly-improving Pareto points. It exists
@@ -45,18 +41,17 @@ func WithFullStaircase() Option {
 
 // WithWarmStart seeds the packing with a schedule of the same job set
 // from an adjacent bin. A seed from a narrower (or equal-width) bin is
-// feasible verbatim in this bin, so the optimizer adopts its placements
+// feasible verbatim in this bin, so the packer adopts its placements
 // — matching jobs by ID and re-deriving durations from the current
-// staircases — and goes straight to the repack/improve polish, which
-// re-places every job against the wider bin, instead of packing three
-// orderings from scratch. A seed from a wider bin cannot be adopted
-// verbatim (its placements may overflow the narrower bin); instead the
-// jobs are re-placed earliest-fit in the seed's placement order, a
-// single guided packing that inherits the seed's structure at a third
-// of the cold cost. A seed that does not match the job set (different
-// IDs, or widths outside the staircase) is ignored, so a stale seed can
-// never corrupt a result; with no usable seed the packer falls back to
-// the cold path.
+// staircases — and goes straight to the backend's polish, which
+// re-places jobs against the wider bin, instead of packing cold. A seed
+// from a wider bin cannot be adopted verbatim (its placements may
+// overflow the narrower bin); instead the jobs are re-placed
+// earliest-fit in the seed's placement order, a single guided packing
+// that inherits the seed's structure at a fraction of the cold cost. A
+// seed that does not match the job set (different IDs, or widths
+// outside the staircase) is ignored, so a stale seed can never corrupt
+// a result; with no usable seed the packer falls back to the cold path.
 //
 // The option may be given several times — e.g. the nearest completed
 // width on either side of a sweep — in which case every seed is adopted
@@ -73,24 +68,83 @@ func WithWarmStart(seed *Schedule) Option {
 }
 
 // WithContext makes the packing cancellable: the placement loops poll
-// ctx between jobs and Optimize returns ctx.Err() once it fires. A nil
-// ctx (and the zero option value) means never cancelled.
+// ctx between jobs and the packer returns ctx.Err() once it fires. A
+// nil ctx (and the zero option value) means never cancelled.
 func WithContext(ctx context.Context) Option {
 	return func(c *config) { c.ctx = ctx }
 }
 
-// Optimize packs the jobs into a TAM of the given width and returns a
-// validated schedule. The heuristic follows the rectangle-packing
-// formulation: jobs are considered longest-first, each is placed at the
-// position and width option minimizing its finish time (preferring
-// narrower widths on ties), and a bounded improvement loop then re-places
-// the jobs that define the makespan, letting them widen into idle wires.
-//
-// The three complementary packing orderings are independent, so they run
-// concurrently; the winner is chosen deterministically (smallest
-// makespan, first ordering on ties), making the result identical to a
-// sequential evaluation.
-func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
+// instance is one validated pack request plus the per-job quantities
+// the backends' cold orderings are built from.
+type instance struct {
+	jobs  []*Job
+	width int
+	// groupTotal is each serialization group's serial time at its
+	// widest options. Groups behave like one long chain: one useful
+	// weight for a job is its whole group's serial time rather than its
+	// own (often short) time, or the chain ends up in a tail behind a
+	// tightly packed bin.
+	groupTotal map[string]int64
+	// target is the packTarget makespan estimate; a job's preferred
+	// width is its narrowest option meeting it (preferredWidth).
+	target int64
+	// prefTime is each job's time at its preferred width, precomputed
+	// so the ordering comparators do no staircase walks inside sort.
+	prefTime map[*Job]int64
+}
+
+func newInstance(jobs []*Job, width int) *instance {
+	in := &instance{
+		jobs:       jobs,
+		width:      width,
+		groupTotal: map[string]int64{},
+		target:     packTarget(jobs, width),
+		prefTime:   make(map[*Job]int64, len(jobs)),
+	}
+	for _, j := range jobs {
+		if j.Group != "" {
+			in.groupTotal[j.Group] += j.minTime(width)
+		}
+		in.prefTime[j] = timeFor(j, preferredWidth(j, width, in.target))
+	}
+	return in
+}
+
+// chain is a job's chain weight: its serialization group's serial time,
+// or its own preferred time when it has no group.
+func (in *instance) chain(j *Job) int64 {
+	if j.Group != "" {
+		return in.groupTotal[j.Group]
+	}
+	return in.prefTime[j]
+}
+
+// orderBy returns the jobs sorted by descending key, ties broken by
+// descending preferred time and then ascending ID — a total order, so
+// every backend's ordering is deterministic.
+func orderBy[K cmp.Ordered](in *instance, key func(*Job) K) []*Job {
+	order := slices.Clone(in.jobs)
+	slices.SortFunc(order, func(a, b *Job) int {
+		if c := cmp.Compare(key(b), key(a)); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(in.prefTime[b], in.prefTime[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	return order
+}
+
+// pack is the pipeline every backend runs. It parses the options,
+// validates the request and builds the shared fitter; then the best
+// usable warm seed, or else the backend's cold packing, is handed to
+// the backend's polish step, and the result is checked for cancellation
+// and validated. A backend supplies only cold and polish, so both share
+// one warm-start, cancellation and validation contract.
+func pack(jobs []*Job, width int, opts []Option,
+	cold func(in *instance, f *fitter) (*Schedule, error),
+	polish func(s *Schedule, f *fitter)) (*Schedule, error) {
 	cfg := config{improvePasses: len(jobs), paretoOnly: true}
 	for _, o := range opts {
 		o(&cfg)
@@ -104,80 +158,82 @@ func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 	if err := validateJobs(jobs, width); err != nil {
 		return nil, err
 	}
-
-	target := packTarget(jobs, width)
-
-	// Serialization groups behave like one long chain: one useful weight
-	// for a job is its whole group's serial time rather than its own
-	// (often short) time, or the chain ends up in a tail behind a
-	// tightly packed bin.
-	groupTotal := map[string]int64{}
-	for _, j := range jobs {
-		if j.Group != "" {
-			groupTotal[j.Group] += j.minTime(width)
-		}
-	}
-	// Per-job sort keys, precomputed so the ordering comparators do no
-	// staircase walks (and no allocations) inside sort.
-	prefTimes := make(map[*Job]int64, len(jobs))
-	volumes := make(map[*Job]int64, len(jobs))
-	for _, j := range jobs {
-		prefTimes[j] = timeFor(j, preferredWidth(j, width, target))
-		volumes[j] = j.volume(width)
-	}
-	chainWeight := func(j *Job) int64 {
-		if j.Group != "" {
-			return groupTotal[j.Group]
-		}
-		return prefTimes[j]
-	}
-
-	// Greedy list scheduling is sensitive to the job order; pack with a
-	// few complementary orderings and keep the best schedule. All
-	// orderings share deterministic tie-breaking by ID.
-	orderings := []func(j *Job) int64{
-		chainWeight,
-		func(j *Job) int64 { return prefTimes[j] },
-		func(j *Job) int64 { return volumes[j] },
-	}
-
+	in := newInstance(jobs, width)
 	shared := newFitter(newOptionTable(jobs, width, cfg), width, cfg)
 
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
 	}
+	s := warmSeed(jobs, width, cfg.warm, shared)
+	if s == nil {
+		var err error
+		if s, err = cold(in, shared); err != nil {
+			return nil, err
+		}
+	}
+	polish(s, shared)
 
-	// A usable warm seed replaces the three cold packing orderings: the
-	// adopted (narrower seed) or re-placed (wider seed) schedule is
-	// already feasible at this width, so the repack/improve polish — the
-	// same loops the cold path runs on its winner — does all remaining
-	// work, with repack letting every job widen into the new wires. With
-	// several seeds the cheapest pre-polish makespan wins, earlier seeds
-	// winning ties.
-	if len(cfg.warm) > 0 {
-		var adopted *Schedule
-		for _, seed := range cfg.warm {
-			s := adoptSeed(jobs, width, seed)
-			if s == nil {
-				s = shrinkSeed(jobs, width, seed, shared)
-			}
-			if s != nil && (adopted == nil || s.Makespan < adopted.Makespan) {
-				adopted = s
-			}
+	if err := cfg.ctxErr(); err != nil {
+		return nil, err
+	}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("tam: internal error: produced invalid schedule: %w", err)
+	}
+	return s, nil
+}
+
+// warmSeed adopts (narrower seed) or re-places (wider seed) every warm
+// seed and returns the one with the smallest pre-polish makespan,
+// earlier seeds winning ties, or nil when no seed is usable. A usable
+// seed is already feasible at this width, so it replaces the cold
+// packing outright.
+func warmSeed(jobs []*Job, width int, seeds []*Schedule, f *fitter) *Schedule {
+	var best *Schedule
+	for _, seed := range seeds {
+		s := adoptSeed(jobs, width, seed)
+		if s == nil {
+			s = shrinkSeed(jobs, width, seed, f)
 		}
-		if adopted != nil {
-			if cfg.improvePasses > 0 {
-				repack(adopted, shared)
-				improve(adopted, shared)
-			}
-			if err := cfg.ctxErr(); err != nil {
-				return nil, err
-			}
-			if err := adopted.Validate(); err != nil {
-				return nil, fmt.Errorf("tam: internal error: produced invalid schedule: %w", err)
-			}
-			return adopted, nil
+		if s != nil && (best == nil || s.Makespan < best.Makespan) {
+			best = s
 		}
+	}
+	return best
+}
+
+// Optimize packs the jobs into a TAM of the given width and returns a
+// validated schedule. The heuristic follows the rectangle-packing
+// formulation: jobs are considered longest-first, each is placed at the
+// position and width option minimizing its finish time (preferring
+// narrower widths on ties), and a bounded improvement loop then re-places
+// the jobs that define the makespan, letting them widen into idle wires.
+//
+// The three complementary packing orderings are independent, so they run
+// concurrently; the winner is chosen deterministically (smallest
+// makespan, first ordering on ties), making the result identical to a
+// sequential evaluation. Its polish is repack followed by improve.
+func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
+	return pack(jobs, width, opts, packOrderings, func(s *Schedule, f *fitter) {
+		repack(s, f)
+		improve(s, f)
+	})
+}
+
+// packOrderings is Optimize's cold step. Greedy list scheduling is
+// sensitive to the job order, so it packs three complementary orderings
+// (chain weight, preferred time, volume), improves each, and keeps the
+// smallest makespan, the first ordering winning ties. The polish runs
+// only on the winner: repack re-places every job, so running it per
+// ordering buys little for its cost.
+func packOrderings(in *instance, shared *fitter) (*Schedule, error) {
+	volumes := make(map[*Job]int64, len(in.jobs))
+	for _, j := range in.jobs {
+		volumes[j] = j.volume(in.width)
+	}
+	orderings := []func(j *Job) int64{
+		in.chain,
+		func(j *Job) int64 { return in.prefTime[j] },
+		func(j *Job) int64 { return volumes[j] },
 	}
 
 	results := make([]*Schedule, len(orderings))
@@ -185,22 +241,13 @@ func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 	var wg sync.WaitGroup
 	for oi, key := range orderings {
 		wg.Add(1)
-		go func(oi int, key func(j *Job) int64) {
+		go func() {
 			defer wg.Done()
-			order := append([]*Job(nil), jobs...)
-			sort.Slice(order, func(a, b int) bool {
-				ka, kb := key(order[a]), key(order[b])
-				if ka != kb {
-					return ka > kb
-				}
-				ta, tb := prefTimes[order[a]], prefTimes[order[b]]
-				if ta != tb {
-					return ta > tb
-				}
-				return order[a].ID < order[b].ID
-			})
-			results[oi], errs[oi] = packList(order, shared.fork())
-		}(oi, key)
+			f := shared.fork()
+			if results[oi], errs[oi] = packList(orderBy(in, key), f); errs[oi] == nil {
+				improve(results[oi], f)
+			}
+		}()
 	}
 	wg.Wait()
 
@@ -213,24 +260,10 @@ func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 			best = results[oi]
 		}
 	}
-
-	// Polish only the winning schedule: repack re-places every job, so
-	// running it per ordering buys little for its cost.
-	if cfg.improvePasses > 0 {
-		repack(best, shared)
-		improve(best, shared)
-	}
-
-	if err := cfg.ctxErr(); err != nil {
-		return nil, err
-	}
-	if err := best.Validate(); err != nil {
-		return nil, fmt.Errorf("tam: internal error: produced invalid schedule: %w", err)
-	}
 	return best, nil
 }
 
-// adoptSeed rebuilds a warm-start seed over this Optimize call's job
+// adoptSeed rebuilds a warm-start seed over this pack call's job
 // set: placements are matched by job ID, durations re-derived from the
 // current staircases, and the result validated against the (possibly
 // wider) bin. It returns nil if the seed does not describe exactly this
@@ -319,8 +352,7 @@ func shrinkSeed(jobs []*Job, width int, seed *Schedule, f *fitter) *Schedule {
 	return s
 }
 
-// packList packs the jobs in the given order and runs the improvement
-// loop.
+// packList places the jobs earliest-fit in the given order.
 func packList(order []*Job, f *fitter) (*Schedule, error) {
 	s := &Schedule{Width: f.binWidth}
 	s.Placements = make([]Placement, 0, len(order))
@@ -337,7 +369,6 @@ func packList(order []*Job, f *fitter) (*Schedule, error) {
 			s.Makespan = p.End
 		}
 	}
-	improve(s, f)
 	return s, nil
 }
 
@@ -351,7 +382,7 @@ func packList(order []*Job, f *fitter) (*Schedule, error) {
 func repack(s *Schedule, f *fitter) {
 	done := make(map[*Job]bool, len(s.Placements))
 	for {
-		// On cancellation the schedule is abandoned by Optimize, so
+		// On cancellation the schedule is abandoned by pack, so
 		// bailing between steps (possibly leaving Makespan un-tightened)
 		// is safe.
 		if f.cfg.ctxErr() != nil {
@@ -428,7 +459,7 @@ func improve(s *Schedule, f *fitter) {
 		clear(tried)
 		moved := false
 		for {
-			// Cancelled runs are abandoned by Optimize; see repack.
+			// Cancelled runs are abandoned by pack; see repack.
 			if f.cfg.ctxErr() != nil {
 				return
 			}

@@ -165,7 +165,10 @@ func TestPolishNeverWorseThanGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := Optimize(jobs, 48, WithImprovePasses(0))
+	// The raw greedy result: Optimize's three cold orderings with the
+	// improvement loop disabled and no repack.
+	cfg := config{improvePasses: 0, paretoOnly: true}
+	raw, err := packOrderings(newInstance(jobs, 48), newFitter(newOptionTable(jobs, 48, cfg), 48, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,10 @@ import "fmt"
 // Packer is a pluggable packing backend: given a job set and a bin
 // width it returns a validated Schedule. Every backend honours the same
 // Option set — warm-start seeding (WithWarmStart), cancellation
-// (WithContext), and the tuning knobs — and every output passes the one
-// shared feasibility contract, Schedule.Validate, so backends are
-// interchangeable anywhere a schedule is consumed and differ only in
-// search strategy (and therefore makespan).
+// (WithContext) and the WithFullStaircase ablation — and every output
+// passes the one shared feasibility contract, Schedule.Validate, so
+// backends are interchangeable anywhere a schedule is consumed and
+// differ only in search strategy (and therefore makespan).
 type Packer interface {
 	// Name returns the backend's registry name (e.g. "occupancy").
 	Name() string
