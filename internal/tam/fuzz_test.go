@@ -39,18 +39,25 @@ func randomJobs(seed int64, nJobs, binWidth int) []*Job {
 }
 
 // earliestFitScan is the per-wire counter-scan reference for
-// fitter.earliestFit: the same candidate sweep and occupancy counters,
-// but each candidate's band search is an O(W) scan of the counters
-// rather than a bitset walk. Production code never takes it.
+// fitter.earliestFit: the same candidate sweep, but with one plain
+// int32 occupancy counter per wire, updated wire by wire, and an O(W)
+// scan of the counters for each candidate's band search instead of the
+// bit-sliced counters and the bitset walk. Production code never takes
+// it.
 func (f *fitter) earliestFitScan(j *Job, w int, dur int64, placements []Placement, limit int64) (int64, int, bool) {
 	n := len(placements)
 	byStart, byEnd := f.byStart, f.byEnd
 
-	occ := f.occ[:f.binWidth]
-	clear(occ)
+	occ := make([]int32, f.binWidth)
+	// Candidate keys read from the placements, not prepare's key arrays,
+	// so the reference also checks those.
+	startKey, endKey := make([]int64, n), make([]int64, n)
+	for i := range n {
+		startKey[i], endKey[i] = placements[byStart[i]].Start, placements[byEnd[i]].End
+	}
 	groupActive := 0
 	si, ei := 0, 0
-	gen := candGen{placements: placements, byStart: byStart, byEnd: byEnd, dur: dur}
+	gen := candGen{startKey: startKey, endKey: endKey, dur: dur}
 	for t := int64(0); t <= limit; {
 		for si < n && placements[byStart[si]].Start < t+dur {
 			p := &placements[byStart[si]]
@@ -118,7 +125,8 @@ func (f *fitter) bestPlacementScan(j *Job, placements []Placement) (Placement, b
 }
 
 // FuzzFitterReference packs random job sets (bin widths 1–256, so both
-// one-word and multi-word bitsets) and requires the bitset fitter to
+// one-word and multi-word bitsets; 2–81 jobs, so up to 7 counter
+// slices) and requires the bit-sliced bitset fitter to
 // match the counter-scan reference at every step: raw earliest-fit
 // answers for every width option, with and without a pruning limit,
 // and the chosen placement. Any divergence is a bug in the bitset
@@ -135,9 +143,14 @@ func FuzzFitterReference(f *testing.F) {
 	f.Add(int64(23), uint8(127), uint8(15))
 	f.Add(int64(31), uint8(128), uint8(8))
 	f.Add(int64(77), uint8(200), uint8(13))
+	// Many jobs: 81 in a 16-wire bin stack up to 9 deep on one wire, so
+	// carries and borrows ripple through 4 counter slices; 66 at W=200
+	// stack up to 7 deep with most bands spanning two or more words.
+	f.Add(int64(68), uint8(15), uint8(79))
+	f.Add(int64(11), uint8(199), uint8(64))
 	f.Fuzz(func(t *testing.T, seed int64, widthByte, nByte uint8) {
 		binWidth := 1 + int(widthByte)
-		n := 2 + int(nByte)%14
+		n := 2 + int(nByte)%80
 		jobs := randomJobs(seed, n, binWidth)
 
 		cfg := config{improvePasses: len(jobs), paretoOnly: true}

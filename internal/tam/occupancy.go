@@ -13,27 +13,35 @@ import (
 // with a single time sweep per query instead of the per-candidate full
 // rescans of the naive formulation. One fitter serves one packing
 // goroutine: it owns reusable scratch buffers (start/end-sorted
-// placement indices, a per-wire occupancy profile and its busy bitset)
-// so steady-state queries allocate nothing. The per-job width options
-// (the Pareto staircase, or the full staircase under WithFullStaircase)
-// are precomputed once per pack and shared read-only between fitters.
+// placement indices and their keys, the bit-sliced occupancy counters
+// and the busy bitset), sized from the job count when the fitter is
+// built, so steady-state queries allocate nothing. The per-job width
+// options (the Pareto staircase, or the full staircase under
+// WithFullStaircase) are precomputed once per pack and shared
+// read-only between fitters.
 //
-// Two speedups over the naive rescan live here:
+// Three speedups over the naive rescan live here:
 //
 //   - the candidate start times of a query (0, each placed rectangle's
 //     end, and each start minus the query duration) are not collected
 //     and sorted per width option; they are generated in ascending
-//     order by merging the byStart/byEnd index orders, which
-//     bestPlacement builds once per job and shares across every width
+//     order by merging the byStart/byEnd orders, whose keys prepare
+//     copies into flat startKey/endKey arrays so the cursors read
+//     sequential int64s rather than Placement structs; bestPlacement
+//     prepares once per job and shares the orders across every width
 //     option of that job;
-//   - the band search keeps a busy bitset alongside the per-wire
-//     counters and walks it a word at a time (see lowestFreeRun), so
-//     each candidate check is a few word operations instead of an O(W)
-//     counter scan. A bin of at most 64 wires — every width the paper
-//     sweeps — is simply a one-word bitset (a dedicated single-word
-//     search measured slower than this walk). The counter scan lives
-//     on only in the tests, as the reference this sweep is fuzzed
-//     against (FuzzFitterReference).
+//   - the occupancy of the moving window is kept as vertical
+//     (bit-sliced) counters: bit w of slice k is bit k of wire w's
+//     count, so admitting or retiring a placement is a carry or borrow
+//     ripple over its band's word masks — a few word operations, not a
+//     loop over its wires;
+//   - the band search ORs the slices into a busy bitset and walks it a
+//     word at a time (see lowestFreeRun), so each candidate check is a
+//     few word operations instead of an O(W) counter scan. A bin of at
+//     most 64 wires — every width the paper sweeps — is simply a
+//     one-word bitset. The per-wire counter scan lives on only in the
+//     tests, as the reference this sweep is fuzzed against
+//     (FuzzFitterReference).
 type fitter struct {
 	binWidth int
 	cfg      config
@@ -43,15 +51,16 @@ type fitter struct {
 	opts map[*Job][]wrapper.Point
 
 	// Scratch buffers, reused across queries.
-	byStart []int32  // placement indices ordered by Start
-	byEnd   []int32  // placement indices ordered by End
-	occ     []int32  // occupancy count per wire during the sweep window
-	busy    []uint64 // bit w set iff occ[w] != 0
+	byStart  []int32  // placement indices ordered by Start
+	byEnd    []int32  // placement indices ordered by End
+	startKey []int64  // startKey[i] = placements[byStart[i]].Start
+	endKey   []int64  // endKey[i] = placements[byEnd[i]].End
+	cnt      []uint64 // bit-sliced counters: word wi, slice k at cnt[wi*depth+k]
+	busy     []uint64 // bit w set iff wire w's count is nonzero
 }
 
 // newOptionTable precomputes the width options the packer will try for
-// every job, so placement loops never re-derive (and re-allocate) the
-// usable staircase.
+// every job, so placement loops never re-derive the usable staircase.
 func newOptionTable(jobs []*Job, binWidth int, cfg config) map[*Job][]wrapper.Point {
 	opts := make(map[*Job][]wrapper.Point, len(jobs))
 	for _, j := range jobs {
@@ -60,13 +69,22 @@ func newOptionTable(jobs []*Job, binWidth int, cfg config) map[*Job][]wrapper.Po
 	return opts
 }
 
+// newFitter builds a fitter whose scratch is sized for a schedule of
+// every job in the option table, so prepare and earliestFit never grow
+// a buffer while a pack runs.
 func newFitter(opts map[*Job][]wrapper.Point, binWidth int, cfg config) *fitter {
+	n := len(opts)
+	words := (binWidth + 63) / 64
 	return &fitter{
 		binWidth: binWidth,
 		cfg:      cfg,
 		opts:     opts,
-		occ:      make([]int32, binWidth),
-		busy:     make([]uint64, (binWidth+63)/64),
+		byStart:  make([]int32, 0, n),
+		byEnd:    make([]int32, 0, n),
+		startKey: make([]int64, 0, n),
+		endKey:   make([]int64, 0, n),
+		cnt:      make([]uint64, words*bits.Len(uint(n))),
+		busy:     make([]uint64, words),
 	}
 }
 
@@ -75,10 +93,10 @@ func newFitter(opts map[*Job][]wrapper.Point, binWidth int, cfg config) *fitter 
 func (f *fitter) fork() *fitter { return newFitter(f.opts, f.binWidth, f.cfg) }
 
 // prepare (re)builds the start- and end-sorted placement index orders
-// the sweep cursors walk. The orders do not depend on the queried
-// rectangle, so bestPlacement builds them once and reuses them across
-// every width option of a job; they must be rebuilt whenever the
-// placements slice changes.
+// the sweep cursors walk, and their flat key arrays. The orders do not
+// depend on the queried rectangle, so bestPlacement builds them once
+// and reuses them across every width option of a job; they must be
+// rebuilt whenever the placements slice changes.
 func (f *fitter) prepare(placements []Placement) {
 	byStart := f.byStart[:0]
 	byEnd := f.byEnd[:0]
@@ -92,7 +110,14 @@ func (f *fitter) prepare(placements []Placement) {
 	slices.SortFunc(byEnd, func(a, b int32) int {
 		return cmp.Compare(placements[a].End, placements[b].End)
 	})
+	startKey := f.startKey[:0]
+	endKey := f.endKey[:0]
+	for i := range byStart {
+		startKey = append(startKey, placements[byStart[i]].Start)
+		endKey = append(endKey, placements[byEnd[i]].End)
+	}
 	f.byStart, f.byEnd = byStart, byEnd
+	f.startKey, f.endKey = startKey, endKey
 }
 
 // candGen yields the candidate start times of one earliest-fit query in
@@ -100,97 +125,134 @@ func (f *fitter) prepare(placements []Placement) {
 // their starts minus the query duration (a window can also become
 // feasible right before a rectangle begins) — the same candidate set as
 // a full collect-and-sort, produced by merging the already-sorted
-// byStart and byEnd index orders with two monotone cursors. This is
-// what lets one prepare() serve every width option of a job: the
+// startKey and endKey arrays with two monotone cursors. This is what
+// lets one prepare() serve every width option of a job: the
 // duration-dependent candidate stream costs O(n) per option instead of
 // an O(n log n) sort.
 type candGen struct {
-	placements []Placement
-	byStart    []int32
-	byEnd      []int32
-	dur        int64
-	ce, cs     int // cursors into byEnd / byStart
+	startKey []int64
+	endKey   []int64
+	dur      int64
+	ce, cs   int // cursors into endKey / startKey
 }
 
 // next returns the smallest candidate strictly greater than t, or
 // math.MaxInt64 when exhausted.
 func (g *candGen) next(t int64) int64 {
-	for g.ce < len(g.byEnd) && g.placements[g.byEnd[g.ce]].End <= t {
+	for g.ce < len(g.endKey) && g.endKey[g.ce] <= t {
 		g.ce++
 	}
-	for g.cs < len(g.byStart) && g.placements[g.byStart[g.cs]].Start-g.dur <= t {
+	for g.cs < len(g.startKey) && g.startKey[g.cs]-g.dur <= t {
 		g.cs++
 	}
 	nxt := int64(math.MaxInt64)
-	if g.ce < len(g.byEnd) {
-		nxt = g.placements[g.byEnd[g.ce]].End
+	if g.ce < len(g.endKey) {
+		nxt = g.endKey[g.ce]
 	}
-	if g.cs < len(g.byStart) {
-		if s := g.placements[g.byStart[g.cs]].Start - g.dur; s < nxt {
+	if g.cs < len(g.startKey) {
+		if s := g.startKey[g.cs] - g.dur; s < nxt {
 			nxt = s
 		}
 	}
 	return nxt
 }
 
+// bandMask returns the bits of bitset word wi that lie inside the wire
+// band [lo, hi).
+func bandMask(wi, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if wi == lo>>6 {
+		m <<= uint(lo & 63)
+	}
+	if wi == (hi-1)>>6 {
+		m &= ^uint64(0) >> uint(63-((hi-1)&63))
+	}
+	return m
+}
+
 // earliestFit returns the earliest start time (and lowest wire band) at
 // which a w×dur rectangle for job j fits among the placements: no wire
 // conflicts and no time overlap with j's serialization group. The
-// caller must have called prepare on the same placements slice.
-// Candidates greater than limit are not considered: callers pass the
-// largest start that could still matter to them, which prunes the sweep
-// without changing any answer they act on.
+// caller must have called prepare on the same placements slice, which
+// holds placements of the option table's jobs (so no more than the
+// counters were sized for). Candidates greater than limit are not
+// considered: callers pass the largest start that could still matter to
+// them, which prunes the sweep without changing any answer they act on.
 //
 // The candidates are visited in ascending order while two monotone
 // cursors maintain the set of placements overlapping the moving window
-// [t, t+dur) as a per-wire occupancy profile plus a count of active
-// same-group placements. The counters are needed because two placements
-// may cover the same wire at different times within one window; the
-// busy bitset mirrors which counters are nonzero, so each candidate
-// check is O(1) for the group constraint and O(W/64) word steps for the
-// band search.
+// [t, t+dur) as per-wire occupancy counts plus a count of active
+// same-group placements. Counts are needed because two placements may
+// cover the same wire at different times within one window. They are
+// stored bit-sliced — slice k holds bit k of every wire's count, and
+// bits.Len(n) slices hold any count up to n — so admitting a placement
+// adds its band mask with a carry ripple up the slices of each word it
+// covers, retiring one subtracts with a borrow ripple, and either stops
+// at the first slice where the carry or borrow is zero. A wire is busy
+// iff any slice has its bit set, so the OR of the slices is the busy
+// bitset the band search walks; it is rebuilt only when the window
+// changed since the last candidate.
 func (f *fitter) earliestFit(j *Job, w int, dur int64, placements []Placement, limit int64) (int64, int, bool) {
 	n := len(placements)
 	byStart, byEnd := f.byStart, f.byEnd
-
-	occ := f.occ[:f.binWidth]
-	clear(occ)
+	startKey, endKey := f.startKey, f.endKey
 	busy := f.busy
-	clear(busy)
+	depth := bits.Len(uint(n)) // counter slices: enough for a count of n
+	cnt := f.cnt[:len(busy)*depth]
+	clear(cnt)
+	dirty := true // busy is stale until first rebuilt from cnt
 	groupActive := 0
 	si, ei := 0, 0
-	gen := candGen{placements: placements, byStart: byStart, byEnd: byEnd, dur: dur}
+	gen := candGen{startKey: startKey, endKey: endKey, dur: dur}
 	for t := int64(0); t <= limit; {
 		// Admit placements entering the window: Start < t+dur. A
 		// placement that also already ended (End <= t) is retired by the
-		// second cursor in the same step, so the profile stays exact.
-		for si < n && placements[byStart[si]].Start < t+dur {
+		// second cursor in the same step, so the counts stay exact.
+		for si < n && startKey[si] < t+dur {
 			p := &placements[byStart[si]]
-			for wire := p.WireLo; wire < p.WireLo+p.Width; wire++ {
-				if occ[wire] == 0 {
-					busy[wire>>6] |= 1 << uint(wire&63)
+			lo, hi := p.WireLo, p.WireLo+p.Width
+			for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
+				c := cnt[wi*depth : (wi+1)*depth]
+				for k, carry := 0, bandMask(wi, lo, hi); carry != 0; k++ {
+					old := c[k]
+					c[k] = old ^ carry
+					carry &= old
 				}
-				occ[wire]++
 			}
 			if j.Group != "" && p.Job.Group == j.Group {
 				groupActive++
 			}
 			si++
+			dirty = true
 		}
-		for ei < n && placements[byEnd[ei]].End <= t {
+		for ei < n && endKey[ei] <= t {
 			p := &placements[byEnd[ei]]
-			for wire := p.WireLo; wire < p.WireLo+p.Width; wire++ {
-				occ[wire]--
-				if occ[wire] == 0 {
-					busy[wire>>6] &^= 1 << uint(wire&63)
+			lo, hi := p.WireLo, p.WireLo+p.Width
+			for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
+				c := cnt[wi*depth : (wi+1)*depth]
+				for k, borrow := 0, bandMask(wi, lo, hi); borrow != 0; k++ {
+					old := c[k]
+					c[k] = old ^ borrow
+					borrow &^= old
 				}
 			}
 			if j.Group != "" && p.Job.Group == j.Group {
 				groupActive--
 			}
 			ei++
+			dirty = true
 		}
 		if groupActive == 0 {
+			if dirty {
+				for wi := range busy {
+					var b uint64
+					for _, s := range cnt[wi*depth : (wi+1)*depth] {
+						b |= s
+					}
+					busy[wi] = b
+				}
+				dirty = false
+			}
 			if lo := lowestFreeRun(busy, f.binWidth, w); lo >= 0 {
 				return t, lo, true
 			}

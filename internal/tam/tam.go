@@ -60,15 +60,18 @@ func (j *Job) Validate(binWidth int) error {
 	return nil
 }
 
-// usable returns the options that fit in the bin.
+// usable returns the options that fit in the bin: the leading prefix
+// of Options with Width <= binWidth, as a sub-slice of Options itself
+// (capacity capped, so an append can never write into the staircase).
+// Validate guarantees strictly increasing widths, which makes that
+// prefix exactly the set of options that fit; callers must treat the
+// result as read-only, and asking for it allocates nothing.
 func (j *Job) usable(binWidth int) []wrapper.Point {
-	var out []wrapper.Point
-	for _, p := range j.Options {
-		if p.Width <= binWidth {
-			out = append(out, p)
-		}
+	n := 0
+	for n < len(j.Options) && j.Options[n].Width <= binWidth {
+		n++
 	}
-	return out
+	return j.Options[:n:n]
 }
 
 // widest returns the widest usable option, falling back to the job's

@@ -207,7 +207,8 @@ func TestAdoptSeedRederivesDurations(t *testing.T) {
 // BenchmarkEarliestFit measures one bestPlacement query — the packer's
 // innermost operation — against a realistic packed schedule, comparing
 // the bitset fitter with the counter-scan test reference (which also
-// skips bestPlacement's incumbent pruning).
+// skips bestPlacement's incumbent pruning and allocates its per-wire
+// counters on every query).
 func BenchmarkEarliestFit(b *testing.B) {
 	jobs := digitalJobs(b, 64)
 	s, err := Optimize(jobs, 64)
