@@ -32,13 +32,6 @@ type EngineOptions struct {
 	// DefaultWorkers. The worker count never changes results — parallel
 	// planners replay deterministically — only wall-clock.
 	Workers int
-	// DisableModuleCache turns off the cross-design module-level caches:
-	// wrapper staircases keyed by module content hash and digital TAM
-	// jobs keyed by digital-SOC hash. Sessions then cache per design
-	// only, as before the caches existed. Results are bit-identical
-	// either way; the flag is an A/B benchmarking and operational escape
-	// hatch.
-	DisableModuleCache bool
 	// MaxModuleStairs bounds the cross-design staircase store: one entry
 	// per distinct module content hash. Default 4096.
 	MaxModuleStairs int
@@ -60,8 +53,7 @@ type EngineOptions struct {
 type Engine struct {
 	opts EngineOptions
 
-	// The cross-design module-level caches (nil when disabled): every
-	// session's staircase cache routes through moduleStairs under module
+	// The cross-design module-level caches: every session's staircase cache routes through moduleStairs under module
 	// content hashes, and every session's evaluators draw built digital
 	// job slices from digitalJobs under the design's DigitalHash — so
 	// near-duplicate designs, which never share a session, still share
@@ -95,7 +87,7 @@ type engineSession struct {
 	hash   string
 	design *Design
 	// digitalHash keys the engine's cross-design digital-jobs cache;
-	// empty when hashing failed or the module cache is disabled.
+	// empty when hashing failed.
 	digitalHash string
 	maxWidths   int // schedule caches kept before width-LRU eviction
 
@@ -145,10 +137,8 @@ func NewEngine(opts EngineOptions) *Engine {
 	for _, name := range tam.Backends() {
 		e.backends[name] = &backendCounters{}
 	}
-	if !opts.DisableModuleCache {
-		e.moduleStairs = wrapper.NewModuleStairStore(opts.MaxWidth, opts.MaxModuleStairs)
-		e.digitalJobs = NewDigitalJobsCache(opts.MaxDigitalJobs)
-	}
+	e.moduleStairs = wrapper.NewModuleStairStore(opts.MaxWidth, opts.MaxModuleStairs)
+	e.digitalJobs = NewDigitalJobsCache(opts.MaxDigitalJobs)
 	return e
 }
 
@@ -228,11 +218,9 @@ func (e *Engine) session(d *Design) (*engineSession, error) {
 		byWidth:   map[widthKey]*widthCache{},
 	}
 	s.stairs = s.newStairs(e.opts.MaxWidth)
-	if e.digitalJobs != nil {
-		// A failed hash (practically impossible) leaves the key empty,
-		// which simply opts the session out of digital-jobs sharing.
-		s.digitalHash, _ = DigitalHash(clone)
-	}
+	// A failed hash (practically impossible) leaves the key empty, which
+	// simply opts the session out of digital-jobs sharing.
+	s.digitalHash, _ = DigitalHash(clone)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -279,48 +267,53 @@ func (s *engineSession) scheduleStats() CacheStats {
 }
 
 // newStairs builds a session staircase cache up to maxW, routed through
-// the engine's cross-design store when the module cache is enabled, so
-// identical modules of different designs share their staircases.
+// the engine's cross-design store, so identical modules of different
+// designs share their staircases.
 func (s *engineSession) newStairs(maxW int) *wrapper.StaircaseCache {
 	sc := wrapper.NewStaircaseCache(maxW)
-	if s.engine.moduleStairs != nil {
-		sc.Share(s.engine.moduleStairs, func(m *itc02.Module) string {
-			h, err := ModuleHash(m)
-			if err != nil {
-				return ""
-			}
-			return h
-		})
-	}
+	sc.Share(s.engine.moduleStairs, func(m *itc02.Module) string {
+		h, err := ModuleHash(m)
+		if err != nil {
+			return ""
+		}
+		return h
+	})
 	return sc
 }
 
-// sweepStairs implements sweepCaches: the session's staircase cache,
-// grown (replaced by a wider, initially empty one) when a sweep needs
-// widths beyond what it precomputes. The prefix property makes a wider
-// cache's answers bit-identical to the old one's.
-func (s *engineSession) sweepStairs(maxW int) *wrapper.StaircaseCache {
+// caches wires a planning call over widths up to maxW to the session:
+// the engine's instrumented packer for the backend, the engine's
+// digital-jobs cache, the session's cold schedule caches, and its
+// staircase cache. The staircase cache grows (is replaced by a wider,
+// initially empty one) when the call needs widths beyond what it
+// precomputes; the prefix property keeps its answers bit-identical.
+func (s *engineSession) caches(maxW int, backend string) (*planCaches, error) {
+	pk, err := s.engine.packerFor(backend)
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if maxW > s.stairs.MaxWidth() {
 		s.stairs = s.newStairs(maxW)
 	}
-	return s.stairs
+	stairs := s.stairs
+	s.mu.Unlock()
+	return &planCaches{
+		stairs:  stairs,
+		packer:  pk,
+		digital: s.engine.digitalJobs,
+		digKey:  s.digitalHash,
+		cache:   func(w int) *ScheduleCache { return s.scheduleCache(w, pk.Name()) },
+	}, nil
 }
 
-// sweepDigital implements sweepDigitalJobs: sweeps over this session
-// draw built digital job slices from the engine's cross-design cache.
-func (s *engineSession) sweepDigital() (*DigitalJobsCache, string) {
-	return s.engine.digitalJobs, s.digitalHash
-}
-
-// sweepCache implements sweepCaches: the session's cold schedule cache
-// for width w under the named (resolved) packer, created on first use.
-// (width, backend) pairs are LRU-bounded (maxWidths): evicting one only
+// scheduleCache returns the session's cold schedule cache for width w
+// under the named (resolved) packer, created on first use. (width,
+// backend) pairs are LRU-bounded (maxWidths): evicting one only
 // unshares it — planners already holding the cache keep using it safely
 // — so a client scanning thousands of widths cannot grow the session
 // without limit.
-func (s *engineSession) sweepCache(w int, backend string) *ScheduleCache {
+func (s *engineSession) scheduleCache(w int, backend string) *ScheduleCache {
 	key := widthKey{width: w, backend: backend}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -344,30 +337,6 @@ func (s *engineSession) sweepCache(w int, backend string) *ScheduleCache {
 		delete(s.byWidth, oldest)
 	}
 	return c.cache
-}
-
-// sweepPacker implements sweepPackers: engine sweeps pack through the
-// engine's instrumented backends.
-func (s *engineSession) sweepPacker(name string) (tam.Packer, error) {
-	return s.engine.packerFor(name)
-}
-
-// planner builds a planner wired to the session's caches, with the
-// paper's defaults — exactly what the one-shot Plan free function runs,
-// plus cache reuse. Packing goes through the selected backend (or the
-// tournament) and that packer's own schedule cache.
-func (s *engineSession) planner(width int, w Weights, workers int, backend string) (*Planner, error) {
-	pk, err := s.engine.packerFor(backend)
-	if err != nil {
-		return nil, err
-	}
-	pl := NewPlanner(s.design, width, w)
-	pl.Cache = s.sweepCache(width, pk.Name())
-	pl.Staircases = s.sweepStairs(width)
-	pl.Digital, pl.DigitalKey = s.sweepDigital()
-	pl.Workers = workers
-	pl.Packer = pk
-	return pl, nil
 }
 
 // PlanOptions selects the solver variant of Engine.PlanWith.
@@ -409,10 +378,13 @@ func (e *Engine) PlanWith(ctx context.Context, d *Design, width int, w Weights, 
 	}
 	s.plans.Add(1)
 	e.plans.Add(1)
-	pl, err := s.planner(width, w, e.workers(), opts.Backend)
+	pc, err := s.caches(width, opts.Backend)
 	if err != nil {
 		return nil, err
 	}
+	pl := NewPlanner(s.design, width, w)
+	pc.wire(pl, pc.cache(width))
+	pl.Workers = e.workers()
 	pl.Bounded = opts.Bounded
 	if opts.Exhaustive {
 		return pl.ExhaustiveContext(ctx)
@@ -431,15 +403,13 @@ func (e *Engine) Schedule(ctx context.Context, d *Design, p partition.Partition,
 	}
 	s.plans.Add(1)
 	e.plans.Add(1)
-	pk, err := s.engine.packerFor("")
+	pc, err := s.caches(width, "")
 	if err != nil {
 		return nil, err
 	}
-	ev := NewSharedEvaluator(s.design, width, s.sweepCache(width, pk.Name()))
-	ev.Packer = pk
-	ev.Staircases = s.sweepStairs(width)
-	ev.Digital, ev.DigitalKey = s.sweepDigital()
-	return ev.ScheduleContext(ctx, p)
+	pl := &Planner{Design: s.design, Width: width}
+	pc.wire(pl, pc.cache(width))
+	return pl.evaluator().ScheduleContext(ctx, p)
 }
 
 // Sweep solves the planning problem across TAM widths and weight
@@ -458,7 +428,7 @@ func (e *Engine) Sweep(ctx context.Context, d *Design, widths []int, weights []W
 	if opt.Workers == 0 {
 		opt.Workers = e.workers()
 	}
-	return sweepWithCaches(ctx, s.design, widths, weights, opt, s)
+	return sweep(ctx, s.design, widths, weights, opt, s.caches)
 }
 
 // DesignInfo describes one live cache session of an Engine.
@@ -530,7 +500,7 @@ type EngineMetrics struct {
 	// ModuleStairs counts how the cross-design staircase store served
 	// module staircase requests: a miss designed a wrapper (or grew an
 	// entry), a hit reused one — including hits between sessions of
-	// near-duplicate designs. Zero when the module cache is disabled.
+	// near-duplicate designs.
 	ModuleStairs CacheStats `json:"module_stairs"`
 	// ModuleStairEntries is the number of distinct module content hashes
 	// the staircase store currently holds.

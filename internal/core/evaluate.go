@@ -164,10 +164,11 @@ type Evaluator struct {
 
 	// Packer is the packing backend every TAM run goes through;
 	// NewSharedEvaluator sets the default occupancy backend. The backing
-	// cache must be private to this backend (see Engine.sweepCache's
-	// per-backend keys): entries carry no backend tag of their own, so
-	// mixing backends in one cache would serve one backend's schedule as
-	// another's. Set it before the evaluator's first use.
+	// cache must be private to this backend (an Engine session keeps one
+	// schedule cache per (width, backend) pair): entries carry no backend
+	// tag of their own, so mixing backends in one cache would serve one
+	// backend's schedule as another's. Set it before the evaluator's
+	// first use.
 	Packer tam.Packer
 
 	cache *ScheduleCache

@@ -90,13 +90,12 @@ func TestDigitalHashInvariants(t *testing.T) {
 // TestModuleCacheSharesAcrossSessions pins tentpole behavior: planning a
 // near-duplicate design on the same engine hits the cross-design module
 // caches (the two designs never share a session), and every result is
-// bit-identical to a module-cache-disabled engine's.
+// bit-identical to a one-shot planner's, which has no module caches.
 func TestModuleCacheSharesAcrossSessions(t *testing.T) {
 	a := paperDesign()
 	b := nearDuplicate(t, a)
 
 	shared := NewEngine(EngineOptions{Workers: 1})
-	plain := NewEngine(EngineOptions{Workers: 1, DisableModuleCache: true})
 	ctx := context.Background()
 	for _, d := range []*Design{a, b} {
 		for _, width := range []int{24, 32} {
@@ -104,7 +103,9 @@ func TestModuleCacheSharesAcrossSessions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rp, err := plain.Plan(ctx, d, width, EqualWeights)
+			pl := NewPlanner(d, width, EqualWeights)
+			pl.Workers = 1
+			rp, err := pl.CostOptimizer()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,11 +128,6 @@ func TestModuleCacheSharesAcrossSessions(t *testing.T) {
 	// The perturbed module is a distinct entry; everything else is shared.
 	if m.DesignMisses != 2 {
 		t.Errorf("expected 2 sessions, got %d", m.DesignMisses)
-	}
-
-	pm := plain.Metrics()
-	if pm.ModuleStairs.Hits != 0 || pm.ModuleStairs.Misses != 0 || pm.DigitalJobs.Hits != 0 {
-		t.Errorf("disabled module cache still counted: %+v %+v", pm.ModuleStairs, pm.DigitalJobs)
 	}
 }
 

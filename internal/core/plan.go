@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"mixsoc/internal/analog"
 	"mixsoc/internal/partition"
@@ -155,43 +157,187 @@ func (pl *Planner) evaluator() *Evaluator {
 	return e
 }
 
-// evalAt completes an Evaluation for p given the all-share time.
-func (pl *Planner) evalAt(ctx context.Context, e *Evaluator, cm analog.CostModel, p partition.Partition, allShare int64) (Evaluation, error) {
-	ca, ltb, err := costParts(pl.Design, cm, p)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	t, err := e.TestTimeContext(ctx, p)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	ct := 100 * float64(t) / float64(allShare)
-	return Evaluation{
-		Partition: p,
-		TestTime:  t,
-		CT:        ct,
-		CA:        ca,
-		Cost:      pl.Weights.Time*ct + pl.Weights.Area*ca,
-		Prelim:    pl.Weights.Time*ltb + pl.Weights.Area*ca,
-	}, nil
+// candidate is one feasible configuration, costed once: its area term
+// CA and its preliminary cost (equation 3) need no TAM run.
+type candidate struct {
+	p      partition.Partition
+	ca     float64
+	prelim float64
 }
 
-// feasibleCandidates splits the candidate set by the cost model's
-// feasibility rule, preserving order.
-func feasibleCandidates(cm analog.CostModel, d *Design, cands []partition.Partition) (feasible []partition.Partition, rejected int, err error) {
-	feasible = make([]partition.Partition, 0, len(cands))
+// prune selects the skip tests a solver's replay applies.
+type prune struct {
+	prelim bool // skip candidates whose preliminary cost cannot win
+	bound  bool // skip candidates whose cost lower bound cannot win
+}
+
+// run is the state one solver call threads through the planning
+// kernel: setup → allShare → speculate → replay. The solvers differ
+// only in which candidates they hand the kernel and how they prune.
+type run struct {
+	*Planner
+	ctx      context.Context
+	e        *Evaluator
+	feasible []candidate // in candidate order
+	res      *Result
+	best     int // index of the incumbent in res.Evaluated; -1 for none
+}
+
+// setup resolves the defaults, enumerates the candidates and costs
+// every feasible one; the cost model's feasibility rule drops the rest
+// (the paper's "should not be considered").
+func (pl *Planner) setup(ctx context.Context, method string) (*run, error) {
+	cm, policy, err := pl.defaults()
+	if err != nil {
+		return nil, err
+	}
+	cands := pl.Design.Candidates(policy)
+	if len(cands) == 0 {
+		return nil, fmt.Errorf("core: policy admits no candidate configurations")
+	}
+	r := &run{
+		Planner:  pl,
+		ctx:      ctx,
+		e:        pl.evaluator(),
+		feasible: make([]candidate, 0, len(cands)),
+		res:      &Result{Method: method, Candidates: len(cands)},
+		best:     -1,
+	}
 	for _, p := range cands {
-		skip, err := infeasible(cm, d, p)
-		if err != nil {
-			return nil, 0, err
-		}
-		if skip {
-			rejected++
+		if skip, err := infeasible(cm, pl.Design, p); err != nil {
+			return nil, err
+		} else if skip {
+			r.res.Infeasible++
 			continue
 		}
-		feasible = append(feasible, p)
+		ca, ltb, err := costParts(pl.Design, cm, p)
+		if err != nil {
+			return nil, err
+		}
+		r.feasible = append(r.feasible, candidate{p: p, ca: ca, prelim: pl.Weights.Time*ltb + pl.Weights.Area*ca})
 	}
-	return feasible, rejected, nil
+	if len(r.feasible) == 0 {
+		return nil, fmt.Errorf("core: every candidate configuration is infeasible")
+	}
+	return r, nil
+}
+
+// allShare computes T(all-share), the CT normalization base. With more
+// than one worker it first packs the all-share point and warm in
+// parallel; the replay accounts them.
+func (r *run) allShare(warm []candidate) error {
+	allShareP := r.Design.AllShare()
+	if r.workers() > 1 {
+		if err := ForEachCtx(r.ctx, len(warm)+1, r.workers(), func(i int) {
+			if i == 0 {
+				r.e.PrefetchContext(r.ctx, allShareP)
+				return
+			}
+			r.e.PrefetchContext(r.ctx, warm[i-1].p)
+		}); err != nil {
+			return err
+		}
+	}
+	t, err := r.e.TestTimeContext(r.ctx, allShareP)
+	r.res.AllShare = t
+	return err
+}
+
+// cost is the full cost of c at makespan t.
+func (r *run) cost(c candidate, t int64) (ct, cost float64) {
+	ct = 100 * float64(t) / float64(r.res.AllShare)
+	return ct, r.Weights.Time*ct + r.Weights.Area*c.ca
+}
+
+// skip reports whether c cannot strictly beat the incumbent cost inc:
+// first the prelim prune, then the bound prune, the one that counts
+// toward Result.Pruned. Nothing is skipped while inc is +Inf.
+func (r *run) skip(c candidate, inc float64, pr prune) (skip, pruned bool, err error) {
+	if math.IsInf(inc, 1) {
+		return false, false, nil
+	}
+	if pr.prelim && c.prelim >= inc {
+		return true, false, nil
+	}
+	if !pr.bound {
+		return false, false, nil
+	}
+	lb, err := r.boundAt(r.e, c.p, c.ca, r.res.AllShare)
+	if err != nil {
+		return false, false, err
+	}
+	return lb >= inc, lb >= inc, nil
+}
+
+// bestCost is the incumbent cost, the one the replay must strictly beat.
+func (r *run) bestCost() float64 {
+	if r.best < 0 {
+		return math.Inf(1)
+	}
+	return r.res.Evaluated[r.best].Cost
+}
+
+// speculate packs list in parallel under an atomically tightening copy
+// of the incumbent, skipping what skip rejects, so candidates that
+// cannot win are never packed. It only warms the cache: the replay is
+// the sole authority on what is evaluated, so a speculative packing the
+// replay skips is cached but never counted toward NEval or Pruned.
+func (r *run) speculate(list []candidate, pr prune) error {
+	if r.workers() < 2 {
+		return nil
+	}
+	inc := newIncumbent(r.bestCost())
+	return ForEachCtx(r.ctx, len(list), r.workers(), func(i int) {
+		c := list[i]
+		if skip, _, err := r.skip(c, inc.load(), pr); err != nil || skip {
+			return // the replay reports errors deterministically
+		}
+		s, err := r.e.scheduleUncounted(r.ctx, c.p)
+		if err != nil {
+			return
+		}
+		_, cost := r.cost(c, s.Makespan)
+		inc.lower(cost)
+	})
+}
+
+// replay walks list in order over the warmed cache, skips what skip
+// rejects, evaluates the rest into res.Evaluated, and moves the
+// incumbent only on a strict improvement — so the Result, NEval and
+// Evaluated order included, is identical at any worker count.
+func (r *run) replay(list []candidate, pr prune) error {
+	for _, c := range list {
+		skip, pruned, err := r.skip(c, r.bestCost(), pr)
+		if err != nil {
+			return err
+		}
+		if pruned {
+			r.res.Pruned++
+		}
+		if skip {
+			continue
+		}
+		t, err := r.e.TestTimeContext(r.ctx, c.p)
+		if err != nil {
+			return err
+		}
+		ct, cost := r.cost(c, t)
+		r.res.Evaluated = append(r.res.Evaluated, Evaluation{
+			Partition: c.p, TestTime: t, CT: ct, CA: c.ca, Cost: cost, Prelim: c.prelim,
+		})
+		if r.best < 0 || cost < r.bestCost() {
+			r.best = len(r.res.Evaluated) - 1
+		}
+	}
+	return nil
+}
+
+// result finishes the Result: the incumbent is the best configuration,
+// and NEval is what the evaluator accounted.
+func (r *run) result() *Result {
+	r.res.Best = r.res.Evaluated[r.best]
+	r.res.NEval = r.e.Runs()
+	return r.res
 }
 
 // Exhaustive evaluates every candidate configuration with the TAM
@@ -212,103 +358,29 @@ func (pl *Planner) Exhaustive() (*Result, error) {
 // packings are dropped from the shared caches rather than memoized, so
 // a later run on the same caches still produces bit-identical results.
 func (pl *Planner) ExhaustiveContext(ctx context.Context) (*Result, error) {
-	cm, policy, err := pl.defaults()
+	r, err := pl.setup(ctx, "exhaustive")
 	if err != nil {
 		return nil, err
 	}
-	e := pl.evaluator()
-	cands := pl.Design.Candidates(policy)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("core: policy admits no candidate configurations")
+	// Unbounded, the warm-up packs every candidate. Bounded, packing
+	// everything would defeat the pruning, so the speculative pass runs
+	// instead once the normalization time is known.
+	warm, pr := r.feasible, prune{bound: pl.Bounded}
+	if pl.Bounded {
+		warm = nil
 	}
-	feasible, rejected, err := feasibleCandidates(cm, pl.Design, cands)
-	if err != nil {
+	if err := r.allShare(warm); err != nil {
 		return nil, err
 	}
-
-	// Warm the cache in parallel: the all-share normalization point plus
-	// every feasible candidate. Errors surface in the replay below. In
-	// Bounded mode packing everything would defeat the pruning, so the
-	// speculative pass below runs instead, once the normalization time
-	// is known.
-	if pl.workers() > 1 && !pl.Bounded {
-		allShareP := pl.Design.AllShare()
-		if err := ForEachCtx(ctx, len(feasible)+1, pl.workers(), func(i int) {
-			if i == 0 {
-				e.PrefetchContext(ctx, allShareP)
-				return
-			}
-			e.PrefetchContext(ctx, feasible[i-1])
-		}); err != nil {
+	if pl.Bounded {
+		if err := r.speculate(r.feasible, pr); err != nil {
 			return nil, err
 		}
 	}
-
-	allShare, err := e.TestTimeContext(ctx, pl.Design.AllShare())
-	if err != nil {
+	if err := r.replay(r.feasible, pr); err != nil {
 		return nil, err
 	}
-
-	// Bounded speculative prefetch: pack candidates in parallel under an
-	// atomically tightening incumbent, skipping those whose bound cannot
-	// win. The sequential replay below is the sole authority on which
-	// candidates are evaluated (and hence on NEval and Pruned) — a
-	// speculative packing the replay prunes is cached but never counted.
-	if pl.workers() > 1 && pl.Bounded {
-		inc := newIncumbent(math.Inf(1))
-		if err := ForEachCtx(ctx, len(feasible), pl.workers(), func(i int) {
-			p := feasible[i]
-			ca, _, err := costParts(pl.Design, cm, p)
-			if err != nil {
-				return // the replay reports it deterministically
-			}
-			lb, err := pl.boundAt(e, p, ca, allShare)
-			if err != nil || lb >= inc.load() {
-				return
-			}
-			s, err := e.scheduleUncounted(ctx, p)
-			if err != nil {
-				return
-			}
-			ct := 100 * float64(s.Makespan) / float64(allShare)
-			inc.lower(pl.Weights.Time*ct + pl.Weights.Area*ca)
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	res := &Result{Method: "exhaustive", Candidates: len(cands), Infeasible: rejected, AllShare: allShare}
-	best := -1
-	for _, p := range feasible {
-		if pl.Bounded && best >= 0 {
-			ca, _, err := costParts(pl.Design, cm, p)
-			if err != nil {
-				return nil, err
-			}
-			lb, err := pl.boundAt(e, p, ca, allShare)
-			if err != nil {
-				return nil, err
-			}
-			if lb >= res.Evaluated[best].Cost {
-				res.Pruned++
-				continue
-			}
-		}
-		ev, err := pl.evalAt(ctx, e, cm, p, allShare)
-		if err != nil {
-			return nil, err
-		}
-		res.Evaluated = append(res.Evaluated, ev)
-		if best < 0 || ev.Cost < res.Evaluated[best].Cost {
-			best = len(res.Evaluated) - 1
-		}
-	}
-	if best < 0 {
-		return nil, fmt.Errorf("core: every candidate configuration is infeasible")
-	}
-	res.Best = res.Evaluated[best]
-	res.NEval = e.Runs()
-	return res, nil
+	return r.result(), nil
 }
 
 // infeasible reports whether the cost model's feasibility rule rejects
@@ -322,21 +394,6 @@ func infeasible(cm analog.CostModel, d *Design, p partition.Partition) (bool, er
 		return true, nil
 	}
 	return false, err
-}
-
-// group is one "degree of sharing" bucket of Figure 3 line 1:
-// configurations with the same number of analog wrappers, which for a
-// fixed core set means comparable area-overhead structure.
-type group struct {
-	wrappers int
-	members  []candidate
-}
-
-type candidate struct {
-	p      partition.Partition
-	ca     float64
-	ltb    float64
-	prelim float64
 }
 
 // CostOptimizer implements procedure Cost_Optimizer (Figure 3):
@@ -366,177 +423,60 @@ func (pl *Planner) CostOptimizer() (*Result, error) {
 // CostOptimizerContext is CostOptimizer under a context; see
 // ExhaustiveContext for the cancellation contract.
 func (pl *Planner) CostOptimizerContext(ctx context.Context) (*Result, error) {
-	cm, policy, err := pl.defaults()
+	r, err := pl.setup(ctx, "cost-optimizer")
 	if err != nil {
 		return nil, err
 	}
-	e := pl.evaluator()
-	cands := pl.Design.Candidates(policy)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("core: policy admits no candidate configurations")
+	// Lines 1-6: a bucket is a run of equal wrapper counts, most
+	// wrappers first; within it members go by preliminary cost, then
+	// label, so its first member is its representative.
+	slices.SortFunc(r.feasible, func(a, b candidate) int {
+		if c := cmp.Compare(b.p.Wrappers(), a.p.Wrappers()); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.prelim, b.prelim); c != 0 {
+			return c
+		}
+		return strings.Compare(a.p.Key(nil), b.p.Key(nil))
+	})
+	var reps []candidate
+	for i, c := range r.feasible {
+		if i == 0 || c.p.Wrappers() != r.feasible[i-1].p.Wrappers() {
+			reps = append(reps, c)
+		}
 	}
 
-	res := &Result{Method: "cost-optimizer", Candidates: len(cands)}
+	// Lines 7-13: evaluate every representative. The all-share
+	// configuration is the single member of the 1-wrapper bucket under
+	// the paper's policy, so its normalization run is reused there.
+	if err := r.allShare(reps); err != nil {
+		return nil, err
+	}
+	if err := r.replay(reps, prune{}); err != nil {
+		return nil, err
+	}
 
-	// Lines 1-6: bucket by degree of sharing; preliminary costs. The
-	// cost model's feasibility rule drops configurations here — the
-	// paper's "should not be considered".
-	byWrappers := map[int]*group{}
-	for _, p := range cands {
-		if skip, err := infeasible(cm, pl.Design, p); err != nil {
-			return nil, err
-		} else if skip {
-			res.Infeasible++
+	// Lines 14-18: eliminate buckets whose representative is more than
+	// ε worse than the best one, then evaluate the other members of the
+	// survivors, filtered in place (the write index trails the read
+	// index).
+	bestRep, g, wrappers := r.bestCost(), -1, 0
+	rest := r.feasible[:0]
+	for _, c := range r.feasible {
+		if c.p.Wrappers() != wrappers {
+			g, wrappers = g+1, c.p.Wrappers() // the representative, already evaluated
 			continue
 		}
-		ca, ltb, err := costParts(pl.Design, cm, p)
-		if err != nil {
-			return nil, err
-		}
-		c := candidate{p: p, ca: ca, ltb: ltb, prelim: pl.Weights.Time*ltb + pl.Weights.Area*ca}
-		g := byWrappers[p.Wrappers()]
-		if g == nil {
-			g = &group{wrappers: p.Wrappers()}
-			byWrappers[p.Wrappers()] = g
-		}
-		g.members = append(g.members, c)
-	}
-	groups := make([]*group, 0, len(byWrappers))
-	for _, g := range byWrappers {
-		// Deterministic member order: by preliminary cost, then label.
-		sort.Slice(g.members, func(a, b int) bool {
-			if g.members[a].prelim != g.members[b].prelim {
-				return g.members[a].prelim < g.members[b].prelim
-			}
-			return g.members[a].p.Key(nil) < g.members[b].p.Key(nil)
-		})
-		groups = append(groups, g)
-	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a].wrappers > groups[b].wrappers })
-
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("core: every candidate configuration is infeasible")
-	}
-
-	// Warm the cache with the normalization point and every bucket
-	// representative in parallel; the replay below accounts them.
-	workers := pl.workers()
-	if workers > 1 {
-		allShareP := pl.Design.AllShare()
-		if err := ForEachCtx(ctx, len(groups)+1, workers, func(i int) {
-			if i == 0 {
-				e.PrefetchContext(ctx, allShareP)
-				return
-			}
-			e.PrefetchContext(ctx, groups[i-1].members[0].p)
-		}); err != nil {
-			return nil, err
+		if r.res.Evaluated[g].Cost <= bestRep+pl.Epsilon {
+			rest = append(rest, c)
 		}
 	}
-
-	// The all-share time normalizes CT; the all-share configuration is
-	// the single member of the 1-wrapper bucket under the paper's policy,
-	// so this evaluation is reused below via the cache.
-	allShare, err := e.TestTimeContext(ctx, pl.Design.AllShare())
-	if err != nil {
+	pr := prune{prelim: pl.PrunePrelim, bound: pl.Bounded}
+	if err := r.speculate(rest, pr); err != nil {
 		return nil, err
 	}
-	res.AllShare = allShare
-
-	// Lines 7-13: evaluate each bucket's most promising member.
-	type repEval struct {
-		g  *group
-		ev Evaluation
+	if err := r.replay(rest, pr); err != nil {
+		return nil, err
 	}
-	reps := make([]repEval, 0, len(groups))
-	bestRep := math.Inf(1)
-	for _, g := range groups {
-		ev, err := pl.evalAt(ctx, e, cm, g.members[0].p, allShare)
-		if err != nil {
-			return nil, err
-		}
-		res.Evaluated = append(res.Evaluated, ev)
-		reps = append(reps, repEval{g: g, ev: ev})
-		if ev.Cost < bestRep {
-			bestRep = ev.Cost
-		}
-	}
-
-	// Track the incumbent best.
-	best := reps[0].ev
-	for _, r := range reps[1:] {
-		if r.ev.Cost < best.Cost {
-			best = r.ev
-		}
-	}
-
-	// Speculatively prefetch the surviving members in parallel. The
-	// shared incumbent bound tightens as speculative costs come back, so
-	// members that cannot win are skipped without ever packing them; the
-	// sequential replay below is the sole authority on which evaluations
-	// the algorithm performs (and hence on NEval).
-	if workers > 1 {
-		var spec []candidate
-		for _, r := range reps {
-			if r.ev.Cost > bestRep+pl.Epsilon {
-				continue
-			}
-			spec = append(spec, r.g.members[1:]...)
-		}
-		bound := newIncumbent(best.Cost)
-		if err := ForEachCtx(ctx, len(spec), workers, func(i int) {
-			m := spec[i]
-			if pl.PrunePrelim && m.prelim >= bound.load() {
-				return
-			}
-			if pl.Bounded {
-				lb, err := pl.boundAt(e, m.p, m.ca, allShare)
-				if err != nil || lb >= bound.load() {
-					return
-				}
-			}
-			s, err := e.scheduleUncounted(ctx, m.p)
-			if err != nil {
-				return // the replay reports it deterministically
-			}
-			ct := 100 * float64(s.Makespan) / float64(allShare)
-			bound.lower(pl.Weights.Time*ct + pl.Weights.Area*m.ca)
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Lines 14-18: eliminate buckets, then fully evaluate survivors.
-	for _, r := range reps {
-		if r.ev.Cost > bestRep+pl.Epsilon {
-			continue // bucket eliminated
-		}
-		for _, m := range r.g.members[1:] {
-			if pl.PrunePrelim && m.prelim >= best.Cost {
-				continue
-			}
-			if pl.Bounded {
-				lb, err := pl.boundAt(e, m.p, m.ca, allShare)
-				if err != nil {
-					return nil, err
-				}
-				if lb >= best.Cost {
-					res.Pruned++
-					continue
-				}
-			}
-			ev, err := pl.evalAt(ctx, e, cm, m.p, allShare)
-			if err != nil {
-				return nil, err
-			}
-			res.Evaluated = append(res.Evaluated, ev)
-			if ev.Cost < best.Cost {
-				best = ev
-			}
-		}
-	}
-
-	res.Best = best
-	res.NEval = e.Runs()
-	return res, nil
+	return r.result(), nil
 }

@@ -49,8 +49,11 @@ type SweepOptions struct {
 	// Result.Pruned counting the skips.
 	Bounded bool
 	// Configure adjusts each planner before it runs, e.g. to change the
-	// cost model; it must not change the planner's Design, Width, or
-	// caches, and must be safe to call concurrently.
+	// cost model. It runs after the sweep has wired the planner's caches
+	// and packer, so what it installs is what packs: a Configure that
+	// replaces Cache, Staircases, Digital or Packer takes over that
+	// wiring. It must not change the planner's Design or Width, and must
+	// be safe to call concurrently.
 	Configure func(*Planner)
 	// Workers bounds the sweep's total CPU budget; 0 means
 	// DefaultWorkers.
@@ -109,42 +112,54 @@ func SweepWith(d *Design, widths []int, weights []Weights, opt SweepOptions) ([]
 // packing was aborted are dropped from the caches rather than memoized,
 // so the sweep's caches stay consistent across a cancellation.
 func SweepWithContext(ctx context.Context, d *Design, widths []int, weights []Weights, opt SweepOptions) ([]SweepPoint, error) {
-	return sweepWithCaches(ctx, d, widths, weights, opt, nil)
+	return sweep(ctx, d, widths, weights, opt, freshCaches)
 }
 
-// sweepCaches supplies the caches a sweep plans against. The default
-// (nil) provider allocates fresh ones per sweep; an Engine session
-// provides its long-lived per-design caches instead, so repeated
-// sweeps over the same design reuse each other's packings.
-type sweepCaches interface {
-	// sweepStairs returns a staircase cache covering widths up to maxW.
-	sweepStairs(maxW int) *wrapper.StaircaseCache
-	// sweepCache returns the cold schedule cache for width w under the
-	// named (resolved) packer; distinct backends must get distinct
-	// caches.
-	sweepCache(w int, backend string) *ScheduleCache
+// planCaches is the cache wiring of a planning call: the wrapper
+// staircase cache, the packer, the cross-design digital-jobs cache and
+// the design's key in it, and the source of each width's cold schedule
+// cache. One-shot calls get private ones from freshCaches; an Engine
+// session hands out its long-lived ones (engineSession.caches), so
+// repeated calls over one design reuse each other's packings.
+type planCaches struct {
+	stairs  *wrapper.StaircaseCache
+	packer  tam.Packer
+	digital *DigitalJobsCache
+	digKey  string
+	// cache returns the cold schedule cache for a width; distinct
+	// packers get distinct caches.
+	cache func(width int) *ScheduleCache
 }
 
-// sweepPackers is an optional extension of sweepCaches: providers that
-// instrument packing (the engine's per-backend counters) resolve
-// backend names themselves. Without it the sweep uses PackerFor.
-type sweepPackers interface {
-	sweepPacker(name string) (tam.Packer, error)
+// freshCaches returns private caches for widths up to maxW, packing
+// through the named backend.
+func freshCaches(maxW int, backend string) (*planCaches, error) {
+	pk, err := PackerFor(backend)
+	if err != nil {
+		return nil, err
+	}
+	return &planCaches{
+		stairs: wrapper.NewStaircaseCache(maxW),
+		packer: pk,
+		cache:  func(int) *ScheduleCache { return NewScheduleCache() },
+	}, nil
 }
 
-// sweepDigitalJobs is an optional extension of sweepCaches: providers
-// that also share digital TAM-job construction across designs return
-// their cache and the design's DigitalHash key here.
-type sweepDigitalJobs interface {
-	sweepDigital() (*DigitalJobsCache, string)
+// wire connects pl to the caches, with sc as its schedule cache.
+func (c *planCaches) wire(pl *Planner, sc *ScheduleCache) {
+	pl.Cache = sc
+	pl.Staircases = c.stairs
+	pl.Digital, pl.DigitalKey = c.digital, c.digKey
+	pl.Packer = c.packer
 }
 
-// sweepWithCaches is the sweep engine room. Schedule caches come from
-// the provider only for cold sweeps: a WarmStart sweep packs along a
-// different search trajectory, so its schedules must never enter a
-// shared cold cache (they would break the bit-identity of later cold
-// calls); it still shares the staircase cache, which is exact.
-func sweepWithCaches(ctx context.Context, d *Design, widths []int, weights []Weights, opt SweepOptions, prov sweepCaches) ([]SweepPoint, error) {
+// sweep is the sweep engine room; caches supplies the wiring for
+// widths up to the widest selected one. Schedule caches come from it
+// only for cold sweeps: a WarmStart sweep packs along a different
+// search trajectory, so its schedules must never enter a shared cold
+// cache (they would break the bit-identity of later cold calls); it
+// still shares the staircase cache, which is exact.
+func sweep(ctx context.Context, d *Design, widths []int, weights []Weights, opt SweepOptions, caches func(maxW int, backend string) (*planCaches, error)) ([]SweepPoint, error) {
 	if len(widths) == 0 || len(weights) == 0 {
 		return nil, fmt.Errorf("core: sweep needs at least one width and one weight setting")
 	}
@@ -175,37 +190,16 @@ func sweepWithCaches(ctx context.Context, d *Design, widths []int, weights []Wei
 	if len(keep) == 0 {
 		return nil, fmt.Errorf("core: sweep selection admits no grid points")
 	}
-	var (
-		packer tam.Packer
-		err    error
-	)
-	if pp, ok := prov.(sweepPackers); ok {
-		packer, err = pp.sweepPacker(opt.Backend)
-	} else {
-		packer, err = PackerFor(opt.Backend)
-	}
+	pc, err := caches(maxW, opt.Backend)
 	if err != nil {
 		return nil, err
 	}
-	var stairs *wrapper.StaircaseCache
-	if prov != nil {
-		stairs = prov.sweepStairs(maxW)
-	} else {
-		stairs = wrapper.NewStaircaseCache(maxW)
-	}
-	var (
-		digCache *DigitalJobsCache
-		digKey   string
-	)
-	if dp, ok := prov.(sweepDigitalJobs); ok {
-		digCache, digKey = dp.sweepDigital()
-	}
-	caches := make(map[int]*ScheduleCache, len(selWidths))
+	schedules := make(map[int]*ScheduleCache, len(selWidths))
 	for w := range selWidths {
-		if prov != nil && !opt.WarmStart {
-			caches[w] = prov.sweepCache(w, packer.Name())
+		if opt.WarmStart {
+			schedules[w] = NewScheduleCache()
 		} else {
-			caches[w] = NewScheduleCache()
+			schedules[w] = pc.cache(w)
 		}
 	}
 
@@ -215,13 +209,10 @@ func sweepWithCaches(ctx context.Context, d *Design, widths []int, weights []Wei
 		wt := weights[i/len(widths)]
 		w := widths[i%len(widths)]
 		pl := NewPlanner(d, w, wt)
-		pl.Cache = caches[w]
-		pl.Staircases = stairs
-		pl.Digital, pl.DigitalKey = digCache, digKey
+		pc.wire(pl, schedules[w])
 		pl.Warm = warm
 		pl.Workers = inner
 		pl.Bounded = opt.Bounded
-		pl.Packer = packer
 		if opt.Configure != nil {
 			opt.Configure(pl)
 		}
@@ -262,7 +253,7 @@ func sweepWithCaches(ctx context.Context, d *Design, widths []int, weights []Wei
 		outer, inner := SplitWorkers(workers, len(weights))
 		completed := make([]int, 0, len(order))
 		for _, w := range order {
-			warm := warmSources(completed, w, caches)
+			warm := warmSources(completed, w, schedules)
 			// Membership comes from the precomputed keep set, not a
 			// re-invocation of opt.Select, which need not be safe for
 			// concurrent use.

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"mixsoc/internal/analog"
+	"mixsoc/internal/tam"
 )
 
 func TestSweep(t *testing.T) {
@@ -49,6 +51,28 @@ func TestSweepConfigureHook(t *testing.T) {
 	}
 	if called != 1 {
 		t.Errorf("configure called %d times", called)
+	}
+
+	// Configure runs after the cache wiring, so a packer it installs
+	// receives every pack and the wired engine packer none.
+	e := NewEngine(EngineOptions{})
+	var installed backendCounters
+	pts, err := e.Sweep(context.Background(), d, []int{24, 32}, []Weights{EqualWeights}, SweepOptions{
+		Workers:   1,
+		Configure: func(pl *Planner) { pl.Packer = countingPacker{Packer: tam.OccupancyPacker{}, c: &installed} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	neval := 0
+	for _, p := range pts {
+		neval += p.Result.NEval
+	}
+	if got := installed.ok.Load(); got == 0 || got != uint64(neval) {
+		t.Errorf("installed packer saw %d packs, want NEval total %d", got, neval)
+	}
+	if m := e.Metrics(); len(m.BackendPacks) != 0 {
+		t.Errorf("wired engine packer saw packs: %+v", m.BackendPacks)
 	}
 }
 

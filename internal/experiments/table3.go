@@ -31,20 +31,20 @@ type Table3Result struct {
 }
 
 // Table3 runs the TAM optimizer for every candidate combination at every
-// width and normalizes test times to the all-share case per width. The
-// width columns are independent, so they are generated concurrently —
-// and within each column the combination schedules are prefetched across
-// the worker pool — with results merged by index, making the table
-// identical to a sequential run. All columns share one wrapper
-// staircase cache: each digital module's staircase is designed once at
-// the widest column and served to the narrower ones as a prefix.
+// width and normalizes test times to the all-share case per width. Every
+// (width, combination) pair, plus each width's all-share point, is one
+// task of a single pool; a sequential pass then normalizes the packed
+// times, making the table identical to a sequential run. All widths
+// share one wrapper staircase cache: each digital module's staircase is
+// designed once at the widest column and served to the narrower ones as
+// a prefix.
 func Table3(d *core.Design, widths []int) (*Table3Result, error) {
 	return Table3Context(context.Background(), d, widths)
 }
 
 // Table3Context is Table3 under a context: once ctx fires no further
-// width column is dispatched, the in-flight TAM packings abort at their
-// next cancellation point, and the call returns ctx.Err().
+// packing is dispatched, the in-flight TAM packings abort at their next
+// cancellation point, and the call returns ctx.Err().
 func Table3Context(ctx context.Context, d *core.Design, widths []int) (*Table3Result, error) {
 	if d == nil {
 		d = Design()
@@ -53,46 +53,39 @@ func Table3Context(ctx context.Context, d *core.Design, widths []int) (*Table3Re
 		widths = Table3Widths
 	}
 	names := d.AnalogNames()
-	combos := d.Candidates(partition.PaperPolicy)
+	// Per width, point 0 is the all-share normalization point and point
+	// i > 0 is combination i-1.
+	points := append([]partition.Partition{d.AllShare()}, d.Candidates(partition.PaperPolicy)...)
+	combos := points[1:]
 	stairs := wrapper.NewStaircaseCache(slices.Max(widths))
+	evs := make([]*core.Evaluator, len(widths))
+	for wi, w := range widths {
+		evs[wi] = core.NewEvaluator(d, w)
+		evs[wi].Staircases = stairs
+	}
+	times := make([]int64, len(widths)*len(points))
+	errs := make([]error, len(times))
+	if err := core.ForEachCtx(ctx, len(times), core.DefaultWorkers(), func(i int) {
+		times[i], errs[i] = evs[i/len(points)].TestTimeContext(ctx, points[i%len(points)])
+	}); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 
-	res := &Table3Result{Widths: widths}
+	res := &Table3Result{Widths: widths, Spread: make([]float64, len(widths)), Lowest: make([]string, len(widths))}
 	rows := make([]Table3Row, len(combos))
 	for i, p := range combos {
 		rows[i] = Table3Row{Wrappers: p.Wrappers(), Label: p.FormatShared(names), CT: make([]float64, len(widths))}
 	}
-
-	res.Spread = make([]float64, len(widths))
-	res.Lowest = make([]string, len(widths))
-	errs := make([]error, len(widths))
-	outer, inner := core.SplitWorkers(core.DefaultWorkers(), len(widths))
-	if err := core.ForEachCtx(ctx, len(widths), outer, func(wi int) {
-		w := widths[wi]
-		ev := core.NewEvaluator(d, w)
-		ev.Staircases = stairs
-		if inner > 1 {
-			allShareP := d.AllShare()
-			core.ForEachCtx(ctx, len(combos)+1, inner, func(i int) {
-				if i == 0 {
-					ev.PrefetchContext(ctx, allShareP)
-					return
-				}
-				ev.PrefetchContext(ctx, combos[i-1])
-			})
-		}
-		allShare, err := ev.TestTimeContext(ctx, d.AllShare())
-		if err != nil {
-			errs[wi] = err
-			return
-		}
+	for wi := range widths {
+		t := times[wi*len(points):][:len(points)]
 		low, high := -1.0, -1.0
-		for i, p := range combos {
-			t, err := ev.TestTimeContext(ctx, p)
-			if err != nil {
-				errs[wi] = err
-				return
-			}
-			ct := 100 * float64(t) / float64(allShare)
+		for i := range combos {
+			ct := 100 * float64(t[i+1]) / float64(t[0])
 			rows[i].CT[wi] = ct
 			if low < 0 || ct < low {
 				low = ct
@@ -103,13 +96,6 @@ func Table3Context(ctx context.Context, d *core.Design, widths []int) (*Table3Re
 			}
 		}
 		res.Spread[wi] = high - low
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	sort.Slice(rows, func(a, b int) bool {

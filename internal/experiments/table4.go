@@ -7,7 +7,6 @@ import (
 
 	"mixsoc/internal/analog"
 	"mixsoc/internal/core"
-	"mixsoc/internal/wrapper"
 )
 
 // Table4Cell compares exhaustive evaluation with Cost_Optimizer at one
@@ -36,13 +35,13 @@ type Table4Result struct {
 }
 
 // Table4 runs both solvers across the width sweep for each weight
-// setting. The grid cells fan out across the worker pool, and all cells
-// at one TAM width — across weight settings, and between the exhaustive
-// and heuristic solver of a cell — share one schedule cache, since test
-// schedules depend only on the width and the sharing configuration; the
-// whole grid shares one wrapper staircase cache across widths. Cells
-// are merged weights-major by index, so the table (costs, NEval,
-// selections) is identical to a sequential run.
+// setting, as two sweeps over one engine session: the exhaustive pass
+// packs every configuration at each width, and the heuristic pass is
+// served those schedules from the session's per-width caches, since
+// test schedules depend only on the width and the sharing
+// configuration. The grid cells fan out across the worker pool and are
+// merged weights-major, so the table (costs, NEval, selections) is
+// identical to a sequential run.
 func Table4(d *core.Design, widths []int, weights []core.Weights) (*Table4Result, error) {
 	return Table4Context(context.Background(), d, widths, weights)
 }
@@ -79,59 +78,30 @@ func Table4SelectContext(ctx context.Context, d *core.Design, widths []int, weig
 	if d == nil {
 		d = Design()
 	}
-	if len(widths) == 0 || len(weights) == 0 {
-		return nil, fmt.Errorf("experiments: Table 4 needs at least one width and one weight setting")
+	// Both solvers sweep one throwaway engine session: the heuristic
+	// pass is served every schedule the exhaustive pass packed.
+	e := core.NewEngine(core.EngineOptions{MaxWidthCaches: len(widths)})
+	opt := core.SweepOptions{
+		Exhaustive: true,
+		Select:     sel,
+		Configure:  func(pl *core.Planner) { pl.CostModel = analog.PaperCostModel() },
 	}
-	// Dense weights-major indices of the selected cells; caches cover
-	// only their widths.
-	keep := make([]int, 0, len(weights)*len(widths))
-	maxW := 0
-	selWidths := make(map[int]bool, len(widths))
-	for k, wt := range weights {
-		for ci, w := range widths {
-			if sel != nil && !sel(w, wt) {
-				continue
-			}
-			keep = append(keep, k*len(widths)+ci)
-			selWidths[w] = true
-			maxW = max(maxW, w)
-		}
+	exh, err := e.Sweep(ctx, d, widths, weights, opt)
+	if err != nil {
+		return nil, err
 	}
-	if len(keep) == 0 {
-		return nil, fmt.Errorf("experiments: Table 4 selection admits no cells")
+	opt.Exhaustive = false
+	heur, err := e.Sweep(ctx, d, widths, weights, opt)
+	if err != nil {
+		return nil, err
 	}
-
 	names := d.AnalogNames()
-	stairs := wrapper.NewStaircaseCache(maxW)
-	caches := make(map[int]*core.ScheduleCache, len(selWidths))
-	for w := range selWidths {
-		caches[w] = core.NewScheduleCache()
-	}
-	cells := make([]Table4Cell, len(keep))
-	errs := make([]error, len(keep))
-	outer, inner := core.SplitWorkers(core.DefaultWorkers(), len(keep))
-	if err := core.ForEachCtx(ctx, len(keep), outer, func(j int) {
-		i := keep[j]
-		wt := weights[i/len(widths)]
-		w := widths[i%len(widths)]
-		pl := core.NewPlanner(d, w, wt)
-		pl.CostModel = analog.PaperCostModel()
-		pl.Cache = caches[w]
-		pl.Staircases = stairs
-		pl.Workers = inner
-		ex, err := pl.ExhaustiveContext(ctx)
-		if err != nil {
-			errs[j] = err
-			return
-		}
-		h, err := pl.CostOptimizerContext(ctx)
-		if err != nil {
-			errs[j] = err
-			return
-		}
-		cells[j] = Table4Cell{
-			Width:            w,
-			Weights:          wt,
+	cells := make([]Table4Cell, len(exh))
+	for i, x := range exh {
+		ex, h := x.Result, heur[i].Result
+		cells[i] = Table4Cell{
+			Width:            x.Width,
+			Weights:          x.Weights,
 			ExhaustiveCost:   ex.Best.Cost,
 			ExhaustiveNEval:  ex.NEval,
 			ExhaustiveSel:    ex.Best.Label(names),
@@ -140,13 +110,6 @@ func Table4SelectContext(ctx context.Context, d *core.Design, widths []int, weig
 			HeuristicSel:     h.Best.Label(names),
 			ReductionPercent: h.ReductionPercent(),
 			Optimal:          h.Best.Cost <= ex.Best.Cost+1e-9,
-		}
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
 	}
 	return cells, nil
