@@ -30,7 +30,10 @@ type EngineOptions struct {
 	MaxWidthCaches int
 	// Workers is the CPU budget each planning call runs with; 0 means
 	// DefaultWorkers. The worker count never changes results — parallel
-	// planners replay deterministically — only wall-clock.
+	// planners replay deterministically — only wall-clock. For a sweep
+	// given a pool (SweepOptions.Slots) it is a floor: the grid borrows
+	// the pool's idle slots on top of it, one cell at a time. Single
+	// plans never borrow.
 	Workers int
 	// MaxModuleStairs bounds the cross-design staircase store: one entry
 	// per distinct module content hash. Default 4096.

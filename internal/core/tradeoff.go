@@ -55,9 +55,22 @@ type SweepOptions struct {
 	// wiring. It must not change the planner's Design or Width, and must
 	// be safe to call concurrently.
 	Configure func(*Planner)
-	// Workers bounds the sweep's total CPU budget; 0 means
-	// DefaultWorkers.
+	// Workers is the sweep's own CPU budget; 0 means DefaultWorkers.
+	// With Slots set it is a floor, not a ceiling.
 	Workers int
+	// Slots, when non-nil, is a worker pool whose idle slots the sweep
+	// borrows on top of Workers: each grid fan-out (the cold grid, and
+	// each width's weights in a WarmStart chain) starts one more cell
+	// worker per slot it can take with Slots.TryAcquire, and a borrowed
+	// slot is held for exactly one cell and given back before the next
+	// cell is claimed, so a request waiting in Slots.Acquire waits at
+	// most one cell. The pool changes wall-clock only: every point,
+	// NEval, Pruned and Evaluated order is what the sweep returns
+	// without it. Single planners never borrow: a planner's
+	// speculative packs are not cells, and packs its replay skips would
+	// be wasted work. A nil pool, or one with no idle slot, runs the
+	// plain Workers fan-out.
+	Slots *Slots
 	// Backend selects the packing backend by name for every grid point
 	// (see PlanOptions.Backend). Empty is the default occupancy path —
 	// bit-identical to a sweep before backends existed; an unknown name
@@ -234,7 +247,7 @@ func sweep(ctx context.Context, d *Design, widths []int, weights []Weights, opt 
 
 	if !opt.WarmStart {
 		outer, inner := SplitWorkers(workers, len(keep))
-		forEach(ctx, len(keep), outer, func(j int) { solve(keep[j], nil, inner) })
+		forEach(ctx, len(keep), outer, opt.Slots, func(j int) { solve(keep[j], nil, inner) })
 	} else {
 		// Selected widths in the caller's first-appearance order; each
 		// width's caches complete before the next width starts, so every
@@ -257,7 +270,7 @@ func sweep(ctx context.Context, d *Design, widths []int, weights []Weights, opt 
 			// Membership comes from the precomputed keep set, not a
 			// re-invocation of opt.Select, which need not be safe for
 			// concurrent use.
-			forEach(ctx, len(weights), outer, func(k int) {
+			forEach(ctx, len(weights), outer, opt.Slots, func(k int) {
 				for ci, cw := range widths {
 					if cw == w && keepSet[k*len(widths)+ci] {
 						solve(k*len(widths)+ci, warm, inner)

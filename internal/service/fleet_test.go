@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mixsoc/internal/core"
 )
 
 // get performs a GET against the test server, returning status and
@@ -35,7 +37,7 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 // settings for direct state-machine tests.
 func newTestFleet(t *testing.T, opts Options) *fleet {
 	t.Helper()
-	f := newFleet(opts, newMetricsRegistry(1), &http.Client{Transport: newFleetTransport()}, t.Logf)
+	f := newFleet(opts, newMetricsRegistry(core.NewSlots(1)), &http.Client{Transport: newFleetTransport()}, t.Logf)
 	t.Cleanup(f.close)
 	return f
 }

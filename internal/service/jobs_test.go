@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -210,15 +211,17 @@ func TestJobResultNotReadyAndEventsStream(t *testing.T) {
 	s, ts := newJobServer(t, t.TempDir())
 
 	// Hold every pool slot: the job's local shards queue behind us.
-	for i := 0; i < cap(s.sem); i++ {
-		s.sem <- struct{}{}
+	for i := 0; i < s.slots.Cap(); i++ {
+		if err := s.slots.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	released := false
 	release := func() {
 		if !released {
 			released = true
-			for i := 0; i < cap(s.sem); i++ {
-				<-s.sem
+			for i := 0; i < s.slots.Cap(); i++ {
+				s.slots.Release()
 			}
 		}
 	}

@@ -3,7 +3,7 @@ package service
 // The /metrics scrape surface: a dependency-free Prometheus
 // text-format (version 0.0.4) renderer over a small hand-rolled
 // registry. The metric set is deliberately concrete — engine cache
-// counters, worker-pool saturation, per-endpoint request counts and
+// counters, worker-pool slot occupancy, per-endpoint request counts and
 // latencies, per-worker shard outcomes — rather than a generic metrics
 // framework; everything monotonic is a counter (the engine-lifetime
 // totals core.EngineMetrics.ScheduleTotal exists for), everything that
@@ -85,7 +85,7 @@ type workerTransition struct {
 // fleet keeps its series, so scrape counters never rewind across
 // membership churn.
 type metricsRegistry struct {
-	capacity int // worker-pool slots, a constant gauge
+	slots *core.Slots // the worker pool, read live at scrape time
 
 	mu          sync.Mutex
 	inFlight    int
@@ -103,9 +103,9 @@ type metricsRegistry struct {
 	batchItems  map[string]uint64
 }
 
-func newMetricsRegistry(capacity int) *metricsRegistry {
+func newMetricsRegistry(slots *core.Slots) *metricsRegistry {
 	return &metricsRegistry{
-		capacity:    capacity,
+		slots:       slots,
 		httpCount:   map[epCode]uint64{},
 		httpDur:     map[string]*durStat{},
 		shards:      map[workerResult]uint64{},
@@ -345,12 +345,19 @@ func (m *metricsRegistry) render(w io.Writer, em core.EngineMetrics, fleet []Wor
 	p.family("msoc_module_cache_digital_job_entries", "Cached (digital SOC, width) job slices in the cross-design digital-jobs cache.", "gauge")
 	p.value("msoc_module_cache_digital_job_entries", nil, float64(em.DigitalJobEntries))
 
+	pool := m.slots.Stats()
+	p.family("msoc_pool_capacity", "Planning worker-pool slots (the -max-concurrent bound).", "gauge")
+	p.value("msoc_pool_capacity", nil, float64(m.slots.Cap()))
+	p.family("msoc_pool_slots", "Planning worker-pool slots held, by holder: request (a plan, sweep or shard holding its own slot) or borrowed (an idle slot a sweep runs one grid cell on).", "gauge")
+	p.value("msoc_pool_slots", labels{"holder", "borrowed"}, float64(pool.Borrowed))
+	p.value("msoc_pool_slots", labels{"holder", "request"}, float64(pool.Request))
+	p.family("msoc_pool_borrows_total", "Idle worker-pool slots borrowed by sweeps, one grid cell per borrow.", "counter")
+	p.value("msoc_pool_borrows_total", nil, float64(pool.Borrows))
+
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	p.family("msoc_pool_capacity", "Planning worker-pool slots (the -max-concurrent bound).", "gauge")
-	p.value("msoc_pool_capacity", nil, float64(m.capacity))
-	p.family("msoc_pool_in_flight", "HTTP requests currently being served.", "gauge")
+	p.family("msoc_pool_in_flight", "HTTP requests currently being served, on every endpoint (the /metrics scrape, /healthz probes and /v1/batch calls included); pool saturation is msoc_pool_slots{holder=\"request\"} over msoc_pool_capacity.", "gauge")
 	p.value("msoc_pool_in_flight", nil, float64(m.inFlight))
 
 	p.family("msoc_http_requests_total", "HTTP requests served, by endpoint and status code.", "counter")

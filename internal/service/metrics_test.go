@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -378,5 +379,50 @@ func TestMetricsTrackDynamicMembership(t *testing.T) {
 	if removed[suspectKey] != 1 || removed[evictedKey] != 1 {
 		t.Errorf("transition counters lost on removal: {suspect: %v, evicted: %v}",
 			removed[suspectKey], removed[evictedKey])
+	}
+}
+
+// The pool families: slots held by holder and the borrow counter come
+// from the pool itself, so the scrape that reads them holds no slot
+// (unlike msoc_pool_in_flight, which counts every HTTP request, the
+// scrape included), a held request slot shows under holder="request",
+// and a sweep on an idle pool moves msoc_pool_borrows_total.
+func TestMetricsPoolSlotsAndBorrows(t *testing.T) {
+	s := New(Options{Workers: 2, MaxConcurrent: 2})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	idle := scrape(t, ts)
+	for key, want := range map[string]float64{
+		`msoc_pool_capacity`:                 2,
+		`msoc_pool_slots{holder="borrowed"}`: 0,
+		`msoc_pool_slots{holder="request"}`:  0,
+		`msoc_pool_borrows_total`:            0,
+		`msoc_pool_in_flight`:                1, // the scrape itself
+	} {
+		if got, ok := idle[key]; !ok || got != want {
+			t.Errorf("idle scrape: %s = %v, %v; want %v, present", key, got, ok, want)
+		}
+	}
+
+	if err := s.slots.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	held := scrape(t, ts)
+	s.slots.Release()
+	if got := held[`msoc_pool_slots{holder="request"}`]; got != 1 {
+		t.Errorf("request slots with one held = %v, want 1", got)
+	}
+
+	if status, body := post(t, ts, "/v1/sweep", SweepRequest{Widths: []int{32, 40}, WTs: []float64{0.5}}); status != http.StatusOK {
+		t.Fatalf("sweep: status %d: %s", status, body)
+	}
+	after := scrape(t, ts)
+	if got := after[`msoc_pool_borrows_total`]; got < 1 {
+		t.Errorf("borrows_total = %v after a sweep on an idle pool, want >= 1", got)
+	}
+	if got := after[`msoc_pool_slots{holder="borrowed"}`] + after[`msoc_pool_slots{holder="request"}`]; got != 0 {
+		t.Errorf("%v slots still held after the sweep answered", got)
 	}
 }

@@ -35,12 +35,16 @@
 // JSON hop exactly.
 //
 // Every request runs under a deadline (client-requested, capped by the
-// server) and inside a bounded worker pool: at most MaxConcurrent
-// requests plan at once, each with an equal share of the server's CPU
-// budget (core.SplitWorkers), and a saturated server answers 503
-// rather than queueing unboundedly. Cancelled or timed-out requests
-// abort mid-sweep via context cancellation, leaving the engine's
-// caches consistent.
+// server) and inside a bounded worker pool (core.Slots): at most
+// MaxConcurrent requests plan at once, each with an equal share of the
+// server's CPU budget (core.SplitWorkers), and a saturated server
+// answers 503 rather than queueing unboundedly. The pool is
+// work-conserving for sweep grids: a sweep or shard borrows idle slots
+// on top of its share, one grid cell per borrowed slot, and a freed
+// slot goes to a waiting request before a sweep can borrow it again, so
+// a queued request waits at most one cell. Single plans never borrow.
+// Cancelled or timed-out requests abort mid-sweep via context
+// cancellation, leaving the engine's caches consistent.
 package service
 
 import (
@@ -131,7 +135,7 @@ type Options struct {
 // via Handler, and Close when done to stop the fleet's probe loop.
 type Server struct {
 	engine   *core.Engine
-	sem      chan struct{}
+	slots    *core.Slots
 	timeout  time.Duration
 	capacity int // resolved CPU budget, advertised via /healthz
 	fleet    *fleet
@@ -143,7 +147,8 @@ type Server struct {
 
 // New builds a server: it resolves the option defaults, splits the CPU
 // budget across the concurrency bound, and (when Options.Engine is
-// nil) creates an engine whose planners each use one slot's share.
+// nil) creates an engine whose planners each use one slot's share — a
+// floor for sweeps, which borrow idle slots on top of it.
 // Every server owns a worker fleet — usually empty, in which case it
 // serves standalone; seeding it via Options.WorkerURLs/WorkerFile or
 // growing it through POST /v1/workers makes the server a
@@ -173,12 +178,13 @@ func New(opts Options) *Server {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	slots := core.NewSlots(maxConc)
 	s := &Server{
 		engine:   engine,
-		sem:      make(chan struct{}, maxConc),
+		slots:    slots,
 		timeout:  timeout,
 		capacity: workers,
-		metrics:  newMetricsRegistry(maxConc),
+		metrics:  newMetricsRegistry(slots),
 		logf:     logf,
 	}
 	client := &http.Client{Transport: newFleetTransport()}
@@ -229,7 +235,7 @@ func (s *Server) Handler() http.Handler {
 // capacity — its total CPU budget (the SplitWorkers pool) — which a
 // coordinator's fleet probes read to weight shard assignment.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeResponse(w, &HealthResponse{OK: true, Capacity: s.capacity, MaxConcurrent: cap(s.sem)})
+	writeResponse(w, &HealthResponse{OK: true, Capacity: s.capacity, MaxConcurrent: s.slots.Cap()})
 }
 
 // handleWorkersGet answers GET /v1/workers with the fleet's live
@@ -277,17 +283,6 @@ func (e saturatedError) Error() string {
 	return fmt.Sprintf("service: worker pool saturated: %v", e.cause)
 }
 
-// acquire takes a worker-pool slot, or fails once ctx fires while the
-// pool is saturated. The returned release must be called when done.
-func (s *Server) acquire(ctx context.Context) (release func(), err error) {
-	select {
-	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, nil
-	case <-ctx.Done():
-		return nil, saturatedError{cause: ctx.Err()}
-	}
-}
-
 // Plan computes the response of POST /v1/plan for req — the exact code
 // path the HTTP handler runs, exported so msoc-plan -json produces
 // byte-identical output without a server.
@@ -320,11 +315,10 @@ func (s *Server) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, erro
 
 	ctx, cancel := s.requestCtx(ctx, req.TimeoutMS)
 	defer cancel()
-	release, err := s.acquire(ctx)
-	if err != nil {
-		return nil, err
+	if err := s.slots.Acquire(ctx); err != nil {
+		return nil, saturatedError{cause: err}
 	}
-	defer release()
+	defer s.slots.Release()
 
 	res, err := s.engine.PlanWith(ctx, d, req.Width, weights, core.PlanOptions{
 		Exhaustive: req.Exhaustive,
@@ -425,7 +419,8 @@ func (sp *sweepSpec) distributable() bool {
 // workers through runShards and merged byte-identically to the
 // in-process path; warm-started sweeps — whose cross-width chaining is
 // inherently sequential — and grids with duplicate axis values plan
-// in-process, as one engine sweep under one pool slot.
+// in-process, as one engine sweep under one pool slot plus the idle
+// slots it borrows, one cell at a time (core.SweepOptions.Slots).
 func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
 	sp, err := validateSweep(req)
 	if err != nil {
@@ -434,11 +429,10 @@ func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, e
 
 	ctx, cancel := s.requestCtx(ctx, req.TimeoutMS)
 	defer cancel()
-	release, err := s.acquire(ctx)
-	if err != nil {
-		return nil, err
+	if err := s.slots.Acquire(ctx); err != nil {
+		return nil, saturatedError{cause: err}
 	}
-	defer release()
+	defer s.slots.Release()
 
 	if !req.WarmStart && sp.distributable() {
 		if homes, ok := s.fleet.assign(sp.cells()); ok {
@@ -455,6 +449,7 @@ func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, e
 		Bounded:    req.Bounded,
 		WarmStart:  req.WarmStart,
 		Backend:    req.Backend,
+		Slots:      s.slots,
 	})
 	if err != nil {
 		return nil, err
@@ -496,16 +491,16 @@ func (s *Server) Shard(ctx context.Context, req ShardRequest) (*ShardResponse, e
 
 	ctx, cancel := s.requestCtx(ctx, req.TimeoutMS)
 	defer cancel()
-	release, err := s.acquire(ctx)
-	if err != nil {
-		return nil, err
+	if err := s.slots.Acquire(ctx); err != nil {
+		return nil, saturatedError{cause: err}
 	}
-	defer release()
+	defer s.slots.Release()
 
 	points, err := s.engine.Sweep(ctx, sp.design, sp.widths, sp.weights, core.SweepOptions{
 		Exhaustive: req.Exhaustive,
 		Bounded:    req.Bounded,
 		Backend:    req.Backend,
+		Slots:      s.slots,
 		Select: func(w int, wt core.Weights) bool {
 			return own[cellKey{w, wt.Time}]
 		},
