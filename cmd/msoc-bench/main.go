@@ -7,8 +7,6 @@
 //	msoc-bench [-out dir] [-repeat n] [-workers n] [-bench name]
 //	msoc-bench -compare old new [-regress-pct p] [-allow-metric-drift]
 //	msoc-bench -trend trail1 trail2 trail3... [-regress-pct p]
-//	msoc-bench -shard N/M [-grid paper|table4] [-out dir]
-//	msoc-bench -merge dir-or-files...
 //
 // Each benchmark regenerates a full experiment through the same code
 // paths as cmd/msoc-tables and the go test benchmarks, records the best
@@ -26,13 +24,6 @@
 // prints per-benchmark wall-time trajectories, exiting non-zero when a
 // benchmark's latest time regressed beyond -regress-pct against its
 // historical best.
-//
-// The -shard and -merge forms distribute the experiment grid across
-// machines: -shard N/M computes the Nth of M deterministic slices of
-// the grid's cells and writes a mergeable SHARD_*.json partial result;
-// -merge recombines a complete set of partials into the full tables,
-// bit-identical to an unsharded run, and fails loudly when cells are
-// missing or duplicated.
 package main
 
 import (
@@ -293,9 +284,6 @@ func main() {
 	which := flag.String("bench", "all", "benchmark to run: table1, table3, table4, plan-heuristic, plan-exhaustive, plan-bounded, plan-rectangle, plan-d695m, plan-g1023m, plan-t512505m, near-dup-cache, sweep-warm, sweep-paper-cold, or all")
 	compare := flag.Bool("compare", false, "compare two perf trails (files or directories) given as positional args and exit non-zero on regression")
 	trend := flag.Bool("trend", false, "print per-benchmark wall-time trajectories across the trails given as positional args (chronological order) and exit non-zero on regression")
-	shardSpec := flag.String("shard", "", "compute one shard of the experiment grid, as N/M (e.g. 0/2); writes SHARD_N_of_M.json into -out")
-	gridName := flag.String("grid", "paper", "with -shard: which grid to run, paper (Table 3 + Table 4 + width curve) or table4")
-	merge := flag.Bool("merge", false, "merge the SHARD_*.json partial results given as positional args (files or directories) and print the recombined tables")
 	regressPct := flag.Float64("regress-pct", 15, "with -compare/-trend: allowed wall-time growth in percent")
 	minSeconds := flag.Float64("min-seconds", 0.01, "with -compare/-trend: skip the time check under this many seconds (noise floor)")
 	allowDrift := flag.Bool("allow-metric-drift", false, "with -compare: tolerate changed headline metrics instead of failing")
@@ -323,12 +311,6 @@ func main() {
 			log.Fatal(err)
 		}
 		return append(append([]string{}, args[:split]...), fs.Args()...)
-	}
-
-	// Cap the pool before dispatching on mode, so -workers also governs
-	// the -shard grid computation.
-	if *workers > 0 {
-		runtime.GOMAXPROCS(*workers)
 	}
 
 	if *compare {
@@ -366,16 +348,9 @@ func main() {
 		return
 	}
 
-	if *shardSpec != "" {
-		runShardMode(*shardSpec, *gridName, *out)
-		return
+	if *workers > 0 {
+		runtime.GOMAXPROCS(*workers)
 	}
-
-	if *merge {
-		runMergeMode(flag.Args())
-		return
-	}
-
 	if *repeat < 1 {
 		*repeat = 1
 	}

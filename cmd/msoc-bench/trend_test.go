@@ -115,41 +115,3 @@ func TestResolveTrailsDisambiguatesLabels(t *testing.T) {
 		t.Errorf("labels = %q, %q; want before, after", trails[0].label, trails[1].label)
 	}
 }
-
-// TestCollectShardFiles covers the -merge argument expansion, including
-// the one-level-deep artifact layout CI produces.
-func TestCollectShardFiles(t *testing.T) {
-	root := t.TempDir()
-	flat := filepath.Join(root, "flat")
-	if err := os.MkdirAll(flat, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"SHARD_0_of_2.json", "SHARD_1_of_2.json"} {
-		if err := os.WriteFile(filepath.Join(flat, name), []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	files, err := collectShardFiles([]string{flat})
-	if err != nil || len(files) != 2 {
-		t.Fatalf("flat layout: files=%v err=%v", files, err)
-	}
-
-	nested := filepath.Join(root, "nested")
-	for _, sub := range []string{"shard-0", "shard-1"} {
-		d := filepath.Join(nested, sub)
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(d, "SHARD_x.json"), []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	files, err = collectShardFiles([]string{nested})
-	if err != nil || len(files) != 2 {
-		t.Fatalf("nested layout: files=%v err=%v", files, err)
-	}
-
-	if _, err := collectShardFiles([]string{t.TempDir()}); err == nil {
-		t.Error("empty directory accepted")
-	}
-}

@@ -7,54 +7,20 @@ import (
 	"mixsoc/internal/experiments"
 )
 
-// ExampleRunShard splits a small Table 4 grid across two "machines" and
-// merges the partial results; the merged table is bit-identical to an
-// unsharded run of the same grid.
-func ExampleRunShard() {
-	g := experiments.Grid{
-		Table4Widths:  []int{24, 32},
-		Table4Weights: []core.Weights{core.EqualWeights},
-	}
-	parts := make([]*experiments.ShardResult, 2)
-	for shard := range parts {
-		r, err := experiments.RunShard(nil, g, shard, 2)
-		if err != nil {
-			fmt.Println(err)
-			return
-		}
-		parts[shard] = r
-	}
-	merged, err := experiments.Merge(parts[0], parts[1])
+// ExampleTable4 runs a small Table 4 grid — two TAM widths at equal
+// weights — and prints how many evaluations Cost_Optimizer needed
+// against the exhaustive search, and whether it found the optimum.
+func ExampleTable4() {
+	res, err := experiments.Table4(nil, []int{24, 32}, []core.Weights{core.EqualWeights})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	for _, c := range merged.Table4.Cells {
+	for _, c := range res.Cells {
 		fmt.Printf("W=%d: heuristic %d of %d evaluations, optimal %v\n",
 			c.Width, c.HeuristicNEval, c.ExhaustiveNEval, c.Optimal)
 	}
 	// Output:
 	// W=24: heuristic 13 of 26 evaluations, optimal true
 	// W=32: heuristic 13 of 26 evaluations, optimal true
-}
-
-// ExampleGrid_Shard shows the deterministic cell partition: every cell
-// has a stable ID, and a 2-way split deals them round-robin.
-func ExampleGrid_Shard() {
-	g := experiments.Grid{Table3Widths: []int{32, 48, 64}}
-	for shard := 0; shard < 2; shard++ {
-		cells, err := g.Shard(shard, 2)
-		if err != nil {
-			fmt.Println(err)
-			return
-		}
-		fmt.Printf("shard %d:", shard)
-		for _, c := range cells {
-			fmt.Printf(" %s", c.ID)
-		}
-		fmt.Println()
-	}
-	// Output:
-	// shard 0: table3/W=32 table3/W=64
-	// shard 1: table3/W=48
 }

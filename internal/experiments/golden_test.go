@@ -5,7 +5,6 @@ import (
 	"flag"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"testing"
 )
@@ -167,58 +166,6 @@ func checkTable4Golden(t *testing.T, g *golden, res *Table4Result) {
 	if got := 100 * res.OptimalFraction(); math.Abs(got-93.33333333333333) > 1e-12 {
 		t.Errorf("optimal%% = %v, want 93.333...", got)
 	}
-}
-
-// TestShardMergeRoundTripBitIdenticalToGolden is the distributed-run
-// contract on the full paper grid: the two halves of a 2-way shard,
-// serialized to the on-disk JSON format and read back (simulating the
-// trip between machines), must merge into exactly the unsharded Table 3
-// and Table 4 — raw float64 bits, not an epsilon — which are in turn
-// held to the golden snapshot.
-func TestShardMergeRoundTripBitIdenticalToGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full grid runs are slow")
-	}
-	g := Grid{
-		Table3Widths:  Table3Widths,
-		Table4Widths:  PaperWidths,
-		Table4Weights: PaperWeightSettings,
-	}
-
-	dir := t.TempDir()
-	parts := make([]*ShardResult, 2)
-	for shard := range parts {
-		r, err := RunShard(nil, g, shard, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "shard.json")
-		if err := WriteShardFile(path, r); err != nil {
-			t.Fatal(err)
-		}
-		if parts[shard], err = ReadShardFile(path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := Merge(parts[0], parts[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t3, err := Table3(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t4, err := Table4(nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireTable3Bits(t, merged.Table3, t3)
-	requireTable4Bits(t, merged.Table4, t4)
-
-	gold := loadGolden(t)
-	checkTable3Golden(t, gold, merged.Table3)
-	checkTable4Golden(t, gold, merged.Table4)
 }
 
 // TestUpdateGoldenSnapshot rewrites the golden snapshot when run with

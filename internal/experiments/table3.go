@@ -39,13 +39,7 @@ type Table3Result struct {
 // designed once at the widest column and served to the narrower ones as
 // a prefix.
 func Table3(d *core.Design, widths []int) (*Table3Result, error) {
-	return Table3Context(context.Background(), d, widths)
-}
-
-// Table3Context is Table3 under a context: once ctx fires no further
-// packing is dispatched, the in-flight TAM packings abort at their next
-// cancellation point, and the call returns ctx.Err().
-func Table3Context(ctx context.Context, d *core.Design, widths []int) (*Table3Result, error) {
+	ctx := context.Background()
 	if d == nil {
 		d = Design()
 	}

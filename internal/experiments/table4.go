@@ -43,47 +43,21 @@ type Table4Result struct {
 // merged weights-major, so the table (costs, NEval, selections) is
 // identical to a sequential run.
 func Table4(d *core.Design, widths []int, weights []core.Weights) (*Table4Result, error) {
-	return Table4Context(context.Background(), d, widths, weights)
-}
-
-// Table4Context is Table4 under a context; see Table4SelectContext for
-// the cancellation contract.
-func Table4Context(ctx context.Context, d *core.Design, widths []int, weights []core.Weights) (*Table4Result, error) {
+	if d == nil {
+		d = Design()
+	}
 	if len(widths) == 0 {
 		widths = PaperWidths
 	}
 	if len(weights) == 0 {
 		weights = PaperWeightSettings
 	}
-	cells, err := Table4SelectContext(ctx, d, widths, weights, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Table4Result{Widths: widths, Weights: weights, Cells: cells}, nil
-}
-
-// Table4Select computes only the Table 4 cells sel admits, in the same
-// weights-major order — and with the same per-cell numbers, bit for bit
-// — as the full grid; a nil sel admits every cell. Schedule and
-// staircase caches cover exactly the selected widths, so a sharded run
-// never packs a schedule (or designs a wrapper) its cells do not need.
-func Table4Select(d *core.Design, widths []int, weights []core.Weights, sel func(width int, wt core.Weights) bool) ([]Table4Cell, error) {
-	return Table4SelectContext(context.Background(), d, widths, weights, sel)
-}
-
-// Table4SelectContext is Table4Select under a context: once ctx fires
-// no further grid cell is dispatched, the in-flight solvers abort at
-// their next cancellation point, and the call returns ctx.Err().
-func Table4SelectContext(ctx context.Context, d *core.Design, widths []int, weights []core.Weights, sel func(width int, wt core.Weights) bool) ([]Table4Cell, error) {
-	if d == nil {
-		d = Design()
-	}
+	ctx := context.Background()
 	// Both solvers sweep one throwaway engine session: the heuristic
 	// pass is served every schedule the exhaustive pass packed.
 	e := core.NewEngine(core.EngineOptions{MaxWidthCaches: len(widths)})
 	opt := core.SweepOptions{
 		Exhaustive: true,
-		Select:     sel,
 		Configure:  func(pl *core.Planner) { pl.CostModel = analog.PaperCostModel() },
 	}
 	exh, err := e.Sweep(ctx, d, widths, weights, opt)
@@ -112,7 +86,7 @@ func Table4SelectContext(ctx context.Context, d *core.Design, widths []int, weig
 			Optimal:          h.Best.Cost <= ex.Best.Cost+1e-9,
 		}
 	}
-	return cells, nil
+	return &Table4Result{Widths: widths, Weights: weights, Cells: cells}, nil
 }
 
 // RenderTable4 formats the result like the paper's Table 4.

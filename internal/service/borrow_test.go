@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mixsoc/internal/core"
-	"mixsoc/internal/experiments"
 	"mixsoc/internal/registry"
 )
 
@@ -105,7 +104,7 @@ func TestBorrowingSweepByteIdenticalToOneWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := experiments.RoundRobin(sp.cells(), shard.Shard, shard.Of)
+	idx, err := roundRobin(sp.cells(), shard.Shard, shard.Of)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,14 @@
 package service
 
 // The coordinator half of a distributed sweep. A sweep's (widths ×
-// weights) cells are mutually independent — the same argument that
-// makes the paper's Table 4 grid shardable across machines — so the
-// coordinator partitions them round-robin (experiments.RoundRobin, the
-// grid runner's rule), posts one /v1/shard request per shard to the
-// fleet's workers, and reassembles the partial point lists into the
-// dense weights-major order an in-process sweep returns. The merged
-// response is byte-identical to the in-process one: each worker solves
-// its cells through core.SweepOptions.Select (subset == full-sweep
-// bits), float64s survive the JSON hop exactly, and the merge only
-// permutes — never recomputes — the points.
+// weights) cells are mutually independent, so the coordinator
+// partitions them round-robin (roundRobin), posts one /v1/shard request
+// per shard to the fleet's workers, and reassembles the partial point
+// lists into the dense weights-major order an in-process sweep
+// returns. The merged response is byte-identical to the in-process one:
+// each worker solves its cells through core.SweepOptions.Select
+// (subset == full-sweep bits), float64s survive the JSON hop exactly,
+// and the merge only permutes — never recomputes — the points.
 //
 // Worker selection goes through the fleet: shards are homed only on
 // currently-assignable workers (healthy first), the shard count is
@@ -42,7 +40,6 @@ import (
 	"time"
 
 	"mixsoc/internal/core"
-	"mixsoc/internal/experiments"
 )
 
 // maxWorkerErrorBytes bounds how much of a worker's error body the
@@ -234,7 +231,7 @@ func mergeShards(sp *sweepSpec, parts []*ShardResponse) *SweepResponse {
 // machine. A nil response means the shard failed; the failures say why,
 // and runShards tells a dead request context apart from them.
 func (c *coordinator) runShard(ctx context.Context, sp *sweepSpec, req ShardRequest, home string) (*ShardResponse, []WorkerFailure) {
-	want, err := experiments.RoundRobin(sp.cells(), req.Shard, req.Of)
+	want, err := roundRobin(sp.cells(), req.Shard, req.Of)
 	if err != nil {
 		return nil, []WorkerFailure{{Shard: req.Shard, Error: err.Error()}}
 	}

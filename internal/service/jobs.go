@@ -9,12 +9,12 @@ package service
 // runs detached from the submitting connection under the manager's own
 // context, so a client that disconnects (499) no longer cancels work.
 //
-// Durability is built on the experiments shard-file interchange: every
-// completed shard is checkpointed to <job-dir>/<id>/shard_N_of_M.json
-// with experiments.WriteJSONFile (atomic temp-file-plus-rename, so a
-// kill -9 mid-checkpoint never leaves a torn partial), and the final
-// merged response is persisted to result.json as the exact bytes a
-// synchronous POST /v1/sweep would have returned —
+// Durability is built on per-shard checkpoint files: every completed
+// shard is checkpointed to <job-dir>/<id>/shard_N_of_M.json with
+// writeJSONFile (fsynced temp-file-plus-rename, so neither a kill -9
+// nor a power loss mid-checkpoint leaves a torn partial), and the
+// final merged response is persisted to result.json as the exact bytes
+// a synchronous POST /v1/sweep would have returned —
 // GET /v1/sweeps/{id}/result serves those bytes verbatim. A restarted
 // coordinator re-reads the job directory, re-verifies every persisted
 // partial against the same three-step merge contract live merges use
@@ -33,18 +33,18 @@ package service
 // across process lifetimes, and mergeShards assembles the result.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
-
-	"mixsoc/internal/experiments"
 )
 
 // The lifecycle states of a durable sweep job.
@@ -331,7 +331,7 @@ func (m *jobManager) submit(req SweepRequest) (j *job, created bool, err error) 
 			observe(jobSubmitRejected)
 			return nil, false, fmt.Errorf("service: creating job directory: %w", err)
 		}
-		if err := experiments.WriteJSONFile(filepath.Join(j.dir, "job.json"), &j.manifest); err != nil {
+		if err := writeJSONFile(filepath.Join(j.dir, "job.json"), &j.manifest); err != nil {
 			observe(jobSubmitRejected)
 			return nil, false, fmt.Errorf("service: writing job manifest: %w", err)
 		}
@@ -434,7 +434,7 @@ func (m *jobManager) run(j *job, sp *sweepSpec) {
 func (m *jobManager) completeShard(j *job, shard int, resp *ShardResponse, recovered bool) {
 	if j.dir != "" && !recovered {
 		path := filepath.Join(j.dir, shardFileName(shard, j.manifest.Of))
-		if err := experiments.WriteJSONFile(path, resp); err != nil {
+		if err := writeJSONFile(path, resp); err != nil {
 			// The shard still counts in memory; a restart would recompute it.
 			m.logf("job %s: checkpointing shard %d: %v", j.manifest.ID, shard, err)
 		} else {
@@ -470,7 +470,7 @@ func (m *jobManager) finishJob(j *job, resp *SweepResponse) error {
 	}
 	data = append(data, '\n')
 	if j.dir != "" {
-		if err := experiments.WriteJSONFile(filepath.Join(j.dir, "result.json"), resp); err != nil {
+		if err := writeJSONFile(filepath.Join(j.dir, "result.json"), resp); err != nil {
 			m.logf("job %s: persisting result: %v", j.manifest.ID, err)
 		}
 	}
@@ -610,7 +610,7 @@ func (m *jobManager) recover() {
 // individually invalid checkpoints are deleted and recomputed.
 func (m *jobManager) recoverJob(dir string) error {
 	var man jobManifest
-	if err := experiments.ReadJSONFile(filepath.Join(dir, "job.json"), &man); err != nil {
+	if err := readJSONFile(filepath.Join(dir, "job.json"), &man); err != nil {
 		return err
 	}
 	sp, err := validateSweep(man.SweepRequest)
@@ -671,7 +671,7 @@ func (m *jobManager) recoverJob(dir string) error {
 	for shard := 0; shard < man.Of; shard++ {
 		path := filepath.Join(dir, shardFileName(shard, man.Of))
 		var resp ShardResponse
-		if err := experiments.ReadJSONFile(path, &resp); err != nil {
+		if err := readJSONFile(path, &resp); err != nil {
 			if !os.IsNotExist(err) {
 				m.logf("job recovery: %s shard %d: %v (recomputing)", man.ID, shard, err)
 				m.srv.metrics.observeJobShard(jobShardInvalid)
@@ -679,7 +679,7 @@ func (m *jobManager) recoverJob(dir string) error {
 			}
 			continue
 		}
-		want, err := experiments.RoundRobin(sp.cells(), shard, man.Of)
+		want, err := roundRobin(sp.cells(), shard, man.Of)
 		if err != nil {
 			return err
 		}
@@ -701,6 +701,58 @@ func (m *jobManager) recoverJob(dir string) error {
 	m.srv.metrics.observeJobRecovery()
 	m.logf("job recovery: %s: resuming with %d/%d shards checkpointed", man.ID, j.done, man.Of)
 	m.startRunner(j, sp)
+	return nil
+}
+
+// writeJSONFile writes v as indented JSON with a trailing newline to
+// path, atomically and durably: the bytes land in a temp file in the
+// same directory, are fsynced, and the file is renamed over path, after
+// which the directory itself is fsynced. So neither a killed process
+// nor a power loss or OS crash mid-write can leave a torn, half-written
+// or zero-length file behind. Job manifests, shard checkpoints and
+// results all go through it.
+func writeJSONFile(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-")
+	if err != nil {
+		return err
+	}
+	_, werr := tmp.Write(data)
+	if err := errors.Join(werr, tmp.Chmod(0o644), tmp.Sync(), tmp.Close()); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
+}
+
+// readJSONFile reads a JSON file written by writeJSONFile into v. It
+// fails loudly on empty (zero-byte or whitespace-only) files — the
+// tell-tale of a torn write on filesystems without atomic rename — and
+// on malformed JSON, always naming the offending path.
+func readJSONFile(path string, v any) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if len(bytes.TrimSpace(data)) == 0 {
+		return fmt.Errorf("%s: empty file", path)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
 	return nil
 }
 

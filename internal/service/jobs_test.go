@@ -16,8 +16,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"mixsoc/internal/experiments"
 )
 
 // jobTestGrid is the sweep the durable-job tests run: two cells, so a
@@ -524,11 +522,11 @@ func TestJobRecoversCommittedJobDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	var man jobManifest
-	if err := experiments.ReadJSONFile(manifestPath, &man); err != nil {
+	if err := readJSONFile(manifestPath, &man); err != nil {
 		t.Fatal(err)
 	}
 	reencoded := filepath.Join(t.TempDir(), "job.json")
-	if err := experiments.WriteJSONFile(reencoded, &man); err != nil {
+	if err := writeJSONFile(reencoded, &man); err != nil {
 		t.Fatal(err)
 	}
 	if again, err := os.ReadFile(reencoded); err != nil || !bytes.Equal(again, onDisk) {
@@ -665,5 +663,79 @@ func TestPanicMiddlewareRecoversIntoStructured500(t *testing.T) {
 	}
 	if got := series[`msoc_http_requests_total{endpoint="/boom",code="500"}`]; got != 1 {
 		t.Errorf("panicking request not counted as a 500: %v", got)
+	}
+}
+
+// TestReadJSONFileHostileInputs feeds the checkpoint reader the damaged
+// files a crashed or hostile producer could leave behind and demands
+// each fails loudly, naming the offending path.
+func TestReadJSONFileHostileInputs(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	if err := writeJSONFile(good, ShardResponse{DesignHash: "aaaa", Shard: 0, Of: 1}); err != nil {
+		t.Fatal(err)
+	}
+	goodBytes, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp ShardResponse
+	if err := readJSONFile(good, &resp); err != nil {
+		t.Fatalf("pristine file rejected: %v", err)
+	}
+
+	cases := []struct {
+		name, file, data string
+		want             string // substring the error must carry
+	}{
+		{"zero-length file", "empty.json", "", "empty file"},
+		{"whitespace-only file", "blank.json", " \n\t", "empty file"},
+		{"truncated JSON", "truncated.json", string(goodBytes[:len(goodBytes)/2]), "unexpected end"},
+		{"not JSON at all", "garbage.json", "certainly not JSON", "invalid character"},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(dir, tc.file)
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var v ShardResponse
+		err := readJSONFile(path, &v)
+		switch {
+		case err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		case !strings.Contains(err.Error(), path):
+			t.Errorf("%s: error %q does not name the path %s", tc.name, err, path)
+		}
+	}
+}
+
+// TestWriteJSONFileAtomic pins the checkpoint durability discipline:
+// the write is temp-file-plus-rename, so the destination either holds
+// the complete previous content or the complete new content — never a
+// torn mix — and no temp litter survives a successful write.
+func TestWriteJSONFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.json")
+	if err := writeJSONFile(path, map[string]int{"v": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeJSONFile(path, map[string]int{"v": 2}); err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]int
+	if err := readJSONFile(path, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got["v"] != 2 {
+		t.Fatalf("read back %v, want v=2", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after two writes, want only the file itself", len(entries))
 	}
 }

@@ -24,8 +24,8 @@
 // same request, which CI diffs against a live server.
 //
 // A server given WorkerURLs runs as a *coordinator*: POST /v1/sweep is
-// answered by partitioning the (widths × weights) cells round-robin —
-// the same experiments.RoundRobin rule the sharded grid runner uses —
+// answered by partitioning the (widths × weights) cells round-robin
+// (roundRobin, the rule every shard index in this package names) and
 // fanning one POST /v1/shard per shard out to the workers under
 // per-shard deadlines with retry-by-reassignment, and merging the JSON
 // partials into a response byte-identical to an in-process sweep. The
@@ -56,7 +56,6 @@ import (
 	"time"
 
 	"mixsoc/internal/core"
-	"mixsoc/internal/experiments"
 )
 
 // Options configures New. The zero value serves the paper benchmark
@@ -414,6 +413,23 @@ func (sp *sweepSpec) distributable() bool {
 	return true
 }
 
+// roundRobin returns the item indices of shard `shard` in an `of`-way
+// round-robin split of n items: shard, shard+of, shard+2·of, …. It is
+// the one partition rule of distributed sweeps — the coordinator, the
+// worker's /v1/shard endpoint and durable-job recovery all apply it to
+// a sweep's weights-major (width, weights) cells — so a shard index
+// names the same slice of work regardless of transport.
+func roundRobin(n, shard, of int) ([]int, error) {
+	if of < 1 || shard < 0 || shard >= of {
+		return nil, fmt.Errorf("service: shard %d/%d out of range (want 0 <= shard < of)", shard, of)
+	}
+	idx := make([]int, 0, (n+of-1)/of)
+	for i := shard; i < n; i += of {
+		idx = append(idx, i)
+	}
+	return idx, nil
+}
+
 // Sweep computes the response of POST /v1/sweep for req; see Plan. On a
 // coordinator (a non-empty fleet) cold sweeps are fanned out to the
 // workers through runShards and merged byte-identically to the
@@ -473,7 +489,7 @@ func (s *Server) Shard(ctx context.Context, req ShardRequest) (*ShardResponse, e
 	if !sp.distributable() {
 		return nil, badRequestf("shard grids must have duplicate-free width and wt axes")
 	}
-	idx, err := experiments.RoundRobin(sp.cells(), req.Shard, req.Of)
+	idx, err := roundRobin(sp.cells(), req.Shard, req.Of)
 	if err != nil {
 		return nil, badRequestf("%v", err)
 	}

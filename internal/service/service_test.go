@@ -335,3 +335,41 @@ func TestRequestDeadlineAbortsSweep(t *testing.T) {
 		t.Fatalf("plan after aborted sweep: status %d: %s", status, body)
 	}
 }
+
+// TestRoundRobinPartition pins the shard partition every distributed
+// sweep relies on: for any split, each cell index lands in exactly one
+// shard, shard s holds exactly s, s+of, s+2·of, …, and out-of-range
+// geometries are rejected.
+func TestRoundRobinPartition(t *testing.T) {
+	for _, n := range []int{1, 15, 21} {
+		for _, of := range []int{1, 2, 3, n, n + 5} {
+			seen := make([]int, n)
+			for s := 0; s < of; s++ {
+				idx, err := roundRobin(n, s, of)
+				if err != nil {
+					t.Fatalf("n=%d shard %d/%d: %v", n, s, of, err)
+				}
+				var want []int
+				for i := s; i < n; i += of {
+					want = append(want, i)
+				}
+				if fmt.Sprint(idx) != fmt.Sprint(want) {
+					t.Errorf("n=%d shard %d/%d = %v, want %v", n, s, of, idx, want)
+				}
+				for _, i := range idx {
+					seen[i]++
+				}
+			}
+			for i, c := range seen {
+				if c != 1 {
+					t.Errorf("n=%d of=%d: index %d in %d shards, want exactly 1", n, of, i, c)
+				}
+			}
+		}
+	}
+	for _, g := range []struct{ shard, of int }{{-1, 2}, {2, 2}, {0, 0}} {
+		if _, err := roundRobin(15, g.shard, g.of); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("shard %d/%d: err = %v, want out-of-range rejection", g.shard, g.of, err)
+		}
+	}
+}

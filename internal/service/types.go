@@ -134,9 +134,8 @@ type SweepResponse struct {
 // forwarded verbatim, so the worker resolves and hashes the identical
 // design, and the full (widths × wts) axes, not just this shard's —
 // plus this worker's round-robin slice of it, so every worker derives
-// the same cell numbering without coordination (the
-// experiments.RoundRobin rule shared with the grid runner). Shards
-// solve cold: warm_start is a 400.
+// the same cell numbering without coordination (the roundRobin rule).
+// Shards solve cold: warm_start is a 400.
 type ShardRequest struct {
 	SweepRequest
 	// Shard is this worker's index in the round-robin split: it owns the
