@@ -151,19 +151,8 @@ func (s *Server) Batch(ctx context.Context, req BatchRequest) (*BatchResponse, e
 		resp.Items[i] = BatchItem{Status: http.StatusOK, Response: tk.resp}
 		planned++
 	}
-	s.metrics.countBatch(planned, resp.Deduped, failed)
+	s.metrics.batchItems.add(batchItemOK, float64(planned))
+	s.metrics.batchItems.add(batchItemDeduped, float64(resp.Deduped))
+	s.metrics.batchItems.add(batchItemError, float64(failed))
 	return resp, nil
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	resp, err := s.Batch(r.Context(), req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeResponse(w, resp)
 }

@@ -223,6 +223,32 @@ func mergeShards(sp *sweepSpec, parts []*ShardResponse) *SweepResponse {
 	return &SweepResponse{DesignHash: sp.hash, Points: points}
 }
 
+// splitShards is the inverse of mergeShards: it cuts a merged response
+// back into its of round-robin partials and verifies each against the
+// merge contract, so a persisted result replays exactly the partials
+// that produced it.
+func splitShards(sp *sweepSpec, of int, res *SweepResponse) ([]*ShardResponse, error) {
+	if len(res.Points) != sp.cells() {
+		return nil, fmt.Errorf("%d points for a %d-cell grid", len(res.Points), sp.cells())
+	}
+	parts := make([]*ShardResponse, of)
+	for shard := range parts {
+		idx, err := roundRobin(sp.cells(), shard, of)
+		if err != nil {
+			return nil, err
+		}
+		part := &ShardResponse{DesignHash: res.DesignHash, Shard: shard, Of: of, Points: make([]core.SweepPoint, len(idx))}
+		for j, i := range idx {
+			part.Points[j] = res.Points[i]
+		}
+		if err := verifyShardPartial(sp, shard, of, idx, part); err != nil {
+			return nil, err
+		}
+		parts[shard] = part
+	}
+	return parts, nil
+}
+
 // runShard computes one shard on the fleet: the home worker gets the
 // first attempt, and each failure reassigns the shard to the next-best
 // untried member (fleet.nextWorker — freshly consulted per attempt, so

@@ -188,7 +188,7 @@ func (f *fleet) addLocked(url, source string) bool {
 	}
 	f.workers[url] = &fleetWorker{url: url, source: source, state: WorkerHealthy, capacity: 1}
 	f.order = append(f.order, url)
-	f.metrics.observeTransition(url, WorkerHealthy)
+	f.metrics.transitions.add(pair[string]{WorkerHealthy, url}, 1)
 	f.logf("fleet: worker %s admitted (source=%s)", url, source)
 	return true
 }
@@ -394,7 +394,7 @@ func (f *fleet) reportSuccess(url string, capacity int) {
 	if w.state != WorkerHealthy {
 		from := w.state
 		w.state = WorkerHealthy
-		f.metrics.observeTransition(url, WorkerHealthy)
+		f.metrics.transitions.add(pair[string]{WorkerHealthy, url}, 1)
 		f.logf("fleet: worker %s %s -> healthy (re-admitted)", url, from)
 	}
 }
@@ -415,7 +415,7 @@ func (f *fleet) reportFailure(url, reason string) {
 	switch {
 	case w.state == WorkerHealthy:
 		w.state = WorkerSuspect
-		f.metrics.observeTransition(url, WorkerSuspect)
+		f.metrics.transitions.add(pair[string]{WorkerSuspect, url}, 1)
 		f.logf("fleet: worker %s healthy -> suspect (%s)", url, reason)
 		fallthrough
 	case w.state == WorkerSuspect:
@@ -423,7 +423,7 @@ func (f *fleet) reportFailure(url, reason string) {
 			w.state = WorkerEvicted
 			w.backoff = f.readmit
 			w.next = f.now().Add(w.backoff)
-			f.metrics.observeTransition(url, WorkerEvicted)
+			f.metrics.transitions.add(pair[string]{WorkerEvicted, url}, 1)
 			f.logf("fleet: worker %s suspect -> evicted after %d consecutive failures (%s); re-probe in %s",
 				url, w.failures, reason, w.backoff)
 		}
@@ -515,11 +515,11 @@ func (f *fleet) probeDue(ctx context.Context) {
 func (f *fleet) probe(ctx context.Context, url string) {
 	capacity, err := f.checkHealth(ctx, url)
 	if err != nil {
-		f.metrics.observeProbe(url, false)
+		f.metrics.probes.add(pair[string]{shardResultError, url}, 1)
 		f.reportFailure(url, fmt.Sprintf("probe: %v", err))
 		return
 	}
-	f.metrics.observeProbe(url, true)
+	f.metrics.probes.add(pair[string]{shardResultOK, url}, 1)
 	f.reportSuccess(url, capacity)
 }
 

@@ -265,7 +265,7 @@ func jobID(sp *sweepSpec, exhaustive, bounded bool, backend string) string {
 // job. created reports whether a new job was admitted; a deduped
 // submission returns the existing job.
 func (m *jobManager) submit(req SweepRequest) (j *job, created bool, err error) {
-	observe := func(result string) { m.srv.metrics.observeJobSubmission(result) }
+	observe := func(result string) { m.srv.metrics.jobSubmits.add(result, 1) }
 	sp, err := validateSweep(req)
 	if err != nil {
 		observe(jobSubmitRejected)
@@ -424,7 +424,7 @@ func (m *jobManager) run(j *job, sp *sweepSpec) {
 	}
 	state := j.state
 	j.mu.Unlock()
-	m.srv.metrics.observeJobFinished(state, time.Since(start))
+	m.srv.metrics.jobDur.add(state, time.Since(start).Seconds())
 }
 
 // completeShard records one verified partial: checkpoint it to the job
@@ -438,11 +438,11 @@ func (m *jobManager) completeShard(j *job, shard int, resp *ShardResponse, recov
 			// The shard still counts in memory; a restart would recompute it.
 			m.logf("job %s: checkpointing shard %d: %v", j.manifest.ID, shard, err)
 		} else {
-			m.srv.metrics.observeJobShard(jobShardCheckpointed)
+			m.srv.metrics.jobShards.add(jobShardCheckpointed, 1)
 		}
 	}
 	if recovered {
-		m.srv.metrics.observeJobShard(jobShardRecovered)
+		m.srv.metrics.jobShards.add(jobShardRecovered, 1)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -640,17 +640,23 @@ func (m *jobManager) recoverJob(dir string) error {
 		j.createdAt = t
 	}
 
-	// A persisted result means the job finished before the restart;
-	// re-verify it lightly (hash + density) and serve it verbatim.
+	// A persisted result means the job finished before the restart:
+	// split it back into shard partials, verify each like a checkpoint,
+	// and serve the result bytes verbatim.
 	resultPath := filepath.Join(dir, "result.json")
 	if data, err := os.ReadFile(resultPath); err == nil {
 		var res SweepResponse
-		if jerr := json.Unmarshal(data, &res); jerr == nil && res.DesignHash == sp.hash && len(res.Points) == sp.cells() {
+		err := json.Unmarshal(data, &res)
+		var parts []*ShardResponse
+		if err == nil {
+			parts, err = splitShards(sp, man.Of, &res)
+		}
+		if err == nil {
 			j.result = data
 			j.state = JobStateDone
 			j.done = man.Of
-			for i := range j.shards {
-				j.shards[i] = jobShardState{resp: &ShardResponse{}, recovered: true}
+			for i, part := range parts {
+				j.shards[i] = jobShardState{resp: part, recovered: true}
 			}
 			if fi, serr := os.Stat(resultPath); serr == nil {
 				j.finishedAt = fi.ModTime()
@@ -658,11 +664,11 @@ func (m *jobManager) recoverJob(dir string) error {
 			m.mu.Lock()
 			m.jobs[man.ID] = j
 			m.mu.Unlock()
-			m.srv.metrics.observeJobRecovery()
+			m.srv.metrics.recoveries.add("", 1)
 			m.logf("job recovery: %s: finished result recovered (%d shards)", man.ID, man.Of)
 			return nil
 		}
-		m.logf("job recovery: %s: result.json fails verification, recomputing", man.ID)
+		m.logf("job recovery: %s: result.json fails verification (%v), recomputing", man.ID, err)
 		_ = os.Remove(resultPath)
 	}
 
@@ -674,7 +680,7 @@ func (m *jobManager) recoverJob(dir string) error {
 		if err := readJSONFile(path, &resp); err != nil {
 			if !os.IsNotExist(err) {
 				m.logf("job recovery: %s shard %d: %v (recomputing)", man.ID, shard, err)
-				m.srv.metrics.observeJobShard(jobShardInvalid)
+				m.srv.metrics.jobShards.add(jobShardInvalid, 1)
 				_ = os.Remove(path)
 			}
 			continue
@@ -685,20 +691,20 @@ func (m *jobManager) recoverJob(dir string) error {
 		}
 		if err := verifyShardPartial(sp, shard, man.Of, want, &resp); err != nil {
 			m.logf("job recovery: %s shard %d: %v (recomputing)", man.ID, shard, err)
-			m.srv.metrics.observeJobShard(jobShardInvalid)
+			m.srv.metrics.jobShards.add(jobShardInvalid, 1)
 			_ = os.Remove(path)
 			continue
 		}
 		j.shards[shard] = jobShardState{resp: &resp, recovered: true}
 		j.done++
-		m.srv.metrics.observeJobShard(jobShardRecovered)
+		m.srv.metrics.jobShards.add(jobShardRecovered, 1)
 	}
 
 	j.running = true
 	m.mu.Lock()
 	m.jobs[man.ID] = j
 	m.mu.Unlock()
-	m.srv.metrics.observeJobRecovery()
+	m.srv.metrics.recoveries.add("", 1)
 	m.logf("job recovery: %s: resuming with %d/%d shards checkpointed", man.ID, j.done, man.Of)
 	m.startRunner(j, sp)
 	return nil

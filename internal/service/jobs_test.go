@@ -293,13 +293,16 @@ func TestJobRecoveryAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	sA, tsA := newJobServer(t, dir)
 	jr := submitJob(t, tsA, jobTestGrid, http.StatusAccepted)
-	waitJobState(t, tsA, jr.ID, JobStateDone, 2*time.Minute)
+	doneA := waitJobState(t, tsA, jr.ID, JobStateDone, 2*time.Minute)
 	_, want := getJSON(t, tsA, "/v1/sweeps/"+jr.ID+"/result")
+	partsA := shardEvents(t, tsA, jr.ID)
 	tsA.Close()
 	sA.Close()
 
 	// Restart 1: intact directory. The job must come back done with the
-	// identical bytes, straight from result.json.
+	// identical bytes, straight from result.json, and replay the same
+	// shard partials it streamed before the restart, now flagged
+	// recovered.
 	sB, tsB := newJobServer(t, dir)
 	status, body := getJSON(t, tsB, "/v1/sweeps/"+jr.ID)
 	if status != http.StatusOK {
@@ -314,6 +317,21 @@ func TestJobRecoveryAfterRestart(t *testing.T) {
 	}
 	if _, got := getJSON(t, tsB, "/v1/sweeps/"+jr.ID+"/result"); !bytes.Equal(got, want) {
 		t.Fatal("recovered result differs from the original bytes")
+	}
+	partsB := shardEvents(t, tsB, jr.ID)
+	if len(partsB) != len(partsA) {
+		t.Fatalf("recovered job replays %d shard events, want %d", len(partsB), len(partsA))
+	}
+	for i, ev := range partsB {
+		if !ev.Recovered || partsA[i].Recovered {
+			t.Errorf("shard event %d: recovered %t before the restart, %t after; want false, true", i, partsA[i].Recovered, ev.Recovered)
+		}
+		if !bytes.Equal(ev.Shard, partsA[i].Shard) {
+			t.Errorf("shard event %d replays\n%s\nwant the pre-restart partial\n%s", i, ev.Shard, partsA[i].Shard)
+		}
+		if got, want := recovered.Shards[i].Points, doneA.Shards[i].Points; got != want {
+			t.Errorf("status shard %d: %d points, want %d", i, got, want)
+		}
 	}
 	if got := scrape(t, tsB)[`msoc_job_recoveries_total`]; got != 1 {
 		t.Errorf("recoveries = %v, want 1", got)
@@ -355,6 +373,37 @@ func TestJobRecoveryAfterRestart(t *testing.T) {
 	if got := series[`msoc_job_shards_total{event="checkpointed"}`]; got != 2 {
 		t.Errorf("re-checkpointed shards = %v, want 2", got)
 	}
+}
+
+// shardEvent is one shard line of a job's event stream, its partial
+// kept as the raw bytes the server sent.
+type shardEvent struct {
+	Shard     json.RawMessage `json:"shard"`
+	Recovered bool            `json:"recovered"`
+}
+
+// shardEvents reads a finished job's event stream and returns its shard
+// lines in stream order.
+func shardEvents(t *testing.T, ts *httptest.Server, id string) []shardEvent {
+	t.Helper()
+	status, body := getJSON(t, ts, "/v1/sweeps/"+id+"/events")
+	if status != http.StatusOK {
+		t.Fatalf("GET events: status %d: %s", status, body)
+	}
+	var events []shardEvent
+	for _, line := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
+		var ev struct {
+			Type string `json:"type"`
+			shardEvent
+		}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("bad event line %q: %v", line, err)
+		}
+		if ev.Type == "shard" {
+			events = append(events, ev.shardEvent)
+		}
+	}
+	return events
 }
 
 // A valid checkpoint must survive a restart untouched: only the missing

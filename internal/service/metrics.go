@@ -7,14 +7,16 @@ package service
 // latencies, per-worker shard outcomes — rather than a generic metrics
 // framework; everything monotonic is a counter (the engine-lifetime
 // totals core.EngineMetrics.ScheduleTotal exists for), everything that
-// can shrink is a gauge. Series are rendered in sorted order so
-// repeated scrapes of an idle server are byte-stable.
+// can shrink is a gauge. What the service counts itself lives in one
+// labelled family type; engine, pool, job and fleet values are read at
+// scrape time. Series render in sorted order, byte-stable while idle.
 
 import (
 	"fmt"
 	"io"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,7 +27,8 @@ import (
 	"mixsoc/internal/tam"
 )
 
-// The per-worker shard outcome labels of msoc_worker_shards_total.
+// The per-worker outcome labels of msoc_worker_shards_total (all three)
+// and msoc_worker_probes_total (ok, error).
 const (
 	shardResultOK      = "ok"
 	shardResultError   = "error"
@@ -54,34 +57,97 @@ const (
 	batchItemError   = "error"
 )
 
-// durStat is a Prometheus summary without quantiles: total seconds and
-// observation count.
-type durStat struct {
+// sample is one series: a running sum and an observation count. A
+// counter renders the sum, a summary its _sum and _count.
+type sample struct {
 	sum   float64
 	count uint64
 }
 
-// epCode is one (endpoint, status code) request-counter series.
-type epCode struct {
-	endpoint string
-	code     int
+// pair keys a two-label series by its label values in rendered order;
+// b is typed so a status code counts without building a string.
+type pair[B comparable] struct {
+	a string
+	b B
 }
 
-// workerResult is one (worker, outcome) shard-counter series.
-type workerResult struct {
-	worker string
-	result string
+// family is one labelled metric family the service counts into: its
+// # HELP/# TYPE header, its label names and its series by key (a string
+// for one label or none, a pair for two).
+type family[K comparable] struct {
+	mu              *sync.Mutex // the registry's: add takes it, render holds it across write
+	name, typ, help string
+	names           []string // label names, in rendered order
+	series          map[K]sample
 }
 
-// workerTransition is one (worker, to-state) transition-counter series.
-type workerTransition struct {
-	worker string
-	to     string
+// newFamily builds a family whose seed keys render at zero before
+// their first observation, so fixed label enumerations are on the page
+// from the first scrape.
+func newFamily[K comparable](mu *sync.Mutex, name, typ, help string, names []string, seed ...K) *family[K] {
+	f := &family[K]{mu: mu, name: name, typ: typ, help: help, names: names, series: map[K]sample{}}
+	for _, k := range seed {
+		f.series[k] = sample{}
+	}
+	return f
 }
 
-// metricsRegistry accumulates the service-level counters /metrics
+// add adds v to k's series and counts one observation.
+func (f *family[K]) add(k K, v float64) {
+	f.mu.Lock()
+	s := f.series[k]
+	s.sum += v
+	s.count++
+	f.series[k] = s
+	f.mu.Unlock()
+}
+
+// labels renders k's label pairs.
+func (f *family[K]) labels(k K) labels {
+	switch k := any(k).(type) {
+	case string:
+		if len(f.names) == 1 {
+			return labels{f.names[0], k}
+		}
+	case pair[string]:
+		return labels{f.names[0], k.a, f.names[1], k.b}
+	case pair[int]:
+		return labels{f.names[0], k.a, f.names[1], strconv.Itoa(k.b)}
+	}
+	return nil
+}
+
+// write emits the family's header and its series sorted by label
+// values, plus a zero series for each key in zero never observed.
+func (f *family[K]) write(p *textfmt, zero ...K) {
+	p.family(f.name, f.help, f.typ)
+	type row struct {
+		ls labels
+		s  sample
+	}
+	rows := make([]row, 0, len(f.series)+len(zero))
+	for _, k := range zero {
+		if _, ok := f.series[k]; !ok {
+			rows = append(rows, row{f.labels(k), sample{}})
+		}
+	}
+	for k, s := range f.series {
+		rows = append(rows, row{f.labels(k), s})
+	}
+	sort.Slice(rows, func(a, b int) bool { return slices.Compare(rows[a].ls, rows[b].ls) < 0 })
+	for _, r := range rows {
+		if f.typ != "summary" {
+			p.value(f.name, r.ls, r.s.sum)
+			continue
+		}
+		p.value(f.name+"_sum", r.ls, r.s.sum)
+		p.value(f.name+"_count", r.ls, float64(r.s.count))
+	}
+}
+
+// metricsRegistry accumulates the service-level families /metrics
 // renders; engine counters are scraped live from the Engine instead.
-// Worker-keyed counters are never deleted — a worker removed from the
+// Worker-keyed series are never deleted — a worker removed from the
 // fleet keeps its series, so scrape counters never rewind across
 // membership churn.
 type metricsRegistry struct {
@@ -89,140 +155,67 @@ type metricsRegistry struct {
 
 	mu          sync.Mutex
 	inFlight    int
-	httpCount   map[epCode]uint64
-	httpDur     map[string]*durStat
-	shards      map[workerResult]uint64
-	shardDur    map[string]*durStat
-	transitions map[workerTransition]uint64
-	probes      map[workerResult]uint64
-	panics      uint64
-	jobSubmits  map[string]uint64
-	jobShards   map[string]uint64
-	jobFinished map[string]*durStat // by terminal state
-	recoveries  uint64
-	batchItems  map[string]uint64
+	httpCount   *family[pair[int]]
+	httpDur     *family[string]
+	batchItems  *family[string]
+	panics      *family[string]
+	jobSubmits  *family[string]
+	jobShards   *family[string]
+	recoveries  *family[string]
+	jobDur      *family[string] // by terminal state
+	shards      *family[pair[string]]
+	shardDur    *family[string]
+	probes      *family[pair[string]]
+	transitions *family[pair[string]]
 }
 
 func newMetricsRegistry(slots *core.Slots) *metricsRegistry {
-	return &metricsRegistry{
-		slots:       slots,
-		httpCount:   map[epCode]uint64{},
-		httpDur:     map[string]*durStat{},
-		shards:      map[workerResult]uint64{},
-		shardDur:    map[string]*durStat{},
-		transitions: map[workerTransition]uint64{},
-		probes:      map[workerResult]uint64{},
-		jobSubmits:  map[string]uint64{},
-		jobShards:   map[string]uint64{},
-		jobFinished: map[string]*durStat{},
-		batchItems:  map[string]uint64{},
-	}
-}
-
-// countBatch records one POST /v1/batch call's per-item outcomes: items
-// answered 200 (shared executions included), items served by another
-// item's execution, and items that failed.
-func (m *metricsRegistry) countBatch(ok, deduped, failed int) {
-	m.mu.Lock()
-	m.batchItems[batchItemOK] += uint64(ok)
-	m.batchItems[batchItemDeduped] += uint64(deduped)
-	m.batchItems[batchItemError] += uint64(failed)
-	m.mu.Unlock()
-}
-
-// observePanic counts one handler panic recovered into a 500.
-func (m *metricsRegistry) observePanic() {
-	m.mu.Lock()
-	m.panics++
-	m.mu.Unlock()
-}
-
-// observeJobSubmission counts one POST /v1/sweeps outcome (accepted,
-// deduped, resumed, rejected).
-func (m *metricsRegistry) observeJobSubmission(result string) {
-	m.mu.Lock()
-	m.jobSubmits[result]++
-	m.mu.Unlock()
-}
-
-// observeJobShard counts one job shard event: a partial checkpointed
-// to disk, recovered from disk, or found invalid at recovery.
-func (m *metricsRegistry) observeJobShard(event string) {
-	m.mu.Lock()
-	m.jobShards[event]++
-	m.mu.Unlock()
-}
-
-// observeJobRecovery counts one job restored from the job directory at
-// boot.
-func (m *metricsRegistry) observeJobRecovery() {
-	m.mu.Lock()
-	m.recoveries++
-	m.mu.Unlock()
-}
-
-// observeJobFinished records one job reaching a terminal state with
-// its wall time in this process (a recovered job counts only the time
-// after the restart).
-func (m *metricsRegistry) observeJobFinished(state string, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.jobFinished[state]
-	if s == nil {
-		s = &durStat{}
-		m.jobFinished[state] = s
-	}
-	s.sum += d.Seconds()
-	s.count++
-}
-
-// observeTransition counts one fleet state transition (admission counts
-// as a transition to healthy).
-func (m *metricsRegistry) observeTransition(worker, to string) {
-	m.mu.Lock()
-	m.transitions[workerTransition{worker, to}]++
-	m.mu.Unlock()
-}
-
-// observeProbe counts one health-probe outcome against its worker.
-func (m *metricsRegistry) observeProbe(worker string, ok bool) {
-	result := shardResultError
-	if ok {
-		result = shardResultOK
-	}
-	m.mu.Lock()
-	m.probes[workerResult{worker, result}]++
-	m.mu.Unlock()
+	m := &metricsRegistry{slots: slots}
+	mu, result, byWorker := &m.mu, []string{"result"}, []string{"result", "worker"}
+	m.httpCount = newFamily[pair[int]](mu, "msoc_http_requests_total", "counter",
+		"HTTP requests served, by endpoint and status code.", []string{"endpoint", "code"})
+	m.httpDur = newFamily[string](mu, "msoc_http_request_duration_seconds", "summary",
+		"Wall time per request, by endpoint.", []string{"endpoint"})
+	m.batchItems = newFamily(mu, "msoc_batch_items_total", "counter",
+		"POST /v1/batch items, by outcome (ok, deduped onto another item's execution, error).",
+		result, batchItemDeduped, batchItemError, batchItemOK)
+	m.panics = newFamily(mu, "msoc_panics_total", "counter",
+		"Handler panics recovered into structured 500 responses.", nil, "")
+	m.jobSubmits = newFamily(mu, "msoc_job_submissions_total", "counter",
+		"POST /v1/sweeps submissions, by outcome (accepted, deduped, resumed, rejected).",
+		result, jobSubmitAccepted, jobSubmitDeduped, jobSubmitRejected, jobSubmitResumed)
+	m.jobShards = newFamily(mu, "msoc_job_shards_total", "counter",
+		"Durable job shard events: partials checkpointed to the job dir, recovered from it, or found invalid at recovery.",
+		[]string{"event"}, jobShardCheckpointed, jobShardInvalid, jobShardRecovered)
+	m.recoveries = newFamily(mu, "msoc_job_recoveries_total", "counter",
+		"Jobs restored from the job directory after a restart.", nil, "")
+	m.jobDur = newFamily(mu, "msoc_job_duration_seconds", "summary",
+		"Wall time per finished job in this process, by terminal state.",
+		[]string{"state"}, JobStateDone, JobStateFailed)
+	m.shards = newFamily[pair[string]](mu, "msoc_worker_shards_total", "counter",
+		"Coordinator shard attempts, by worker and outcome (ok, error, timeout).", byWorker)
+	m.shardDur = newFamily[string](mu, "msoc_worker_shard_duration_seconds", "summary",
+		"Wall time per shard attempt, by worker.", []string{"worker"})
+	m.probes = newFamily[pair[string]](mu, "msoc_worker_probes_total", "counter",
+		"Fleet health probes, by worker and outcome (ok, error).", byWorker)
+	m.transitions = newFamily[pair[string]](mu, "msoc_worker_transitions_total", "counter",
+		"Fleet lifecycle transitions, by worker and target state (admission counts as a transition to healthy).",
+		[]string{"to", "worker"})
+	return m
 }
 
 // observeHTTP records one finished request against its endpoint and
 // status code.
 func (m *metricsRegistry) observeHTTP(endpoint string, code int, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.httpCount[epCode{endpoint, code}]++
-	s := m.httpDur[endpoint]
-	if s == nil {
-		s = &durStat{}
-		m.httpDur[endpoint] = s
-	}
-	s.sum += d.Seconds()
-	s.count++
+	m.httpCount.add(pair[int]{endpoint, code}, 1)
+	m.httpDur.add(endpoint, d.Seconds())
 }
 
 // observeShard records one coordinator shard attempt against its worker
 // and outcome.
 func (m *metricsRegistry) observeShard(worker, result string, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.shards[workerResult{worker, result}]++
-	s := m.shardDur[worker]
-	if s == nil {
-		s = &durStat{}
-		m.shardDur[worker] = s
-	}
-	s.sum += d.Seconds()
-	s.count++
+	m.shards.add(pair[string]{result, worker}, 1)
+	m.shardDur.add(worker, d.Seconds())
 }
 
 // addInFlight moves the in-flight request gauge.
@@ -255,7 +248,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 			if v == http.ErrAbortHandler {
 				panic(v)
 			}
-			s.metrics.observePanic()
+			s.metrics.panics.add("", 1)
 			s.logf("panic serving %s: %v\n%s", endpoint, v, debug.Stack())
 			if !rec.wrote {
 				writeStatus(rec, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v))
@@ -299,12 +292,12 @@ func (r *statusRecorder) Flush() {
 }
 
 // render writes the whole scrape page. fleet is the coordinator's live
-// membership snapshot (empty on a standalone server): every member gets
-// a shards-total series even before its first attempt — scrapers see
-// the topology, not just the traffic — plus per-worker state and
-// capacity gauges. jobs is the job manager's live state census. Worker-
-// keyed counters outlive membership: a removed or evicted worker's
-// series keep their values, so counters never rewind.
+// membership snapshot (empty on a standalone server): every current
+// member gets an ok shards-total series even before its first attempt —
+// scrapers see the topology, not just the traffic — plus per-worker
+// state and capacity gauges. jobs is the job manager's live state
+// census. Worker-keyed counters outlive membership: a removed or
+// evicted worker's series keep their values, so counters never rewind.
 func (m *metricsRegistry) render(w io.Writer, em core.EngineMetrics, fleet []WorkerInfo, jobs map[string]int) {
 	p := &textfmt{w: w}
 
@@ -359,65 +352,21 @@ func (m *metricsRegistry) render(w io.Writer, em core.EngineMetrics, fleet []Wor
 
 	p.family("msoc_pool_in_flight", "HTTP requests currently being served, on every endpoint (the /metrics scrape, /healthz probes and /v1/batch calls included); pool saturation is msoc_pool_slots{holder=\"request\"} over msoc_pool_capacity.", "gauge")
 	p.value("msoc_pool_in_flight", nil, float64(m.inFlight))
+	m.httpCount.write(p)
+	m.httpDur.write(p)
+	m.batchItems.write(p)
+	m.panics.write(p)
 
-	p.family("msoc_http_requests_total", "HTTP requests served, by endpoint and status code.", "counter")
-	codes := make([]epCode, 0, len(m.httpCount))
-	for k := range m.httpCount {
-		codes = append(codes, k)
-	}
-	sort.Slice(codes, func(a, b int) bool {
-		if codes[a].endpoint != codes[b].endpoint {
-			return codes[a].endpoint < codes[b].endpoint
-		}
-		return codes[a].code < codes[b].code
-	})
-	for _, k := range codes {
-		p.value("msoc_http_requests_total",
-			labels{"endpoint", k.endpoint, "code", strconv.Itoa(k.code)}, float64(m.httpCount[k]))
-	}
-
-	p.family("msoc_http_request_duration_seconds", "Wall time per request, by endpoint.", "summary")
-	for _, ep := range sortedKeys(m.httpDur) {
-		s := m.httpDur[ep]
-		p.value("msoc_http_request_duration_seconds_sum", labels{"endpoint", ep}, s.sum)
-		p.value("msoc_http_request_duration_seconds_count", labels{"endpoint", ep}, float64(s.count))
-	}
-
-	p.family("msoc_batch_items_total", "POST /v1/batch items, by outcome (ok, deduped onto another item's execution, error).", "counter")
-	for _, result := range []string{batchItemDeduped, batchItemError, batchItemOK} {
-		p.value("msoc_batch_items_total", labels{"result", result}, float64(m.batchItems[result]))
-	}
-
-	p.family("msoc_panics_total", "Handler panics recovered into structured 500 responses.", "counter")
-	p.value("msoc_panics_total", nil, float64(m.panics))
-
-	// Durable job families render with fixed label enumerations so the
-	// scrape page stays byte-stable while idle.
 	p.family("msoc_jobs", "Durable sweep jobs held by this server, by lifecycle state.", "gauge")
 	for _, state := range []string{JobStateDone, JobStateFailed, JobStateRunning} {
 		p.value("msoc_jobs", labels{"state", state}, float64(jobs[state]))
 	}
-	p.family("msoc_job_submissions_total", "POST /v1/sweeps submissions, by outcome (accepted, deduped, resumed, rejected).", "counter")
-	for _, result := range []string{jobSubmitAccepted, jobSubmitDeduped, jobSubmitRejected, jobSubmitResumed} {
-		p.value("msoc_job_submissions_total", labels{"result", result}, float64(m.jobSubmits[result]))
-	}
-	p.family("msoc_job_shards_total", "Durable job shard events: partials checkpointed to the job dir, recovered from it, or found invalid at recovery.", "counter")
-	for _, event := range []string{jobShardCheckpointed, jobShardInvalid, jobShardRecovered} {
-		p.value("msoc_job_shards_total", labels{"event", event}, float64(m.jobShards[event]))
-	}
-	p.family("msoc_job_recoveries_total", "Jobs restored from the job directory after a restart.", "counter")
-	p.value("msoc_job_recoveries_total", nil, float64(m.recoveries))
-	p.family("msoc_job_duration_seconds", "Wall time per finished job in this process, by terminal state.", "summary")
-	for _, state := range []string{JobStateDone, JobStateFailed} {
-		s := m.jobFinished[state]
-		if s == nil {
-			s = &durStat{}
-		}
-		p.value("msoc_job_duration_seconds_sum", labels{"state", state}, s.sum)
-		p.value("msoc_job_duration_seconds_count", labels{"state", state}, float64(s.count))
-	}
+	m.jobSubmits.write(p)
+	m.jobShards.write(p)
+	m.recoveries.write(p)
+	m.jobDur.write(p)
 
-	if len(fleet) == 0 && len(m.shards) == 0 && len(m.transitions) == 0 {
+	if len(fleet) == 0 && len(m.shards.series) == 0 && len(m.transitions.series) == 0 {
 		return
 	}
 
@@ -443,69 +392,16 @@ func (m *metricsRegistry) render(w io.Writer, em core.EngineMetrics, fleet []Wor
 		p.value("msoc_worker_capacity", labels{"worker", wi.URL}, float64(wi.Capacity))
 	}
 
-	p.family("msoc_worker_shards_total", "Coordinator shard attempts, by worker and outcome (ok, error, timeout).", "counter")
-	seen := map[workerResult]bool{}
-	series := make([]workerResult, 0, len(m.shards)+len(fleet))
-	for k := range m.shards {
-		series = append(series, k)
-		seen[k] = true
+	// Shard, probe and transition counters: monotonic across eviction,
+	// re-admission and even removal.
+	members := make([]pair[string], len(fleet))
+	for i, wi := range fleet {
+		members[i] = pair[string]{shardResultOK, wi.URL}
 	}
-	for _, wi := range fleet {
-		if k := (workerResult{wi.URL, shardResultOK}); !seen[k] {
-			series = append(series, k)
-		}
-	}
-	sortWorkerResults(series)
-	for _, k := range series {
-		p.value("msoc_worker_shards_total",
-			labels{"result", k.result, "worker", k.worker}, float64(m.shards[k]))
-	}
-
-	p.family("msoc_worker_shard_duration_seconds", "Wall time per shard attempt, by worker.", "summary")
-	for _, worker := range sortedKeys(m.shardDur) {
-		s := m.shardDur[worker]
-		p.value("msoc_worker_shard_duration_seconds_sum", labels{"worker", worker}, s.sum)
-		p.value("msoc_worker_shard_duration_seconds_count", labels{"worker", worker}, float64(s.count))
-	}
-
-	// Lifecycle counters: monotonic across eviction, re-admission and
-	// even removal (removed workers keep their accumulated series).
-	p.family("msoc_worker_probes_total", "Fleet health probes, by worker and outcome (ok, error).", "counter")
-	probes := make([]workerResult, 0, len(m.probes))
-	for k := range m.probes {
-		probes = append(probes, k)
-	}
-	sortWorkerResults(probes)
-	for _, k := range probes {
-		p.value("msoc_worker_probes_total",
-			labels{"result", k.result, "worker", k.worker}, float64(m.probes[k]))
-	}
-	p.family("msoc_worker_transitions_total", "Fleet lifecycle transitions, by worker and target state (admission counts as a transition to healthy).", "counter")
-	trans := make([]workerTransition, 0, len(m.transitions))
-	for k := range m.transitions {
-		trans = append(trans, k)
-	}
-	sort.Slice(trans, func(a, b int) bool {
-		if trans[a].worker != trans[b].worker {
-			return trans[a].worker < trans[b].worker
-		}
-		return trans[a].to < trans[b].to
-	})
-	for _, k := range trans {
-		p.value("msoc_worker_transitions_total",
-			labels{"to", k.to, "worker", k.worker}, float64(m.transitions[k]))
-	}
-}
-
-// sortWorkerResults orders (worker, result) series for byte-stable
-// scrapes.
-func sortWorkerResults(series []workerResult) {
-	sort.Slice(series, func(a, b int) bool {
-		if series[a].worker != series[b].worker {
-			return series[a].worker < series[b].worker
-		}
-		return series[a].result < series[b].result
-	})
+	m.shards.write(p, members...)
+	m.shardDur.write(p)
+	m.probes.write(p)
+	m.transitions.write(p)
 }
 
 // labels is a flat key, value, key, value, … list; flat because every
@@ -544,15 +440,4 @@ func (p *textfmt) value(name string, ls labels, v float64) {
 // shortest float form, integral counters without an exponent.
 func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// sortedKeys returns the map's keys in sorted order, for byte-stable
-// scrape pages.
-func sortedKeys[V any](m map[string]*V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -214,17 +214,17 @@ func (s *Server) Close() {
 // per-endpoint request and latency counters /metrics exposes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/plan", s.instrument("/v1/plan", s.handlePlan))
-	mux.Handle("POST /v1/batch", s.instrument("/v1/batch", s.handleBatch))
-	mux.Handle("POST /v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
-	mux.Handle("POST /v1/shard", s.instrument("/v1/shard", s.handleShard))
+	mux.Handle("POST /v1/plan", s.instrument("/v1/plan", serveJSON(s.Plan)))
+	mux.Handle("POST /v1/batch", s.instrument("/v1/batch", serveJSON(s.Batch)))
+	mux.Handle("POST /v1/sweep", s.instrument("/v1/sweep", serveJSON(s.Sweep)))
+	mux.Handle("POST /v1/shard", s.instrument("/v1/shard", serveJSON(s.Shard)))
 	mux.Handle("POST /v1/sweeps", s.instrument("/v1/sweeps", s.handleJobSubmit))
 	mux.Handle("GET /v1/sweeps/{id}", s.instrument("/v1/sweeps/{id}", s.handleJobStatus))
 	mux.Handle("GET /v1/sweeps/{id}/result", s.instrument("/v1/sweeps/{id}/result", s.handleJobResult))
 	mux.Handle("GET /v1/sweeps/{id}/events", s.instrument("/v1/sweeps/{id}/events", s.handleJobEvents))
 	mux.Handle("GET /v1/designs", s.instrument("/v1/designs", s.handleDesigns))
 	mux.Handle("GET /v1/workers", s.instrument("/v1/workers", s.handleWorkersGet))
-	mux.Handle("POST /v1/workers", s.instrument("/v1/workers", s.handleWorkersPost))
+	mux.Handle("POST /v1/workers", s.instrument("/v1/workers", serveJSON(s.updateWorkers)))
 	mux.Handle("GET /metrics", s.instrument("/metrics", s.handleMetrics))
 	mux.Handle("GET /healthz", s.instrument("/healthz", s.handleHealthz))
 	return mux
@@ -243,22 +243,17 @@ func (s *Server) handleWorkersGet(w http.ResponseWriter, r *http.Request) {
 	writeResponse(w, &WorkersResponse{Workers: s.fleet.snapshot()})
 }
 
-// handleWorkersPost applies a membership change (add/remove worker base
-// URLs) and answers with the resulting fleet state.
-func (s *Server) handleWorkersPost(w http.ResponseWriter, r *http.Request) {
-	var req WorkersUpdateRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
+// updateWorkers answers POST /v1/workers: it applies a membership
+// change (add/remove worker base URLs) and returns the resulting fleet
+// state.
+func (s *Server) updateWorkers(_ context.Context, req WorkersUpdateRequest) (*WorkersResponse, error) {
 	if len(req.Add) == 0 && len(req.Remove) == 0 {
-		writeError(w, badRequestf("nothing to do: give add and/or remove worker URLs"))
-		return
+		return nil, badRequestf("nothing to do: give add and/or remove worker URLs")
 	}
 	if err := s.fleet.update(req.Add, req.Remove); err != nil {
-		writeError(w, err)
-		return
+		return nil, err
 	}
-	writeResponse(w, &WorkersResponse{Workers: s.fleet.snapshot()})
+	return &WorkersResponse{Workers: s.fleet.snapshot()}, nil
 }
 
 // requestCtx derives the request's planning context: the client's
@@ -536,45 +531,6 @@ func (s *Server) Designs() *DesignsResponse {
 	}
 }
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	resp, err := s.Plan(r.Context(), req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeResponse(w, resp)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	resp, err := s.Sweep(r.Context(), req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeResponse(w, resp)
-}
-
-func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	var req ShardRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	resp, err := s.Shard(r.Context(), req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeResponse(w, resp)
-}
-
 // handleMetrics renders the Prometheus text-format scrape surface:
 // engine cache counters, worker-pool saturation, per-endpoint request
 // counts and latencies, and (on a coordinator) the fleet's per-worker
@@ -586,6 +542,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
 	writeResponse(w, s.Designs())
+}
+
+// serveJSON adapts a JSON POST endpoint's call to a handler: decode the
+// body, call, then write the error or the response.
+func serveJSON[Req, Resp any](call func(context.Context, Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !decodeBody(w, r, &req) {
+			return
+		}
+		resp, err := call(r.Context(), req)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeResponse(w, resp)
+	}
 }
 
 // decodeBody parses a JSON request body under the size bound, writing
