@@ -43,10 +43,12 @@
 //
 // With -job-dir, POST /v1/sweeps jobs become *durable*: every completed
 // shard is checkpointed to <job-dir>/<id>/ as it lands, and a restarted
-// server with the same -job-dir recovers every job — finished results
-// serve verbatim, interrupted jobs re-verify their surviving
-// checkpoints and re-run only the missing shards, converging to the
-// same bytes an undisturbed sweep would have produced. Identical
+// server with the same -job-dir recovers every job from those
+// checkpoints, its only persisted state: every job re-verifies its
+// surviving checkpoints, a fully checkpointed job finishes at once by
+// re-merging them, and an interrupted one re-runs only the missing
+// shards, converging to the same bytes an undisturbed sweep would have
+// produced. Identical
 // re-submissions return the existing job's ID (the ID is derived from
 // the request content, so dedupe also survives restarts). -job-retention
 // bounds how long terminal jobs are kept before garbage collection;

@@ -145,14 +145,14 @@ func newFleet(opts Options, m *metricsRegistry, client *http.Client, logf func(s
 	if f.readmit <= 0 {
 		f.readmit = 15 * time.Second
 	}
-	if f.logf == nil {
-		f.logf = func(string, ...any) {}
-	}
 	f.mu.Lock()
-	for _, u := range opts.WorkerURLs {
-		if u = normalizeWorkerURL(u); u != "" {
-			f.addLocked(u, WorkerSourceStatic)
+	for _, raw := range opts.WorkerURLs {
+		u, err := parseWorkerURL(raw)
+		if err != nil {
+			f.logf("fleet: static worker list: skipping %v", err)
+			continue
 		}
+		f.addLocked(u, WorkerSourceStatic)
 	}
 	f.mu.Unlock()
 	if f.file != "" {
@@ -161,23 +161,19 @@ func newFleet(opts Options, m *metricsRegistry, client *http.Client, logf func(s
 	return f
 }
 
-// normalizeWorkerURL canonicalizes a worker base URL (trimmed, no
-// trailing slash); it returns "" for an unusable entry.
-func normalizeWorkerURL(u string) string {
-	return strings.TrimRight(strings.TrimSpace(u), "/")
-}
-
-// validateWorkerURL rejects worker URLs that cannot be probed: they
-// must be absolute http(s) URLs with a host.
-func validateWorkerURL(u string) error {
+// parseWorkerURL canonicalizes a worker base URL (trimmed, no trailing
+// slash) and rejects one that cannot be probed: it must be an absolute
+// http(s) URL with a host. Every membership source goes through it.
+func parseWorkerURL(raw string) (string, error) {
+	u := strings.TrimRight(strings.TrimSpace(raw), "/")
 	parsed, err := url.Parse(u)
 	if err != nil {
-		return badRequestf("bad worker url %q: %v", u, err)
+		return "", badRequestf("bad worker url %q: %v", u, err)
 	}
 	if (parsed.Scheme != "http" && parsed.Scheme != "https") || parsed.Host == "" {
-		return badRequestf("bad worker url %q: need an absolute http(s) URL with a host", u)
+		return "", badRequestf("bad worker url %q: need an absolute http(s) URL with a host", u)
 	}
-	return nil
+	return u, nil
 }
 
 // addLocked registers a worker (idempotently) as healthy; callers hold
@@ -215,12 +211,9 @@ func (f *fleet) removeLocked(url, why string) bool {
 // unknown removals are no-ops.
 func (f *fleet) update(add, remove []string) error {
 	norm := make([]string, 0, len(add))
-	for _, u := range add {
-		u = normalizeWorkerURL(u)
-		if u == "" {
-			return badRequestf("bad worker url: empty")
-		}
-		if err := validateWorkerURL(u); err != nil {
+	for _, raw := range add {
+		u, err := parseWorkerURL(raw)
+		if err != nil {
 			return err
 		}
 		norm = append(norm, u)
@@ -229,8 +222,10 @@ func (f *fleet) update(add, remove []string) error {
 	for _, u := range norm {
 		f.addLocked(u, WorkerSourceAPI)
 	}
-	for _, u := range remove {
-		f.removeLocked(normalizeWorkerURL(u), "removed via /v1/workers")
+	for _, raw := range remove {
+		if u, err := parseWorkerURL(raw); err == nil {
+			f.removeLocked(u, "removed via /v1/workers")
+		}
 	}
 	f.mu.Unlock()
 	f.ensureProbing()
@@ -317,28 +312,23 @@ func (f *fleet) assign(cells int) (homes []string, ok bool) {
 }
 
 // assignableLocked returns the workers new shards may be homed on, in
-// insertion order: the healthy ones; if none, the suspect ones (degraded
-// beats refusing); if none, everyone left (the retry loop will surface
-// per-worker failures). Callers hold f.mu.
+// insertion order: those in the healthiest state present — healthy;
+// if none, suspect (degraded beats refusing); if none, every evicted
+// member (the retry loop will surface per-worker failures). Callers
+// hold f.mu.
 func (f *fleet) assignableLocked() []*fleetWorker {
-	var healthy, suspect, all []*fleetWorker
+	var best []*fleetWorker
+	bestRank := stateRank(WorkerEvicted) + 1
 	for _, u := range f.order {
 		w := f.workers[u]
-		all = append(all, w)
-		switch w.state {
-		case WorkerHealthy:
-			healthy = append(healthy, w)
-		case WorkerSuspect:
-			suspect = append(suspect, w)
+		switch r := stateRank(w.state); {
+		case r < bestRank:
+			best, bestRank = []*fleetWorker{w}, r
+		case r == bestRank:
+			best = append(best, w)
 		}
 	}
-	if len(healthy) > 0 {
-		return healthy
-	}
-	if len(suspect) > 0 {
-		return suspect
-	}
-	return all
+	return best
 }
 
 // nextWorker picks the best untried worker for a shard attempt: the
@@ -574,8 +564,8 @@ func (f *fleet) syncFile() {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		u := normalizeWorkerURL(line)
-		if u == "" || validateWorkerURL(u) != nil {
+		u, err := parseWorkerURL(line)
+		if err != nil {
 			f.logf("fleet: worker file %s: skipping bad url %q", f.file, line)
 			continue
 		}

@@ -194,6 +194,13 @@ func TestFleetAssignPrefersHealthy(t *testing.T) {
 		}
 	}
 
+	// With every worker evicted, every member gets homes again.
+	f.reportFailure("http://a", "down") // evicted
+	homes, ok := f.assign(6)
+	if want := []string{"http://a", "http://b", "http://c"}; !ok || !reflect.DeepEqual(homes, want) {
+		t.Fatalf("all-evicted homes = %v (ok=%t), want %v", homes, ok, want)
+	}
+
 	empty := newTestFleet(t, Options{})
 	if _, ok := empty.assign(4); ok {
 		t.Fatal("empty fleet must report ok=false")
@@ -363,6 +370,16 @@ func TestFleetWorkerFileWatch(t *testing.T) {
 	f.syncFile()
 	if after := len(f.snapshot()); after != before {
 		t.Errorf("no-op re-read changed membership %d -> %d", before, after)
+	}
+}
+
+// Static worker entries go through the same validation as the worker
+// file and POST /v1/workers: a scheme-less host:port would fail every
+// probe and shard attempt, so it is skipped rather than admitted.
+func TestFleetStaticURLsValidated(t *testing.T) {
+	f := newTestFleet(t, Options{WorkerURLs: []string{"localhost:8094", " http://ok:1/ ", "ftp://x", "http://"}})
+	if got, want := states(f), map[string]string{"http://ok:1": WorkerHealthy}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("static members = %v, want %v", got, want)
 	}
 }
 

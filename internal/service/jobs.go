@@ -9,18 +9,24 @@ package service
 // runs detached from the submitting connection under the manager's own
 // context, so a client that disconnects (499) no longer cancels work.
 //
-// Durability is built on per-shard checkpoint files: every completed
-// shard is checkpointed to <job-dir>/<id>/shard_N_of_M.json with
-// writeJSONFile (fsynced temp-file-plus-rename, so neither a kill -9
-// nor a power loss mid-checkpoint leaves a torn partial), and the
-// final merged response is persisted to result.json as the exact bytes
-// a synchronous POST /v1/sweep would have returned —
-// GET /v1/sweeps/{id}/result serves those bytes verbatim. A restarted
-// coordinator re-reads the job directory, re-verifies every persisted
-// partial against the same three-step merge contract live merges use
-// (design hash, shard geometry, every point's grid coordinate —
+// Durability is built on per-shard checkpoint files, a job's only
+// persisted state besides its manifest: every completed shard is
+// checkpointed to <job-dir>/<id>/shard_N_of_M.json with writeJSONFile
+// (fsynced temp-file-plus-rename, so neither a kill -9 nor a power loss
+// mid-checkpoint leaves a torn partial). Once every shard has landed,
+// mergeShards assembles them into the exact bytes a synchronous
+// POST /v1/sweep would have returned, held in memory and served
+// verbatim by GET /v1/sweeps/{id}/result. A restarted coordinator
+// re-reads the job directory, re-verifies every persisted partial
+// against the same three-step merge contract live merges use (design
+// hash, shard geometry, every point's grid coordinate —
 // verifyShardPartial, shared with coordinator.post), deletes the ones
-// that fail it, and re-runs only the missing shards.
+// that fail it, and either finishes the job at once (every shard
+// present) or re-runs only the missing shards.
+//
+// The in-memory shard table is also the only progress record: event
+// streams read it under the job lock and wait on the job's changed
+// channel for the next shard or the terminal state.
 //
 // The shard work goes through Server.runShards, the runner synchronous
 // distributed sweeps use: on a coordinator with a live fleet each
@@ -30,7 +36,7 @@ package service
 // so jobs and interactive requests share the same saturation bound.
 // Either way every partial is bit-identical to the same cells of an
 // unsharded sweep, which is what makes the checkpoint files mergeable
-// across process lifetimes, and mergeShards assembles the result.
+// across process lifetimes.
 
 import (
 	"bytes"
@@ -183,14 +189,24 @@ type job struct {
 	result     []byte // exact GET .../result bytes once done
 	createdAt  time.Time
 	finishedAt time.Time
-	subs       map[chan []byte]bool
-	running    bool // a runner goroutine currently owns this job
+	changed    chan struct{} // closed and replaced when a shard lands or the job ends
+}
+
+// newJob builds a running job with every shard pending.
+func newJob(man jobManifest, dir string) *job {
+	return &job{
+		manifest:  man,
+		dir:       dir,
+		state:     JobStateRunning,
+		shards:    make([]jobShardState, man.Of),
+		createdAt: time.Now(),
+		changed:   make(chan struct{}),
+	}
 }
 
 // jobManager owns every durable sweep job: submission and dedupe,
-// the detached runners, checkpoint recovery at boot, the events
-// broadcast, and retention GC. It is created by New and stopped by
-// Server.Close.
+// the detached runners, checkpoint recovery at boot, and retention GC.
+// It is created by New and stopped by Server.Close.
 type jobManager struct {
 	srv       *Server
 	dir       string // "" disables durability (jobs are still async + deduped)
@@ -207,12 +223,10 @@ type jobManager struct {
 
 // newJobManager builds the manager and, when dir is set, recovers
 // every persisted job: manifests are re-read, checkpointed partials
-// re-verified against the merge contract (invalid ones deleted), and
-// unfinished jobs resumed with only their missing shards re-run.
+// re-verified against the merge contract (invalid ones deleted),
+// fully checkpointed jobs finished, and unfinished jobs resumed with
+// only their missing shards re-run.
 func newJobManager(s *Server, dir string, retention time.Duration, logf func(string, ...any)) *jobManager {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &jobManager{
 		srv:       s,
@@ -289,7 +303,7 @@ func (m *jobManager) submit(req SweepRequest) (j *job, created bool, err error) 
 	defer m.mu.Unlock()
 	if existing, ok := m.jobs[id]; ok {
 		existing.mu.Lock()
-		resume := existing.state == JobStateFailed && !existing.running
+		resume := existing.state == JobStateFailed
 		if resume {
 			// Re-submission of a failed job retries it: keep the verified
 			// checkpoints, clear the failure, re-run what is missing.
@@ -297,7 +311,6 @@ func (m *jobManager) submit(req SweepRequest) (j *job, created bool, err error) 
 			existing.errMsg = ""
 			existing.failures = nil
 			existing.finishedAt = time.Time{}
-			existing.running = true
 		}
 		existing.mu.Unlock()
 		if resume {
@@ -311,20 +324,13 @@ func (m *jobManager) submit(req SweepRequest) (j *job, created bool, err error) 
 
 	of := m.chooseOf(sp.cells())
 	req.WTs = sp.wts
-	j = &job{
-		manifest: jobManifest{
-			ID:           id,
-			DesignHash:   sp.hash,
-			SweepRequest: req,
-			Of:           of,
-			CreatedAt:    time.Now().UTC().Format(time.RFC3339),
-		},
-		state:     JobStateRunning,
-		shards:    make([]jobShardState, of),
-		createdAt: time.Now(),
-		subs:      map[chan []byte]bool{},
-		running:   true,
-	}
+	j = newJob(jobManifest{
+		ID:           id,
+		DesignHash:   sp.hash,
+		SweepRequest: req,
+		Of:           of,
+		CreatedAt:    time.Now().UTC().Format(time.RFC3339),
+	}, "")
 	if m.dir != "" {
 		j.dir = filepath.Join(m.dir, id)
 		if err := os.MkdirAll(j.dir, 0o755); err != nil {
@@ -385,9 +391,9 @@ func (m *jobManager) startRunner(j *job, sp *sweepSpec) {
 
 // run drives one job to a terminal state: solve every missing shard
 // (fleet or local) through runShards, checkpoint each partial as it
-// lands, then merge and persist the result. A manager shutdown mid-run
-// leaves the job "running" with its checkpoints on disk — exactly the
-// state recovery resumes from.
+// lands, then merge the result. A manager shutdown mid-run leaves the
+// job "running" with its checkpoints on disk — exactly the state
+// recovery resumes from.
 func (m *jobManager) run(j *job, sp *sweepSpec) {
 	defer m.wg.Done()
 	start := time.Now()
@@ -400,7 +406,7 @@ func (m *jobManager) run(j *job, sp *sweepSpec) {
 	}
 	j.mu.Unlock()
 	err := m.srv.runShards(m.ctx, sp, j.manifest.SweepRequest, homes, parts, func(shard int, resp *ShardResponse) {
-		m.completeShard(j, shard, resp, false)
+		m.completeShard(j, shard, resp)
 	})
 
 	if m.ctx.Err() != nil {
@@ -410,17 +416,15 @@ func (m *jobManager) run(j *job, sp *sweepSpec) {
 	}
 	j.mu.Lock()
 	if err == nil {
-		err = m.finishJob(j, mergeShards(sp, parts))
-	}
-	if dist, ok := err.(*distributedSweepError); ok {
-		j.failures = dist.Failures
-		if homes == nil {
-			err = fmt.Errorf("service: sweep job failed: %d of %d shard(s) unsolved", of-j.done, of)
+		j.finishLocked(sp)
+	} else {
+		if dist, ok := err.(*distributedSweepError); ok {
+			j.failures = dist.Failures
+			if homes == nil {
+				err = fmt.Errorf("service: sweep job failed: %d of %d shard(s) unsolved", of-j.done, of)
+			}
 		}
-	}
-	if err != nil {
-		j.errMsg = err.Error()
-		j.terminalLocked(JobStateFailed)
+		j.failLocked(err)
 	}
 	state := j.state
 	j.mu.Unlock()
@@ -429,10 +433,10 @@ func (m *jobManager) run(j *job, sp *sweepSpec) {
 
 // completeShard records one verified partial: checkpoint it to the job
 // directory first (atomically — a crash right here costs at most this
-// one shard), then publish it to the job's state and event
-// subscribers.
-func (m *jobManager) completeShard(j *job, shard int, resp *ShardResponse, recovered bool) {
-	if j.dir != "" && !recovered {
+// one shard), then publish it to the shard table and wake the job's
+// event streams.
+func (m *jobManager) completeShard(j *job, shard int, resp *ShardResponse) {
+	if j.dir != "" {
 		path := filepath.Join(j.dir, shardFileName(shard, j.manifest.Of))
 		if err := writeJSONFile(path, resp); err != nil {
 			// The shard still counts in memory; a restart would recompute it.
@@ -441,17 +445,15 @@ func (m *jobManager) completeShard(j *job, shard int, resp *ShardResponse, recov
 			m.srv.metrics.jobShards.add(jobShardCheckpointed, 1)
 		}
 	}
-	if recovered {
-		m.srv.metrics.jobShards.add(jobShardRecovered, 1)
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.shards[shard].resp != nil {
 		return
 	}
-	j.shards[shard] = jobShardState{resp: resp, recovered: recovered}
+	j.shards[shard] = jobShardState{resp: resp}
 	j.done++
-	j.broadcastLocked(JobEvent{Type: "shard", Shard: resp, Recovered: recovered})
+	close(j.changed)
+	j.changed = make(chan struct{})
 }
 
 // shardFileName names one shard's checkpoint file within its job
@@ -460,53 +462,39 @@ func shardFileName(shard, of int) string {
 	return fmt.Sprintf("shard_%d_of_%d.json", shard, of)
 }
 
-// finishJob persists a fully-solved job's merged response — the exact
-// bytes a synchronous sweep would have returned, served verbatim by
-// GET /v1/sweeps/{id}/result. Called with j.mu held.
-func (m *jobManager) finishJob(j *job, resp *SweepResponse) error {
-	data, err := json.MarshalIndent(resp, "", "  ")
+// finishLocked merges a fully-solved job's partials into the exact
+// bytes a synchronous sweep would have returned — served verbatim by
+// GET /v1/sweeps/{id}/result — and marks the job done. Called with
+// j.mu held (or before the job is published).
+func (j *job) finishLocked(sp *sweepSpec) {
+	parts := make([]*ShardResponse, len(j.shards))
+	for i, sh := range j.shards {
+		parts[i] = sh.resp
+	}
+	data, err := json.MarshalIndent(mergeShards(sp, parts), "", "  ")
 	if err != nil {
-		return err
+		j.failLocked(err)
+		return
 	}
-	data = append(data, '\n')
-	if j.dir != "" {
-		if err := writeJSONFile(filepath.Join(j.dir, "result.json"), resp); err != nil {
-			m.logf("job %s: persisting result: %v", j.manifest.ID, err)
-		}
-	}
-	j.result = data
+	j.result = append(data, '\n')
 	j.terminalLocked(JobStateDone)
-	return nil
+}
+
+// failLocked moves the job to "failed" with err as its message. Called
+// with j.mu held.
+func (j *job) failLocked(err error) {
+	j.errMsg = err.Error()
+	j.terminalLocked(JobStateFailed)
 }
 
 // terminalLocked moves the job to a terminal state, stamps the finish
-// time, and closes the event stream with the terminal line. Called
-// with j.mu held.
+// time, and wakes the job's event streams so they write the terminal
+// line. Called with j.mu held.
 func (j *job) terminalLocked(state string) {
 	j.state = state
-	j.running = false
 	j.finishedAt = time.Now()
-	j.broadcastLocked(JobEvent{Type: "job", State: state, Error: j.errMsg})
-	for ch := range j.subs {
-		close(ch)
-	}
-	j.subs = map[chan []byte]bool{}
-}
-
-// broadcastLocked fans one event line out to every subscriber. Called
-// with j.mu held; subscriber channels are sized so a job can never
-// block on a slow client (subscribe registers under the same lock that
-// broadcasts, so no event can slip between replay and registration).
-func (j *job) broadcastLocked(ev JobEvent) {
-	line := marshalEvent(ev)
-	for ch := range j.subs {
-		select {
-		case ch <- line:
-		default:
-			// A channel sized of+2 can only be full if the subscriber
-			// leaked; drop the event rather than block the job.
-		}
-	}
+	close(j.changed)
+	j.changed = make(chan struct{})
 }
 
 // marshalEvent renders one NDJSON event line.
@@ -520,30 +508,25 @@ func marshalEvent(ev JobEvent) []byte {
 	return append(line, '\n')
 }
 
-// subscribe returns the replay of every event the job has already
-// emitted plus, for a still-running job, a channel of future lines
-// (closed at terminal state) and a cancel function the handler must
-// call. Replay and registration happen under one lock, so the stream
-// is gapless and duplicate-free.
-func (j *job) subscribe() (replay [][]byte, ch chan []byte, cancel func()) {
+// eventsSince returns the event lines a stream still owes, given the
+// shards it has already sent: every newly completed shard in shard
+// order (marked in sent), then — once the job is no longer running —
+// the terminal line with a nil wake. While the job runs, wake is closed
+// at its next change. Reading the table under the job lock keeps every
+// stream gapless and duplicate-free, however slowly it is consumed.
+func (j *job) eventsSince(sent []bool) (lines [][]byte, wake <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for _, sh := range j.shards {
-		if sh.resp != nil {
-			replay = append(replay, marshalEvent(JobEvent{Type: "shard", Shard: sh.resp, Recovered: sh.recovered}))
+	for i, sh := range j.shards {
+		if sh.resp != nil && !sent[i] {
+			sent[i] = true
+			lines = append(lines, marshalEvent(JobEvent{Type: "shard", Shard: sh.resp, Recovered: sh.recovered}))
 		}
 	}
 	if j.state != JobStateRunning {
-		replay = append(replay, marshalEvent(JobEvent{Type: "job", State: j.state, Error: j.errMsg}))
-		return replay, nil, func() {}
+		return append(lines, marshalEvent(JobEvent{Type: "job", State: j.state, Error: j.errMsg})), nil
 	}
-	ch = make(chan []byte, len(j.shards)+2)
-	j.subs[ch] = true
-	return replay, ch, func() {
-		j.mu.Lock()
-		delete(j.subs, ch)
-		j.mu.Unlock()
-	}
+	return lines, j.changed
 }
 
 // status snapshots the job as its API representation.
@@ -585,8 +568,8 @@ func (j *job) status() *JobResponse {
 // recover rebuilds every persisted job from the job directory at boot:
 // manifests are re-validated, each checkpoint re-verified against the
 // merge contract (invalid files deleted — they will simply be re-run),
-// finished results loaded, and unfinished jobs resumed with only their
-// missing shards.
+// fully checkpointed jobs finished from their partials, and unfinished
+// jobs resumed with only their missing shards.
 func (m *jobManager) recover() {
 	entries, err := os.ReadDir(m.dir)
 	if err != nil {
@@ -627,53 +610,15 @@ func (m *jobManager) recoverJob(dir string) error {
 		return fmt.Errorf("manifest shard count %d out of range for a %d-cell grid", man.Of, sp.cells())
 	}
 
-	j := &job{
-		manifest:  man,
-		dir:       dir,
-		state:     JobStateRunning,
-		shards:    make([]jobShardState, man.Of),
-		recovered: true,
-		createdAt: time.Now(),
-		subs:      map[chan []byte]bool{},
-	}
+	j := newJob(man, dir)
+	j.recovered = true
 	if t, err := time.Parse(time.RFC3339, man.CreatedAt); err == nil {
 		j.createdAt = t
 	}
 
-	// A persisted result means the job finished before the restart:
-	// split it back into shard partials, verify each like a checkpoint,
-	// and serve the result bytes verbatim.
-	resultPath := filepath.Join(dir, "result.json")
-	if data, err := os.ReadFile(resultPath); err == nil {
-		var res SweepResponse
-		err := json.Unmarshal(data, &res)
-		var parts []*ShardResponse
-		if err == nil {
-			parts, err = splitShards(sp, man.Of, &res)
-		}
-		if err == nil {
-			j.result = data
-			j.state = JobStateDone
-			j.done = man.Of
-			for i, part := range parts {
-				j.shards[i] = jobShardState{resp: part, recovered: true}
-			}
-			if fi, serr := os.Stat(resultPath); serr == nil {
-				j.finishedAt = fi.ModTime()
-			}
-			m.mu.Lock()
-			m.jobs[man.ID] = j
-			m.mu.Unlock()
-			m.srv.metrics.recoveries.add("", 1)
-			m.logf("job recovery: %s: finished result recovered (%d shards)", man.ID, man.Of)
-			return nil
-		}
-		m.logf("job recovery: %s: result.json fails verification (%v), recomputing", man.ID, err)
-		_ = os.Remove(resultPath)
-	}
-
 	// Re-verify every checkpoint against the same contract a live merge
 	// applies; a file that fails it is deleted and its shard re-run.
+	var newest time.Time
 	for shard := 0; shard < man.Of; shard++ {
 		path := filepath.Join(dir, shardFileName(shard, man.Of))
 		var resp ShardResponse
@@ -695,16 +640,30 @@ func (m *jobManager) recoverJob(dir string) error {
 			_ = os.Remove(path)
 			continue
 		}
+		if fi, err := os.Stat(path); err == nil && fi.ModTime().After(newest) {
+			newest = fi.ModTime()
+		}
 		j.shards[shard] = jobShardState{resp: &resp, recovered: true}
 		j.done++
 		m.srv.metrics.jobShards.add(jobShardRecovered, 1)
 	}
 
-	j.running = true
+	// Every shard checkpointed means the job finished before the
+	// restart: merge it now, before the job is published, so it is never
+	// seen running. Retention counts from the last checkpoint's write.
+	finished := j.done == man.Of
+	if finished {
+		j.finishLocked(sp)
+		j.finishedAt = newest
+	}
 	m.mu.Lock()
 	m.jobs[man.ID] = j
 	m.mu.Unlock()
 	m.srv.metrics.recoveries.add("", 1)
+	if finished {
+		m.logf("job recovery: %s: finished job recovered (%d shards)", man.ID, man.Of)
+		return nil
+	}
 	m.logf("job recovery: %s: resuming with %d/%d shards checkpointed", man.ID, j.done, man.Of)
 	m.startRunner(j, sp)
 	return nil
@@ -715,8 +674,8 @@ func (m *jobManager) recoverJob(dir string) error {
 // same directory, are fsynced, and the file is renamed over path, after
 // which the directory itself is fsynced. So neither a killed process
 // nor a power loss or OS crash mid-write can leave a torn, half-written
-// or zero-length file behind. Job manifests, shard checkpoints and
-// results all go through it.
+// or zero-length file behind. Job manifests and shard checkpoints both
+// go through it.
 func writeJSONFile(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -834,7 +793,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	writeResponse(w, j.status())
 }
 
-// handleJobResult answers GET /v1/sweeps/{id}/result: the persisted
+// handleJobResult answers GET /v1/sweeps/{id}/result: the merged
 // response bytes verbatim (byte-identical to a synchronous
 // POST /v1/sweep) once done, 409 while running, 502 with the shard
 // failures when failed.
@@ -871,34 +830,22 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeStatus(w, http.StatusNotFound, fmt.Sprintf("no job %q", r.PathValue("id")))
 		return
 	}
-	replay, ch, cancel := j.subscribe()
-	defer cancel()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	for _, line := range replay {
-		if _, err := w.Write(line); err != nil {
-			return
-		}
-	}
-	flush()
-	if ch == nil {
-		return
-	}
+	rc := http.NewResponseController(w)
+	sent := make([]bool, j.manifest.Of)
 	for {
-		select {
-		case line, open := <-ch:
-			if !open {
-				return
-			}
+		lines, wake := j.eventsSince(sent)
+		for _, line := range lines {
 			if _, err := w.Write(line); err != nil {
 				return
 			}
-			flush()
+		}
+		_ = rc.Flush()
+		if wake == nil {
+			return
+		}
+		select {
+		case <-wake:
 		case <-r.Context().Done():
 			return
 		case <-s.jobs.ctx.Done():

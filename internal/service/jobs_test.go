@@ -118,12 +118,18 @@ func TestJobRunsToCompletionWithSyncIdenticalBytes(t *testing.T) {
 		t.Fatalf("job result differs from synchronous sweep (%d vs %d bytes)", len(got), len(want))
 	}
 
-	// The durable layout: manifest, one checkpoint per shard, result.
-	jobDir := filepath.Join(dir, jr.ID)
-	for _, name := range []string{"job.json", "shard_0_of_2.json", "shard_1_of_2.json", "result.json"} {
-		if _, err := os.Stat(filepath.Join(jobDir, name)); err != nil {
-			t.Errorf("job dir lacks %s: %v", name, err)
-		}
+	// The durable layout: the manifest and one checkpoint per shard,
+	// nothing else.
+	entries, err := os.ReadDir(filepath.Join(dir, jr.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"job.json", "shard_0_of_2.json", "shard_1_of_2.json"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("job dir holds %v, want %v", names, want)
 	}
 
 	series := scrape(t, ts)
@@ -300,7 +306,7 @@ func TestJobRecoveryAfterRestart(t *testing.T) {
 	sA.Close()
 
 	// Restart 1: intact directory. The job must come back done with the
-	// identical bytes, straight from result.json, and replay the same
+	// identical bytes, merged from its checkpoints, and replay the same
 	// shard partials it streamed before the restart, now flagged
 	// recovered.
 	sB, tsB := newJobServer(t, dir)
@@ -339,13 +345,10 @@ func TestJobRecoveryAfterRestart(t *testing.T) {
 	tsB.Close()
 	sB.Close()
 
-	// Restart 2: lose the result, delete one checkpoint, corrupt the
-	// other. Recovery must re-verify, drop the corrupt file, re-run both
-	// shards, and still produce the identical bytes.
+	// Restart 2: delete one checkpoint, corrupt the other. Recovery
+	// must re-verify, drop the corrupt file, re-run both shards, and
+	// still produce the identical bytes.
 	jobDir := filepath.Join(dir, jr.ID)
-	if err := os.Remove(filepath.Join(jobDir, "result.json")); err != nil {
-		t.Fatal(err)
-	}
 	if err := os.Remove(filepath.Join(jobDir, "shard_0_of_2.json")); err != nil {
 		t.Fatal(err)
 	}
@@ -422,9 +425,6 @@ func TestJobRecoveryReusesValidCheckpoints(t *testing.T) {
 	sA.Close()
 
 	jobDir := filepath.Join(dir, jr.ID)
-	if err := os.Remove(filepath.Join(jobDir, "result.json")); err != nil {
-		t.Fatal(err)
-	}
 	if err := os.Remove(filepath.Join(jobDir, "shard_1_of_2.json")); err != nil {
 		t.Fatal(err)
 	}
@@ -620,6 +620,53 @@ func TestJobRetentionGC(t *testing.T) {
 		t.Errorf("expired job still answers status %d, want 404", status)
 	}
 	if _, err := os.Stat(filepath.Join(dir, jr.ID)); !os.IsNotExist(err) {
+		t.Errorf("expired job directory still present (err=%v)", err)
+	}
+}
+
+// Retention must survive a restart: a finished job recovered from its
+// checkpoints counts its age from the last checkpoint's write, not from
+// the restart, so a job whose files are older than the window is
+// collected on the first pass. A result.json left by an earlier release
+// is ignored and removed with the directory.
+func TestJobRetentionAfterRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver sweeps are slow")
+	}
+	dir := t.TempDir()
+	sA, tsA := newJobServer(t, dir)
+	jr := submitJob(t, tsA, jobTestGrid, http.StatusAccepted)
+	waitJobState(t, tsA, jr.ID, JobStateDone, 2*time.Minute)
+	tsA.Close()
+	sA.Close()
+
+	jobDir := filepath.Join(dir, jr.ID)
+	if err := os.WriteFile(filepath.Join(jobDir, "result.json"), []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-2 * time.Hour)
+	entries, err := os.ReadDir(jobDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if err := os.Chtimes(filepath.Join(jobDir, e.Name()), old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := New(Options{JobDir: dir, JobRetention: time.Hour})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	s.jobs.gcOnce()
+	if status, _ := getJSON(t, ts, "/v1/sweeps/"+jr.ID); status != http.StatusNotFound {
+		t.Errorf("expired recovered job still answers status %d, want 404", status)
+	}
+	// The GC loop's own first pass runs at boot and may be the one that
+	// took the job; Close waits for it to finish removing the directory.
+	s.Close()
+	if _, err := os.Stat(jobDir); !os.IsNotExist(err) {
 		t.Errorf("expired job directory still present (err=%v)", err)
 	}
 }

@@ -187,12 +187,12 @@ func New(opts Options) *Server {
 		logf:     logf,
 	}
 	client := &http.Client{Transport: newFleetTransport()}
-	s.fleet = newFleet(opts, s.metrics, client, opts.Logf)
+	s.fleet = newFleet(opts, s.metrics, client, logf)
 	s.coord = newCoordinator(opts, s.fleet, client, s.metrics)
 	s.fleet.ensureProbing()
 	// Last: job recovery resumes persisted sweeps through the fleet and
 	// coordinator built above.
-	s.jobs = newJobManager(s, opts.JobDir, opts.JobRetention, opts.Logf)
+	s.jobs = newJobManager(s, opts.JobDir, opts.JobRetention, logf)
 	return s
 }
 
