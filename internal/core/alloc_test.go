@@ -7,9 +7,10 @@ import (
 
 // TestPlanHotPathAllocs pins the planning kernel's allocations on a
 // warmed engine: every schedule, staircase and digital job slice is a
-// cache hit, so what is left is candidate enumeration, costing, bound
-// probes and the replay. The ceilings sit about 5% above the counts
-// measured when the pin was set (p93791m, W=32, one worker).
+// cache hit and the candidate set is memoized, so what is left is
+// candidate filtering, costing, bound probes and the replay. The
+// ceilings sit about 5% above the counts measured when the pin was set
+// (p93791m, W=32, one worker).
 func TestPlanHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -22,10 +23,10 @@ func TestPlanHotPathAllocs(t *testing.T) {
 		opts    PlanOptions
 		ceiling float64
 	}{
-		{"heuristic", PlanOptions{}, 1480},
-		{"heuristic+bounded", PlanOptions{Bounded: true}, 1865},
-		{"exhaustive", PlanOptions{Exhaustive: true}, 1665},
-		{"exhaustive+bounded", PlanOptions{Exhaustive: true, Bounded: true}, 4209},
+		{"heuristic", PlanOptions{}, 323},
+		{"heuristic+bounded", PlanOptions{Bounded: true}, 721},
+		{"exhaustive", PlanOptions{Exhaustive: true}, 573},
+		{"exhaustive+bounded", PlanOptions{Exhaustive: true, Bounded: true}, 3075},
 	} {
 		plan := func() {
 			if _, err := e.PlanWith(ctx, d, 32, EqualWeights, tc.opts); err != nil {

@@ -111,6 +111,9 @@ func (d *Design) NoShare() partition.Partition {
 // Candidates enumerates the sharing configurations the planner will
 // consider: partitions of the analog cores deduplicated for identical
 // cores and filtered by the policy (nil defaults to the paper's policy).
+// The slice is the caller's own, but its partitions are shared with
+// every other call over the same cores (see partition.Enumerate) and
+// must be treated as read-only.
 func (d *Design) Candidates(policy partition.Policy) []partition.Partition {
 	if policy == nil {
 		policy = partition.PaperPolicy

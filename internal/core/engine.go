@@ -183,18 +183,24 @@ func (e *Engine) packerFor(name string) (tam.Packer, error) {
 }
 
 // session returns the cache session for the design's content hash,
-// creating (and LRU-evicting) as needed. The session plans against an
-// engine-owned deep copy of the first design seen with that hash, so
-// callers may mutate or discard their design afterwards — and so the
-// pointer-keyed staircase cache actually hits across calls that pass
-// separately allocated but identical designs.
-func (e *Engine) session(d *Design) (*engineSession, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	hash, err := DesignHash(d)
-	if err != nil {
-		return nil, err
+// creating (and LRU-evicting) as needed. hash is the caller's
+// DesignHash(d); empty means session validates and hashes d itself.
+// The session plans against an engine-owned deep copy of the first
+// design seen with that hash, so callers may mutate or discard their
+// design afterwards — and so the pointer-keyed staircase cache actually
+// hits across calls that pass separately allocated but identical
+// designs. Given a hash, only a miss validates and clones d: a hit
+// plans on the session's own copy, validated when it was created.
+func (e *Engine) session(d *Design, hash string) (*engineSession, error) {
+	if hash == "" {
+		// DesignHash needs a well-formed design (no nil modules).
+		if err := d.Validate(); err != nil {
+			return nil, err
+		}
+		var err error
+		if hash, err = DesignHash(d); err != nil {
+			return nil, err
+		}
 	}
 
 	e.mu.Lock()
@@ -207,8 +213,11 @@ func (e *Engine) session(d *Design) (*engineSession, error) {
 	}
 	e.mu.Unlock()
 
-	// Clone outside the lock; on a double-create race the first insert
-	// wins and the loser's clone is dropped.
+	// Validate and clone outside the lock; on a double-create race the
+	// first insert wins and the loser's clone is dropped.
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
 	clone, err := CloneDesign(d)
 	if err != nil {
 		return nil, err
@@ -356,6 +365,12 @@ type PlanOptions struct {
 	// is an error. Schedules are cached per resolved backend, so
 	// backends never serve each other's packings.
 	Backend string
+	// DesignHash, when non-empty, is the caller's DesignHash of the
+	// design, which the engine then trusts as the session key: a call
+	// that hits an existing session neither hashes nor validates the
+	// design again. It must equal DesignHash(d); empty means the engine
+	// validates and hashes the design itself.
+	DesignHash string
 }
 
 // Plan runs the paper's Cost_Optimizer heuristic on the design at TAM
@@ -375,7 +390,7 @@ func (e *Engine) PlanExhaustive(ctx context.Context, d *Design, width int, w Wei
 // PlanWith is Plan with explicit solver options, the entry point the
 // serving layer's bounded and batch requests use.
 func (e *Engine) PlanWith(ctx context.Context, d *Design, width int, w Weights, opts PlanOptions) (*Result, error) {
-	s, err := e.session(d)
+	s, err := e.session(d, opts.DesignHash)
 	if err != nil {
 		return nil, err
 	}
@@ -400,7 +415,7 @@ func (e *Engine) PlanWith(ctx context.Context, d *Design, width int, w Weights, 
 // session. The returned schedule is shared and must be treated as
 // read-only.
 func (e *Engine) Schedule(ctx context.Context, d *Design, p partition.Partition, width int) (*tam.Schedule, error) {
-	s, err := e.session(d)
+	s, err := e.session(d, "")
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +437,7 @@ func (e *Engine) Schedule(ctx context.Context, d *Design, p partition.Partition,
 // WarmStart sweeps draw only the staircase cache, keeping the shared
 // schedule caches strictly cold.
 func (e *Engine) Sweep(ctx context.Context, d *Design, widths []int, weights []Weights, opt SweepOptions) ([]SweepPoint, error) {
-	s, err := e.session(d)
+	s, err := e.session(d, opt.DesignHash)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -446,5 +447,73 @@ func TestEngineDefaultBackendIsOccupancy(t *testing.T) {
 	}
 	if packs := before.BackendPacks[tam.BackendOccupancy].OK; packs == 0 || packs != before.Schedule.Misses {
 		t.Errorf("default packs counted under occupancy = %d, want the %d schedule misses", packs, before.Schedule.Misses)
+	}
+}
+
+// A caller-supplied DesignHash only saves the engine a hash: plans and
+// sweeps given it are bit-identical to the same calls without it and
+// land on the same session. A miss still validates the design.
+func TestEngineTrustsCallerDesignHash(t *testing.T) {
+	ctx := context.Background()
+	hash, err := DesignHash(warmTestDesign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(v any) string {
+		t.Helper()
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	weights := []Weights{EqualWeights, {Time: 0.25, Area: 0.75}}
+	calls := []struct {
+		name string
+		run  func(e *Engine, hash string) (any, error)
+	}{
+		{"plan", func(e *Engine, hash string) (any, error) {
+			return e.PlanWith(ctx, warmTestDesign(), 32, EqualWeights, PlanOptions{Bounded: true, DesignHash: hash})
+		}},
+		{"sweep", func(e *Engine, hash string) (any, error) {
+			return e.Sweep(ctx, warmTestDesign(), []int{32}, weights, SweepOptions{DesignHash: hash})
+		}},
+	}
+	for _, c := range calls {
+		// Either order: the first call creates the session, the second
+		// hits it.
+		for _, order := range [][2]string{{"", hash}, {hash, ""}} {
+			e := NewEngine(EngineOptions{Workers: 1})
+			first, err := c.run(e, order[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := e.Metrics()
+			second, err := c.run(e, order[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := e.Metrics()
+			if encode(first) != encode(second) {
+				t.Errorf("%s (hashes %q then %q): results differ", c.name, order[0], order[1])
+			}
+			if before.DesignMisses != 1 || after.DesignMisses != 1 || after.DesignHits-before.DesignHits != 1 {
+				t.Errorf("%s (hashes %q then %q): misses %d -> %d, hits +%d; want one session, hit by the second call",
+					c.name, order[0], order[1], before.DesignMisses, after.DesignMisses, after.DesignHits-before.DesignHits)
+			}
+		}
+	}
+
+	bad := warmTestDesign()
+	bad.Digital = nil
+	if _, err := NewEngine(EngineOptions{}).PlanWith(ctx, bad, 32, EqualWeights, PlanOptions{DesignHash: hash}); err == nil {
+		t.Error("a session miss planned an invalid design")
+	}
+	// Without a hash the engine validates before hashing, so a
+	// malformed design is an error, not a panic inside DesignHash.
+	bad = warmTestDesign()
+	bad.Digital.Modules = append(bad.Digital.Modules, nil)
+	if _, err := NewEngine(EngineOptions{}).PlanWith(ctx, bad, 32, EqualWeights, PlanOptions{}); err == nil {
+		t.Error("planned a design with a nil module")
 	}
 }

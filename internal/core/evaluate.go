@@ -411,6 +411,9 @@ func appendAnalogJobs(digital []*tam.Job, d *Design, p partition.Partition) ([]*
 
 // Evaluation is the full costing of one sharing configuration.
 type Evaluation struct {
+	// Partition is the sharing configuration. It is shared with the
+	// candidate enumeration (see Design.Candidates) and must be treated
+	// as read-only.
 	Partition partition.Partition
 	TestTime  int64   // SOC test time, cycles
 	CT        float64 // test time normalized to the all-share case (≈ ≤ 100)

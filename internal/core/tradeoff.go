@@ -90,6 +90,11 @@ type SweepOptions struct {
 	// Schedule caches exist only for widths with at least one selected
 	// point — an unselected width is never packed.
 	Select func(width int, weights Weights) bool
+	// DesignHash, when non-empty, is the caller's DesignHash of the
+	// design, which Engine.Sweep then trusts as the session key instead
+	// of hashing the design again; see PlanOptions.DesignHash. One-shot
+	// SweepWith keeps no sessions and ignores it.
+	DesignHash string
 }
 
 // Sweep solves the planning problem across TAM widths and weight

@@ -18,6 +18,7 @@ package partition
 import (
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Partition is a partition of items 0..n-1 into disjoint groups. Groups
@@ -44,17 +45,6 @@ func (p Partition) SharedGroups() [][]int {
 		}
 	}
 	return out
-}
-
-// Singletons returns the number of one-member groups.
-func (p Partition) Singletons() int {
-	n := 0
-	for _, g := range p {
-		if len(g) == 1 {
-			n++
-		}
-	}
-	return n
 }
 
 // Wrappers returns the number of groups, i.e. analog wrappers used.
@@ -224,20 +214,29 @@ func Dedup(parts []Partition, class []int) []Partition {
 type Policy func(Partition) bool
 
 // FullPolicy keeps every partition that shares at least one wrapper.
-func FullPolicy(p Partition) bool { return len(p.SharedGroups()) > 0 }
+func FullPolicy(p Partition) bool {
+	for _, g := range p {
+		if len(g) >= 2 {
+			return true
+		}
+	}
+	return false
+}
 
 // PaperPolicy reproduces the paper's 26-combination candidate set for
 // five cores: at least one shared group, and not(two or more shared
 // groups together with a leftover singleton). See the package comment.
 func PaperPolicy(p Partition) bool {
-	shared := len(p.SharedGroups())
-	if shared == 0 {
-		return false
+	shared, singles := 0, 0
+	for _, g := range p {
+		switch {
+		case len(g) >= 2:
+			shared++
+		case len(g) == 1:
+			singles++
+		}
 	}
-	if shared >= 2 && p.Singletons() >= 1 {
-		return false
-	}
-	return true
+	return shared == 1 || (shared >= 2 && singles == 0)
 }
 
 // AllowAllPolicy keeps everything, including the no-sharing partition.
@@ -245,18 +244,85 @@ func AllowAllPolicy(Partition) bool { return true }
 
 // Enumerate lists the candidate partitions of n items: all partitions,
 // deduplicated under class, filtered by keep (nil keeps everything).
+// The order is All's, first representative of each class kept.
+//
+// The returned slice is the caller's own (appending to it or reslicing
+// it never shows in another call's result), but the Partitions in it
+// are shared across calls and must be treated as read-only: for
+// n ≤ memoMaxN the deduplicated list is computed once per (n, class
+// relation) and every later call filters that memoized list.
 func Enumerate(n int, class []int, keep Policy) []Partition {
-	parts := Dedup(All(n), class)
-	if keep == nil {
-		return parts
-	}
-	var out []Partition
+	parts := dedupAll(n, class)
+	out := make([]Partition, 0, len(parts))
 	for _, p := range parts {
-		if keep(p) {
+		if keep == nil || keep(p) {
 			out = append(out, p)
 		}
 	}
-	return out
+	if len(out) == 0 {
+		return nil
+	}
+	return out[:len(out):len(out)]
+}
+
+// memoMaxN is the largest item count whose deduplicated partitions are
+// memoized. Keyed by the canonical class relation there are at most
+// 1+2+5+15+52+203 = 278 entries (Bell(1)+…+Bell(6)), which bounds the
+// memo without eviction.
+const memoMaxN = 6
+
+// memoKey is a canonical class relation: n and the classes in
+// first-occurrence numbering (0 for the first item, each new class the
+// next unused number).
+type memoKey struct {
+	n     int
+	class [memoMaxN]int8
+}
+
+var memo = struct {
+	sync.Mutex
+	m map[memoKey][]Partition
+}{m: map[memoKey][]Partition{}}
+
+// dedupAll returns Dedup(All(n), class), memoized for n ≤ memoMaxN.
+// Relabelling the classes does not change which partitions Dedup
+// keeps, so the memo is keyed by the canonical relation and computes
+// with it.
+func dedupAll(n int, class []int) []Partition {
+	if n < 1 || n > memoMaxN || (class != nil && len(class) != n) {
+		return Dedup(All(n), class)
+	}
+	key, next := memoKey{n: n}, int8(0)
+	for i := range n {
+		key.class[i] = next
+		for j := range i {
+			if class != nil && class[j] == class[i] {
+				key.class[i] = key.class[j]
+				break
+			}
+		}
+		if key.class[i] == next {
+			next++
+		}
+	}
+	memo.Lock()
+	parts, ok := memo.m[key]
+	memo.Unlock()
+	if ok {
+		return parts
+	}
+	canon := make([]int, n)
+	for i := range canon {
+		canon[i] = int(key.class[i])
+	}
+	parts = Dedup(All(n), canon)
+	memo.Lock()
+	defer memo.Unlock()
+	if prev, ok := memo.m[key]; ok {
+		return prev
+	}
+	memo.m[key] = parts
+	return parts
 }
 
 // Bell returns the Bell number B(n) for small n, the count All(n)

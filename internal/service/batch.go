@@ -4,7 +4,7 @@ package service
 // exists for clients that price a family of designs in one shot — a
 // generated SOC population, a design revision against its baseline —
 // where per-request HTTP round trips and duplicate work dominate. Each
-// item runs the exact POST /v1/plan code path (Server.Plan), so a
+// item runs the exact POST /v1/plan code path (Server.plan), so a
 // successful item's response is byte-identical to the response the same
 // request would get on its own; items that answer identically (same
 // design hash, width, weight bits and solver flags) are deduplicated
@@ -66,34 +66,28 @@ type BatchResponse struct {
 
 // batchTask is one deduplicated planning execution and its outcome.
 type batchTask struct {
-	item PlanRequest
-	resp *PlanResponse
-	err  error
+	item   PlanRequest
+	design *core.Design // as the dedup pass resolved it; nil if that failed
+	hash   string
+	resp   *PlanResponse
+	err    error
 }
 
-// batchKey is the dedup identity of a plan request: everything the
-// response bytes depend on. Items whose designs fail to resolve return
-// an error and stay singletons (each reports its own failure).
-func batchKey(item PlanRequest) (string, error) {
-	d, err := resolveDesign(item.Design, item.SOC, item.Benchmark)
-	if err != nil {
-		return "", err
-	}
-	hash, err := core.DesignHash(d)
-	if err != nil {
-		return "", err
-	}
+// batchKey is the dedup identity of a plan request whose design hashes
+// to hash: everything the response bytes depend on.
+func batchKey(item PlanRequest, hash string) string {
 	wt := 0.5
 	if item.WT != nil {
 		wt = *item.WT
 	}
-	return fmt.Sprintf("%s|%d|%016x|%t|%t|%s", hash, item.Width, math.Float64bits(wt), item.Exhaustive, item.Bounded, item.Backend), nil
+	return fmt.Sprintf("%s|%d|%016x|%t|%t|%s", hash, item.Width, math.Float64bits(wt), item.Exhaustive, item.Bounded, item.Backend)
 }
 
 // Batch computes the response of POST /v1/batch for req — the exact
 // code path the HTTP handler runs. Every unique item fans out through
-// Server.Plan concurrently; the pool's MaxConcurrent bound (not the
-// batch width) sets how many plan at once.
+// Server.Plan's code path concurrently, on the design the dedup pass
+// resolved; the pool's MaxConcurrent bound (not the batch width) sets
+// how many plan at once.
 func (s *Server) Batch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	if len(req.Items) == 0 {
 		return nil, badRequestf("batch needs at least one item")
@@ -104,20 +98,21 @@ func (s *Server) Batch(ctx context.Context, req BatchRequest) (*BatchResponse, e
 	ctx, cancel := s.requestCtx(ctx, req.TimeoutMS)
 	defer cancel()
 
-	// Group identically-answering items onto one execution each.
-	// Unresolvable items become singletons keyed by index, so each
-	// reports its own validation error.
+	// Resolve each item once and group identically-answering items onto
+	// one execution each. Unresolvable items become singletons keyed by
+	// index, and their plan resolves again to report its own error.
 	keys := make([]string, len(req.Items))
 	tasks := make(map[string]*batchTask, len(req.Items))
 	order := make([]string, 0, len(req.Items))
 	for i, item := range req.Items {
-		key, err := batchKey(item)
+		d, hash, err := s.resolve(item.Design, item.SOC, item.Benchmark)
+		key := batchKey(item, hash)
 		if err != nil {
 			key = fmt.Sprintf("#%d", i)
 		}
 		keys[i] = key
 		if tasks[key] == nil {
-			tasks[key] = &batchTask{item: item}
+			tasks[key] = &batchTask{item: item, design: d, hash: hash}
 			order = append(order, key)
 		}
 	}
@@ -130,7 +125,7 @@ func (s *Server) Batch(ctx context.Context, req BatchRequest) (*BatchResponse, e
 			defer wg.Done()
 			item := tk.item
 			item.TimeoutMS = 0 // the batch deadline in ctx governs
-			tk.resp, tk.err = s.Plan(ctx, item)
+			tk.resp, tk.err = s.plan(ctx, item, tk.design, tk.hash)
 		}()
 	}
 	wg.Wait()

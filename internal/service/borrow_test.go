@@ -26,7 +26,7 @@ func jsonBytes(t *testing.T, v any) []byte {
 // pool. sel, when non-nil, restricts it to a shard's cells.
 func directSweep(t *testing.T, req SweepRequest, sel func(int, core.Weights) bool) []core.SweepPoint {
 	t.Helper()
-	sp, err := validateSweep(req)
+	sp, err := new(Server).validateSweep(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestBorrowingSweepByteIdenticalToOneWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := validateSweep(shard.SweepRequest)
+	sp, err := new(Server).validateSweep(shard.SweepRequest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -280,7 +280,7 @@ func jobID(sp *sweepSpec, exhaustive, bounded bool, backend string) string {
 // submission returns the existing job.
 func (m *jobManager) submit(req SweepRequest) (j *job, created bool, err error) {
 	observe := func(result string) { m.srv.metrics.jobSubmits.add(result, 1) }
-	sp, err := validateSweep(req)
+	sp, err := m.srv.validateSweep(req)
 	if err != nil {
 		observe(jobSubmitRejected)
 		return nil, false, err
@@ -596,7 +596,7 @@ func (m *jobManager) recoverJob(dir string) error {
 	if err := readJSONFile(filepath.Join(dir, "job.json"), &man); err != nil {
 		return err
 	}
-	sp, err := validateSweep(man.SweepRequest)
+	sp, err := m.srv.validateSweep(man.SweepRequest)
 	if err != nil {
 		return fmt.Errorf("manifest does not validate: %w", err)
 	}

@@ -56,6 +56,7 @@ import (
 	"time"
 
 	"mixsoc/internal/core"
+	"mixsoc/internal/registry"
 )
 
 // Options configures New. The zero value serves the paper benchmark
@@ -142,6 +143,8 @@ type Server struct {
 	jobs     *jobManager
 	metrics  *metricsRegistry
 	logf     func(format string, args ...any)
+	// benchmarks memoizes registry designs; see resolve.
+	benchmarks map[string]*memoDesign
 }
 
 // New builds a server: it resolves the option defaults, splits the CPU
@@ -185,7 +188,13 @@ func New(opts Options) *Server {
 		capacity: workers,
 		metrics:  newMetricsRegistry(slots),
 		logf:     logf,
+		// The registry's names and "" (the default), filled on first use.
+		benchmarks: map[string]*memoDesign{},
 	}
+	for _, name := range registry.Names() {
+		s.benchmarks[name] = &memoDesign{}
+	}
+	s.benchmarks[""] = s.benchmarks[BenchmarkP93791M]
 	client := &http.Client{Transport: newFleetTransport()}
 	s.fleet = newFleet(opts, s.metrics, client, logf)
 	s.coord = newCoordinator(opts, s.fleet, client, s.metrics)
@@ -281,6 +290,13 @@ func (e saturatedError) Error() string {
 // path the HTTP handler runs, exported so msoc-plan -json produces
 // byte-identical output without a server.
 func (s *Server) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, error) {
+	return s.plan(ctx, req, nil, "")
+}
+
+// plan is Plan on req's design d and its hash as the caller resolved
+// them, or nil and "" to resolve them here, after req's own fields
+// validate (so a request reports the same error either way).
+func (s *Server) plan(ctx context.Context, req PlanRequest, d *core.Design, hash string) (*PlanResponse, error) {
 	if err := validateWidth(req.Width); err != nil {
 		return nil, err
 	}
@@ -295,15 +311,12 @@ func (s *Server) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, erro
 	if err := validateBackend(req.Backend); err != nil {
 		return nil, err
 	}
-	d, err := resolveDesign(req.Design, req.SOC, req.Benchmark)
-	if err != nil {
-		return nil, err
+	if d == nil {
+		if d, hash, err = s.resolve(req.Design, req.SOC, req.Benchmark); err != nil {
+			return nil, err
+		}
 	}
 	if err := validateDesignWidth(d, req.Width); err != nil {
-		return nil, err
-	}
-	hash, err := core.DesignHash(d)
-	if err != nil {
 		return nil, err
 	}
 
@@ -318,6 +331,7 @@ func (s *Server) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, erro
 		Exhaustive: req.Exhaustive,
 		Bounded:    req.Bounded,
 		Backend:    req.Backend,
+		DesignHash: hash,
 	})
 	if err != nil {
 		return nil, err
@@ -344,7 +358,7 @@ func (sp *sweepSpec) cells() int { return len(sp.widths) * len(sp.weights) }
 // shared by the in-process sweep, the coordinator, the worker shard
 // endpoint and durable jobs, so all of them accept exactly the same
 // grids.
-func validateSweep(req SweepRequest) (*sweepSpec, error) {
+func (s *Server) validateSweep(req SweepRequest) (*sweepSpec, error) {
 	widths, wts := req.Widths, req.WTs
 	if len(widths) == 0 {
 		return nil, badRequestf("sweep needs at least one width")
@@ -371,15 +385,11 @@ func validateSweep(req SweepRequest) (*sweepSpec, error) {
 	if err := validateBackend(req.Backend); err != nil {
 		return nil, err
 	}
-	d, err := resolveDesign(req.Design, req.SOC, req.Benchmark)
+	d, hash, err := s.resolve(req.Design, req.SOC, req.Benchmark)
 	if err != nil {
 		return nil, err
 	}
 	if err := validateDesignWidth(d, widths...); err != nil {
-		return nil, err
-	}
-	hash, err := core.DesignHash(d)
-	if err != nil {
 		return nil, err
 	}
 	return &sweepSpec{design: d, hash: hash, widths: widths, wts: wts, weights: weights}, nil
@@ -433,7 +443,7 @@ func roundRobin(n, shard, of int) ([]int, error) {
 // in-process, as one engine sweep under one pool slot plus the idle
 // slots it borrows, one cell at a time (core.SweepOptions.Slots).
 func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
-	sp, err := validateSweep(req)
+	sp, err := s.validateSweep(req)
 	if err != nil {
 		return nil, err
 	}
@@ -461,6 +471,7 @@ func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, e
 		WarmStart:  req.WarmStart,
 		Backend:    req.Backend,
 		Slots:      s.slots,
+		DesignHash: sp.hash,
 	})
 	if err != nil {
 		return nil, err
@@ -477,7 +488,7 @@ func (s *Server) Shard(ctx context.Context, req ShardRequest) (*ShardResponse, e
 	if req.WarmStart {
 		return nil, badRequestf("shards solve cold: warm_start chains widths sequentially and cannot be sharded")
 	}
-	sp, err := validateSweep(req.SweepRequest)
+	sp, err := s.validateSweep(req.SweepRequest)
 	if err != nil {
 		return nil, err
 	}
@@ -515,6 +526,7 @@ func (s *Server) Shard(ctx context.Context, req ShardRequest) (*ShardResponse, e
 		Select: func(w int, wt core.Weights) bool {
 			return own[cellKey{w, wt.Time}]
 		},
+		DesignHash: sp.hash,
 	})
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"mixsoc/internal/analog"
 	"mixsoc/internal/core"
@@ -30,6 +31,10 @@ const (
 	// against bodies that parse fine but describe absurd designs whose
 	// packing would monopolize the planner.
 	MaxSOCModules = 1024
+	// MaxAnalogCores bounds any design's analog-core count: planning
+	// enumerates all Bell(n) partitions of the analog cores, 4,140 at
+	// the cap but 27.6 million at 13 cores.
+	MaxAnalogCores = 8
 )
 
 // BenchmarkP93791M names the built-in paper benchmark design, the
@@ -280,11 +285,13 @@ func badRequestf(format string, args ...any) error {
 	return badRequestError{msg: fmt.Sprintf(format, args...)}
 }
 
-// resolveDesign turns a request's design fields into a *Design: an
-// inline canonical-JSON design, an uploaded .soc body (digital SOC plus
-// the paper's analog cores), a named registry benchmark, or the default
-// p93791m. At most one source may be given.
-func resolveDesign(inline json.RawMessage, soc, benchmark string) (*core.Design, error) {
+// resolveDesign turns a request's design fields into a *Design and its
+// content hash (core.DesignHash): an inline canonical-JSON design, an
+// uploaded .soc body (digital SOC plus the paper's analog cores), a
+// named registry benchmark, or the default p93791m. At most one source
+// may be given, and the design may have at most MaxAnalogCores analog
+// cores.
+func resolveDesign(inline json.RawMessage, soc, benchmark string) (*core.Design, string, error) {
 	sources := 0
 	for _, given := range []bool{len(inline) > 0, soc != "", benchmark != ""} {
 		if given {
@@ -292,31 +299,59 @@ func resolveDesign(inline json.RawMessage, soc, benchmark string) (*core.Design,
 		}
 	}
 	if sources > 1 {
-		return nil, badRequestf("give at most one of an inline design, a .soc upload, and a benchmark name")
+		return nil, "", badRequestf("give at most one of an inline design, a .soc upload, and a benchmark name")
 	}
+	var d *core.Design
+	var err error
 	switch {
 	case len(inline) > 0:
-		d, err := core.UnmarshalDesign(inline)
-		if err != nil {
-			return nil, badRequestf("bad inline design: %v", err)
+		if d, err = core.UnmarshalDesign(inline); err != nil {
+			err = badRequestf("bad inline design: %v", err)
 		}
-		return d, nil
 	case soc != "":
-		return resolveSOC(soc)
+		d, err = resolveSOC(soc)
+	case benchmark == "" || benchmark == BenchmarkP93791M:
+		// The default benchmark keeps resolving through the experiments
+		// package, pinning served p93791m bytes to the golden tables' SOC.
+		d = experiments.Design()
+	default:
+		if d, err = registry.Lookup(benchmark); err != nil {
+			err = badRequestf("%v", err)
+		} else if len(d.Analog) == 0 {
+			err = badRequestf("benchmark %q is digital-only and cannot be planned; use %q", benchmark, benchmark+"m")
+		}
 	}
-	// The default benchmark keeps resolving through the experiments
-	// package, pinning served p93791m bytes to the golden tables' SOC.
-	if benchmark == "" || benchmark == BenchmarkP93791M {
-		return experiments.Design(), nil
-	}
-	d, err := registry.Lookup(benchmark)
 	if err != nil {
-		return nil, badRequestf("%v", err)
+		return nil, "", err
 	}
-	if len(d.Analog) == 0 {
-		return nil, badRequestf("benchmark %q is digital-only and cannot be planned; use %q", benchmark, benchmark+"m")
+	if len(d.Analog) > MaxAnalogCores {
+		return nil, "", badRequestf("design with %d analog cores exceeds the %d-core bound", len(d.Analog), MaxAnalogCores)
 	}
-	return d, nil
+	hash, err := core.DesignHash(d)
+	if err != nil {
+		return nil, "", err
+	}
+	return d, hash, nil
+}
+
+// memoDesign is a registry benchmark's resolveDesign result.
+type memoDesign struct {
+	once   sync.Once
+	design *core.Design
+	hash   string
+	err    error
+}
+
+// resolve is resolveDesign with registry benchmarks resolved once per
+// server, into a memo whose key set New fixes. A memoized design is
+// shared and must not be mutated; the engine plans on its own clone.
+func (s *Server) resolve(inline json.RawMessage, soc, benchmark string) (*core.Design, string, error) {
+	b := s.benchmarks[benchmark]
+	if b == nil || len(inline) > 0 || soc != "" {
+		return resolveDesign(inline, soc, benchmark)
+	}
+	b.once.Do(func() { b.design, b.hash, b.err = resolveDesign(nil, "", benchmark) })
+	return b.design, b.hash, b.err
 }
 
 // resolveSOC parses and bounds an uploaded .soc body and attaches the
