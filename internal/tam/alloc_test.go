@@ -3,13 +3,15 @@ package tam
 import (
 	"math"
 	"testing"
+	"unsafe"
 )
 
 // TestPackHotPathAllocs pins the packing hot path's allocations: the
 // staircase queries are sub-slices of a job's options, a warmed fitter
-// answers earliest-fit and best-placement queries from its own scratch,
-// and a whole Optimize call on p93791 stays within a small fixed budget
-// (it measured 64 allocations when pinned).
+// places, unplaces and answers earliest-fit and best-placement queries
+// (bounded or not) from its own board and scratch, and a whole Optimize
+// call on p93791 stays within a small fixed budget of allocations and
+// bytes (it measured 53 allocations and 17,115 B when pinned).
 func TestPackHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -30,37 +32,70 @@ func TestPackHotPathAllocs(t *testing.T) {
 		}
 	}
 
+	// The board's edges stay compact and pointer-free: a wider edge
+	// measurably raised a cold plan's allocated bytes.
+	if got := unsafe.Sizeof(edge{}); got != 16 {
+		t.Errorf("edge is %d bytes, want 16", got)
+	}
+
 	s, err := Optimize(jobs, width)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := s.Placements[len(s.Placements)-1].Job
-	placements := s.Placements[:len(s.Placements)-1]
 	cfg := config{improvePasses: len(jobs), paretoOnly: true}
 	f := newFitter(newOptionTable(jobs, width, cfg), width, cfg)
-	opt := f.opts[probe][0]
-	if got := testing.AllocsPerRun(100, func() {
-		f.prepare(placements)
-		if _, _, ok := f.earliestFit(probe, opt.Width, opt.Time, placements, math.MaxInt64); !ok {
-			t.Fatal("earliestFit found no placement")
-		}
-	}); got != 0 {
-		t.Errorf("earliestFit: %v allocs/run, want 0", got)
+	f.prepare(s.Placements)
+	last := len(s.Placements) - 1
+	removed := f.unplace(s, last)
+	probe := removed.Job
+	opt := f.opts.of(probe).pts[0]
+	fitterOps := []struct {
+		name string
+		fn   func()
+	}{
+		{"earliestFit", func() {
+			if _, _, ok := f.earliestFit(f.opts.of(probe).gid, opt.Width, opt.Time, math.MaxInt64); !ok {
+				t.Fatal("earliestFit found no placement")
+			}
+		}},
+		{"bestPlacement", func() {
+			if _, ok := f.bestPlacement(probe, math.MaxInt64); !ok {
+				t.Fatal("bestPlacement found no placement")
+			}
+		}},
+		{"bounded bestPlacement", func() {
+			if _, ok := f.bestPlacement(probe, removed.End); !ok {
+				t.Fatal("bounded bestPlacement found no placement")
+			}
+		}},
+		{"place+unplace", func() {
+			f.place(s, removed)
+			f.unplace(s, last)
+		}},
 	}
-	if got := testing.AllocsPerRun(100, func() {
-		if _, ok := f.bestPlacement(probe, placements); !ok {
-			t.Fatal("bestPlacement found no placement")
+	for _, op := range fitterOps {
+		if got := testing.AllocsPerRun(100, op.fn); got != 0 {
+			t.Errorf("%s: %v allocs/run, want 0", op.name, got)
 		}
-	}); got != 0 {
-		t.Errorf("bestPlacement: %v allocs/run, want 0", got)
 	}
 
-	const budget = 120
+	const allocBudget, byteBudget = 56, 17152
 	if got := testing.AllocsPerRun(20, func() {
 		if _, err := Optimize(jobs, width); err != nil {
 			t.Fatal(err)
 		}
-	}); got > budget {
-		t.Errorf("Optimize(p93791, W=%d): %v allocs/run, want <= %d", width, got, budget)
+	}); got > allocBudget {
+		t.Errorf("Optimize(p93791, W=%d): %v allocs/run, want <= %d", width, got, allocBudget)
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, err := Optimize(jobs, width); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := r.AllocedBytesPerOp(); got > byteBudget {
+		t.Errorf("Optimize(p93791, W=%d): %d B/op, want <= %d", width, got, byteBudget)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mixsoc/internal/wrapper"
@@ -39,26 +40,36 @@ func randomJobs(seed int64, nJobs, binWidth int) []*Job {
 }
 
 // earliestFitScan is the per-wire counter-scan reference for
-// fitter.earliestFit: the same candidate sweep, but with one plain
-// int32 occupancy counter per wire, updated wire by wire, and an O(W)
-// scan of the counters for each candidate's band search instead of the
-// bit-sliced counters and the bitset walk. Production code never takes
-// it.
+// fitter.earliestFit: the same candidate sweep, but over start and end
+// orders it sorts from the placements itself, with candidates collected
+// and sorted up front, one plain int32 occupancy counter per wire
+// updated wire by wire, group membership compared by name, and an O(W)
+// scan of the counters for each candidate's band search. It never reads
+// the fitter's board, so it checks the board too. Production code never
+// takes it.
 func (f *fitter) earliestFitScan(j *Job, w int, dur int64, placements []Placement, limit int64) (int64, int, bool) {
 	n := len(placements)
-	byStart, byEnd := f.byStart, f.byEnd
+	byStart, byEnd := make([]int, n), make([]int, n)
+	cands := []int64{0}
+	for i := range placements {
+		byStart[i], byEnd[i] = i, i
+		cands = append(cands, placements[i].End, placements[i].Start-dur)
+	}
+	slices.SortFunc(byStart, func(a, b int) int { return cmp.Compare(placements[a].Start, placements[b].Start) })
+	slices.SortFunc(byEnd, func(a, b int) int { return cmp.Compare(placements[a].End, placements[b].End) })
+	slices.Sort(cands)
+	cands = slices.Compact(cands)
 
 	occ := make([]int32, f.binWidth)
-	// Candidate keys read from the placements, not prepare's key arrays,
-	// so the reference also checks those.
-	startKey, endKey := make([]int64, n), make([]int64, n)
-	for i := range n {
-		startKey[i], endKey[i] = placements[byStart[i]].Start, placements[byEnd[i]].End
-	}
 	groupActive := 0
 	si, ei := 0, 0
-	gen := candGen{startKey: startKey, endKey: endKey, dur: dur}
-	for t := int64(0); t <= limit; {
+	for _, t := range cands {
+		if t < 0 {
+			continue
+		}
+		if t > limit {
+			break
+		}
 		for si < n && placements[byStart[si]].Start < t+dur {
 			p := &placements[byStart[si]]
 			for wire := p.WireLo; wire < p.WireLo+p.Width; wire++ {
@@ -93,11 +104,6 @@ func (f *fitter) earliestFitScan(j *Job, w int, dur int64, placements []Placemen
 				}
 			}
 		}
-		nt := gen.next(t)
-		if nt == math.MaxInt64 {
-			break
-		}
-		t = nt
 	}
 	return 0, 0, false
 }
@@ -109,8 +115,7 @@ func (f *fitter) earliestFitScan(j *Job, w int, dur int64, placements []Placemen
 func (f *fitter) bestPlacementScan(j *Job, placements []Placement) (Placement, bool) {
 	var best Placement
 	found := false
-	f.prepare(placements)
-	for _, opt := range f.opts[j] {
+	for _, opt := range f.opts.of(j).pts {
 		t, wireLo, ok := f.earliestFitScan(j, opt.Width, opt.Time, placements, math.MaxInt64)
 		if !ok {
 			continue
@@ -126,11 +131,11 @@ func (f *fitter) bestPlacementScan(j *Job, placements []Placement) (Placement, b
 
 // FuzzFitterReference packs random job sets (bin widths 1–256, so both
 // one-word and multi-word bitsets; 2–81 jobs, so up to 7 counter
-// slices) and requires the bit-sliced bitset fitter to
-// match the counter-scan reference at every step: raw earliest-fit
-// answers for every width option, with and without a pruning limit,
-// and the chosen placement. Any divergence is a bug in the bitset
-// sweep or in bestPlacement's pruning.
+// slices) on an incrementally maintained board and requires the
+// bit-sliced bitset fitter to match the counter-scan reference at every
+// step: raw earliest-fit answers for every width option, with and
+// without a pruning limit, and the chosen placement. Any divergence is a
+// bug in the bitset sweep, the board or bestPlacement's pruning.
 func FuzzFitterReference(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(12))
 	f.Add(int64(7), uint8(1), uint8(5))
@@ -155,42 +160,147 @@ func FuzzFitterReference(f *testing.F) {
 
 		cfg := config{improvePasses: len(jobs), paretoOnly: true}
 		opts := newOptionTable(jobs, binWidth, cfg)
-		bitset := newFitter(opts, binWidth, cfg)
-		scan := newFitter(opts, binWidth, cfg)
+		fit := newFitter(opts, binWidth, cfg)
 
 		s := &Schedule{Width: binWidth}
 		for _, j := range jobs {
 			// Raw earliest-fit answers must agree for every width option,
 			// with and without a pruning limit.
-			bitset.prepare(s.Placements)
-			scan.prepare(s.Placements)
-			for _, opt := range opts[j] {
+			for _, opt := range opts.of(j).pts {
 				for _, limit := range []int64{math.MaxInt64, 100} {
-					bt, bw, bok := bitset.earliestFit(j, opt.Width, opt.Time, s.Placements, limit)
-					st, sw, sok := scan.earliestFitScan(j, opt.Width, opt.Time, s.Placements, limit)
+					bt, bw, bok := fit.earliestFit(opts.of(j).gid, opt.Width, opt.Time, limit)
+					st, sw, sok := fit.earliestFitScan(j, opt.Width, opt.Time, s.Placements, limit)
 					if bt != st || bw != sw || bok != sok {
 						t.Fatalf("earliestFit(%s, w=%d, dur=%d, limit=%d) diverges: bitset (%d,%d,%v) scan (%d,%d,%v)",
 							j.ID, opt.Width, opt.Time, limit, bt, bw, bok, st, sw, sok)
 					}
 				}
 			}
-			bp, bok := bitset.bestPlacement(j, s.Placements)
-			sp, sok := scan.bestPlacementScan(j, s.Placements)
+			bp, bok := fit.bestPlacement(j, math.MaxInt64)
+			sp, sok := fit.bestPlacementScan(j, s.Placements)
 			if bok != sok || bp != sp {
 				t.Fatalf("bestPlacement(%s) diverges: bitset %+v/%v scan %+v/%v", j.ID, bp, bok, sp, sok)
 			}
 			if !bok {
 				t.Fatalf("could not place %s in width-%d bin", j.ID, binWidth)
 			}
-			s.Placements = append(s.Placements, bp)
-			if bp.End > s.Makespan {
-				s.Makespan = bp.End
-			}
+			fit.place(s, bp)
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("packed schedule invalid: %v", err)
 		}
 	})
+}
+
+// checkBoard requires f's board to hold exactly the edges a fresh
+// prepare of s builds, each array sorted by key. Equal keys may sit in
+// either order, so both boards are compared in (key, wire) order.
+func checkBoard(t *testing.T, f *fitter, s *Schedule) {
+	t.Helper()
+	byKey := func(a, b edge) int { return cmp.Compare(a.key, b.key) }
+	if !slices.IsSortedFunc(f.starts, byKey) || !slices.IsSortedFunc(f.ends, byKey) {
+		t.Fatalf("board out of key order:\nstarts %v\nends %v", f.starts, f.ends)
+	}
+	fresh := f.fork()
+	fresh.prepare(s.Placements)
+	canon := func(es []edge) []edge {
+		return slices.SortedFunc(slices.Values(es), func(a, b edge) int {
+			return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.lo, b.lo))
+		})
+	}
+	if !slices.Equal(canon(f.starts), canon(fresh.starts)) || !slices.Equal(canon(f.ends), canon(fresh.ends)) {
+		t.Fatalf("board diverges from a fresh prepare:\nstarts %v want %v\nends %v want %v",
+			f.starts, fresh.starts, f.ends, fresh.ends)
+	}
+}
+
+// FuzzFitterBoard applies random place/unplace sequences to valid
+// schedules of random job sets and, after every step, requires the
+// incrementally sorted board to equal a fresh prepare of the live
+// placements and bestPlacement to match the counter-scan reference for
+// a job not on the board. Placements come from bestPlacement itself,
+// bounded or not, so every schedule stays valid.
+func FuzzFitterBoard(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(12), uint8(40))
+	f.Add(int64(7), uint8(1), uint8(5), uint8(30))
+	f.Add(int64(42), uint8(63), uint8(16), uint8(60))
+	f.Add(int64(17), uint8(65), uint8(10), uint8(50))
+	f.Add(int64(77), uint8(200), uint8(13), uint8(80))
+	f.Add(int64(68), uint8(15), uint8(79), uint8(200))
+	f.Fuzz(func(t *testing.T, seed int64, widthByte, nByte, stepsByte uint8) {
+		binWidth := 1 + int(widthByte)
+		n := 2 + int(nByte)%80
+		jobs := randomJobs(seed, n, binWidth)
+		cfg := config{improvePasses: len(jobs), paretoOnly: true}
+		fit := newFitter(newOptionTable(jobs, binWidth, cfg), binWidth, cfg)
+		rng := rand.New(rand.NewSource(seed))
+
+		s := &Schedule{Width: binWidth}
+		off := slices.Clone(jobs) // jobs not on the board
+		for range int(stepsByte) {
+			if len(off) > 0 {
+				j := off[rng.Intn(len(off))]
+				bp, bok := fit.bestPlacement(j, math.MaxInt64)
+				sp, sok := fit.bestPlacementScan(j, s.Placements)
+				if bok != sok || bp != sp {
+					t.Fatalf("bestPlacement(%s) diverges: board %+v/%v scan %+v/%v", j.ID, bp, bok, sp, sok)
+				}
+			}
+			if len(off) > 0 && (len(s.Placements) == 0 || rng.Intn(3) > 0) {
+				k := rng.Intn(len(off))
+				j := off[k]
+				// A bounded query may come back empty; the unbounded one
+				// always places.
+				p, ok := fit.bestPlacement(j, rng.Int63n(2*s.Makespan+400))
+				if !ok {
+					p, _ = fit.bestPlacement(j, math.MaxInt64)
+				}
+				fit.place(s, p)
+				off = slices.Delete(off, k, k+1)
+			} else {
+				p := fit.unplace(s, rng.Intn(len(s.Placements)))
+				off = append(off, p.Job)
+			}
+			checkBoard(t, fit, s)
+			if err := s.Validate(); err != nil {
+				t.Fatalf("schedule invalid: %v", err)
+			}
+		}
+	})
+}
+
+// TestBestPlacementBounded pins the bounded query against the unbounded
+// one over random schedules: for every placed job, taken off the board,
+// bestPlacement(j, maxEnd) must return the unbounded answer whenever
+// that ends by maxEnd, and nothing otherwise — for maxEnd at the job's
+// old end (repack's bound), the makespan minus one (improve's), zero,
+// and random values.
+func TestBestPlacementBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 150; trial++ {
+		binWidth := 1 + rng.Intn(130)
+		jobs := randomJobs(int64(trial), 2+rng.Intn(30), binWidth)
+		cfg := config{improvePasses: len(jobs), paretoOnly: true}
+		f := newFitter(newOptionTable(jobs, binWidth, cfg), binWidth, cfg)
+		s, err := packList(jobs, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range slices.Clone(s.Placements) {
+			removed := f.unplace(s, slices.IndexFunc(s.Placements, func(q Placement) bool { return q.Job == p.Job }))
+			want, wok := f.bestPlacement(removed.Job, math.MaxInt64)
+			if !wok {
+				t.Fatalf("trial %d: %s has no unbounded placement", trial, removed.Job.ID)
+			}
+			for _, maxEnd := range []int64{removed.End, s.Makespan - 1, 0, rng.Int63n(s.Makespan + 1), rng.Int63n(2*s.Makespan + 1)} {
+				got, ok := f.bestPlacement(removed.Job, maxEnd)
+				if fits := want.End <= maxEnd; ok != fits || (fits && got != want) {
+					t.Fatalf("trial %d: bestPlacement(%s, %d) = %+v/%v, unbounded %+v", trial, removed.Job.ID, maxEnd, got, ok, want)
+				}
+			}
+			f.place(s, removed)
+		}
+	}
 }
 
 // TestLowestFreeRun pins the bitset band search against a wire-by-wire

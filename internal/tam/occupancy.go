@@ -12,24 +12,24 @@ import (
 // fitter answers earliest-fit queries against a schedule's placements
 // with a single time sweep per query instead of the per-candidate full
 // rescans of the naive formulation. One fitter serves one packing
-// goroutine: it owns reusable scratch buffers (start/end-sorted
-// placement indices and their keys, the bit-sliced occupancy counters
-// and the busy bitset), sized from the job count when the fitter is
-// built, so steady-state queries allocate nothing. The per-job width
-// options (the Pareto staircase, or the full staircase under
-// WithFullStaircase) are precomputed once per pack and shared
-// read-only between fitters.
+// goroutine and mirrors that goroutine's schedule on a board: the
+// placements' start and end edges, each array kept sorted by its time
+// key as place and unplace edit the schedule, so a query never sorts.
+// All scratch (the board, the bit-sliced occupancy counters and the
+// busy bitset) is sized from the job count when the fitter is built, so
+// steady-state placements and queries allocate nothing. The per-job
+// width options (the Pareto staircase, or the full staircase under
+// WithFullStaircase) are precomputed once per pack and shared read-only
+// between fitters.
 //
 // Three speedups over the naive rescan live here:
 //
 //   - the candidate start times of a query (0, each placed rectangle's
 //     end, and each start minus the query duration) are not collected
 //     and sorted per width option; they are generated in ascending
-//     order by merging the byStart/byEnd orders, whose keys prepare
-//     copies into flat startKey/endKey arrays so the cursors read
-//     sequential int64s rather than Placement structs; bestPlacement
-//     prepares once per job and shares the orders across every width
-//     option of that job;
+//     order by merging the board's two edge arrays, whose 16-byte,
+//     pointer-free edges the cursors read sequentially, so every width
+//     option of a job shares the one incrementally maintained order;
 //   - the occupancy of the moving window is kept as vertical
 //     (bit-sliced) counters: bit w of slice k is bit k of wire w's
 //     count, so admitting or retiring a placement is a carry or borrow
@@ -41,116 +41,183 @@ import (
 //     most 64 wires — every width the paper sweeps — is simply a
 //     one-word bitset. The per-wire counter scan lives on only in the
 //     tests, as the reference this sweep is fuzzed against
-//     (FuzzFitterReference).
+//     (FuzzFitterReference, FuzzFitterBoard).
 type fitter struct {
 	binWidth int
 	cfg      config
 
-	// opts maps each job to its candidate width options, precomputed by
-	// newOptionTable. Read-only after construction; safe to share.
-	opts map[*Job][]wrapper.Point
+	// opts holds each job's candidate width options and group ID.
+	// Read-only after construction; safe to share.
+	opts optionTable
 
-	// Scratch buffers, reused across queries.
-	byStart  []int32  // placement indices ordered by Start
-	byEnd    []int32  // placement indices ordered by End
-	startKey []int64  // startKey[i] = placements[byStart[i]].Start
-	endKey   []int64  // endKey[i] = placements[byEnd[i]].End
-	cnt      []uint64 // bit-sliced counters: word wi, slice k at cnt[wi*depth+k]
-	busy     []uint64 // bit w set iff wire w's count is nonzero
+	// The board: one edge per placement in each array, starts sorted by
+	// Start and ends by End.
+	starts []edge
+	ends   []edge
+	// Query scratch.
+	cnt  []uint64 // bit-sliced counters: word wi, slice k at cnt[wi*depth+k]
+	busy []uint64 // bit w set iff wire w's count is nonzero
 }
 
+// optionTable is the per-job data every query reads: the job's entry in
+// jobs is at index idx[job].
+type optionTable struct {
+	idx  map[*Job]int32
+	jobs []jobOpts
+}
+
+// jobOpts is one job's entry in the option table.
+type jobOpts struct {
+	pts []wrapper.Point
+	gid int32 // serialization group ID; 0 means no group
+}
+
+// of returns j's entry; j must be one of the table's jobs.
+func (t optionTable) of(j *Job) *jobOpts { return &t.jobs[t.idx[j]] }
+
+// edge is one placement's start or end on the board: its time key and
+// wire band, and its job's group ID. A (key, lo) pair identifies a
+// placement within either array, because two placements sharing a
+// start (or an end) and a first wire would overlap.
+type edge struct {
+	key   int64
+	lo, w uint16
+	gid   int32
+}
+
+// maxBinWidth is the widest bin an edge's uint16 wire band can address.
+const maxBinWidth = 1<<16 - 1
+
 // newOptionTable precomputes the width options the packer will try for
-// every job, so placement loops never re-derive the usable staircase.
-func newOptionTable(jobs []*Job, binWidth int, cfg config) map[*Job][]wrapper.Point {
-	opts := make(map[*Job][]wrapper.Point, len(jobs))
-	for _, j := range jobs {
-		opts[j] = candidateWidths(j, binWidth, cfg)
+// every job, so placement loops never re-derive the usable staircase,
+// and numbers the serialization groups: a grouped job's ID is one past
+// the index of the first job in its group.
+func newOptionTable(jobs []*Job, binWidth int, cfg config) optionTable {
+	t := optionTable{idx: make(map[*Job]int32, len(jobs)), jobs: make([]jobOpts, len(jobs))}
+	for i, j := range jobs {
+		t.idx[j] = int32(i)
+		t.jobs[i].pts = candidateWidths(j, binWidth, cfg)
+		for k := 0; j.Group != "" && t.jobs[i].gid == 0; k++ {
+			if jobs[k].Group == j.Group {
+				t.jobs[i].gid = int32(k + 1)
+			}
+		}
 	}
-	return opts
+	return t
 }
 
 // newFitter builds a fitter whose scratch is sized for a schedule of
-// every job in the option table, so prepare and earliestFit never grow
-// a buffer while a pack runs.
-func newFitter(opts map[*Job][]wrapper.Point, binWidth int, cfg config) *fitter {
-	n := len(opts)
+// every job in the option table, so the board and earliestFit never
+// grow a buffer while a pack runs.
+func newFitter(opts optionTable, binWidth int, cfg config) *fitter {
+	n := len(opts.jobs)
 	words := (binWidth + 63) / 64
 	return &fitter{
 		binWidth: binWidth,
 		cfg:      cfg,
 		opts:     opts,
-		byStart:  make([]int32, 0, n),
-		byEnd:    make([]int32, 0, n),
-		startKey: make([]int64, 0, n),
-		endKey:   make([]int64, 0, n),
+		starts:   make([]edge, 0, n),
+		ends:     make([]edge, 0, n),
 		cnt:      make([]uint64, words*bits.Len(uint(n))),
 		busy:     make([]uint64, words),
 	}
 }
 
 // fork returns a fitter sharing the read-only option table but owning
-// fresh scratch buffers, for use by a concurrent packing goroutine.
+// a fresh board and scratch, for use by a concurrent packing goroutine.
 func (f *fitter) fork() *fitter { return newFitter(f.opts, f.binWidth, f.cfg) }
 
-// prepare (re)builds the start- and end-sorted placement index orders
-// the sweep cursors walk, and their flat key arrays. The orders do not
-// depend on the queried rectangle, so bestPlacement builds them once
-// and reuses them across every width option of a job; they must be
-// rebuilt whenever the placements slice changes.
+// edges returns p's start and end edges.
+func (f *fitter) edges(p *Placement) (start, end edge) {
+	start = edge{key: p.Start, lo: uint16(p.WireLo), w: uint16(p.Width), gid: f.opts.of(p.Job).gid}
+	end = start
+	end.key = p.End
+	return start, end
+}
+
+// prepare loads the board from a whole schedule with one sort per
+// array: the polish's starting point, whose schedule another fitter
+// (or none) built.
 func (f *fitter) prepare(placements []Placement) {
-	byStart := f.byStart[:0]
-	byEnd := f.byEnd[:0]
-	for i := 0; i < len(placements); i++ {
-		byStart = append(byStart, int32(i))
-		byEnd = append(byEnd, int32(i))
+	f.starts, f.ends = f.starts[:0], f.ends[:0]
+	for i := range placements {
+		s, e := f.edges(&placements[i])
+		f.starts = append(f.starts, s)
+		f.ends = append(f.ends, e)
 	}
-	slices.SortFunc(byStart, func(a, b int32) int {
-		return cmp.Compare(placements[a].Start, placements[b].Start)
-	})
-	slices.SortFunc(byEnd, func(a, b int32) int {
-		return cmp.Compare(placements[a].End, placements[b].End)
-	})
-	startKey := f.startKey[:0]
-	endKey := f.endKey[:0]
-	for i := range byStart {
-		startKey = append(startKey, placements[byStart[i]].Start)
-		endKey = append(endKey, placements[byEnd[i]].End)
+	byKey := func(a, b edge) int { return cmp.Compare(a.key, b.key) }
+	slices.SortFunc(f.starts, byKey)
+	slices.SortFunc(f.ends, byKey)
+}
+
+// place appends p to the schedule, raises its makespan to cover p, and
+// inserts p's edges into the board.
+func (f *fitter) place(s *Schedule, p Placement) {
+	s.Placements = append(s.Placements, p)
+	s.Makespan = max(s.Makespan, p.End)
+	st, en := f.edges(&p)
+	f.starts = slices.Insert(f.starts, firstEdge(f.starts, st.key), st)
+	f.ends = slices.Insert(f.ends, firstEdge(f.ends, en.key), en)
+}
+
+// unplace swap-removes placement i from the schedule (the last
+// placement takes its slot) and deletes its edges from the board. The
+// makespan is left as is; callers that shrink it recompute it.
+func (f *fitter) unplace(s *Schedule, i int) Placement {
+	p := s.Placements[i]
+	last := len(s.Placements) - 1
+	s.Placements[i] = s.Placements[last]
+	s.Placements = s.Placements[:last]
+	f.starts = deleteEdge(f.starts, p.Start, p.WireLo)
+	f.ends = deleteEdge(f.ends, p.End, p.WireLo)
+	return p
+}
+
+// firstEdge returns the index of the first edge whose key is ≥ key.
+func firstEdge(es []edge, key int64) int {
+	i, _ := slices.BinarySearchFunc(es, key, func(e edge, k int64) int { return cmp.Compare(e.key, k) })
+	return i
+}
+
+// deleteEdge removes the edge identified by (key, lo); it must exist.
+func deleteEdge(es []edge, key int64, lo int) []edge {
+	i := firstEdge(es, key)
+	for int(es[i].lo) != lo {
+		i++
 	}
-	f.byStart, f.byEnd = byStart, byEnd
-	f.startKey, f.endKey = startKey, endKey
+	return slices.Delete(es, i, i+1)
 }
 
 // candGen yields the candidate start times of one earliest-fit query in
 // strictly ascending order: 0, then the ends of placed rectangles and
 // their starts minus the query duration (a window can also become
 // feasible right before a rectangle begins) — the same candidate set as
-// a full collect-and-sort, produced by merging the already-sorted
-// startKey and endKey arrays with two monotone cursors. This is what
-// lets one prepare() serve every width option of a job: the
-// duration-dependent candidate stream costs O(n) per option instead of
-// an O(n log n) sort.
+// a full collect-and-sort, produced by merging the board's sorted start
+// and end edges with two monotone cursors. This is what lets one board
+// serve every width option of a job: the duration-dependent candidate
+// stream costs O(n) per option instead of an O(n log n) sort.
 type candGen struct {
-	startKey []int64
-	endKey   []int64
-	dur      int64
-	ce, cs   int // cursors into endKey / startKey
+	starts []edge
+	ends   []edge
+	dur    int64
+	ce, cs int // cursors into ends / starts
 }
 
 // next returns the smallest candidate strictly greater than t, or
 // math.MaxInt64 when exhausted.
 func (g *candGen) next(t int64) int64 {
-	for g.ce < len(g.endKey) && g.endKey[g.ce] <= t {
+	for g.ce < len(g.ends) && g.ends[g.ce].key <= t {
 		g.ce++
 	}
-	for g.cs < len(g.startKey) && g.startKey[g.cs]-g.dur <= t {
+	for g.cs < len(g.starts) && g.starts[g.cs].key-g.dur <= t {
 		g.cs++
 	}
 	nxt := int64(math.MaxInt64)
-	if g.ce < len(g.endKey) {
-		nxt = g.endKey[g.ce]
+	if g.ce < len(g.ends) {
+		nxt = g.ends[g.ce].key
 	}
-	if g.cs < len(g.startKey) {
-		if s := g.startKey[g.cs] - g.dur; s < nxt {
+	if g.cs < len(g.starts) {
+		if s := g.starts[g.cs].key - g.dur; s < nxt {
 			nxt = s
 		}
 	}
@@ -171,13 +238,11 @@ func bandMask(wi, lo, hi int) uint64 {
 }
 
 // earliestFit returns the earliest start time (and lowest wire band) at
-// which a w×dur rectangle for job j fits among the placements: no wire
-// conflicts and no time overlap with j's serialization group. The
-// caller must have called prepare on the same placements slice, which
-// holds placements of the option table's jobs (so no more than the
-// counters were sized for). Candidates greater than limit are not
-// considered: callers pass the largest start that could still matter to
-// them, which prunes the sweep without changing any answer they act on.
+// which a w×dur rectangle of serialization group gid (0 for none) fits
+// on the board: no wire conflicts and no time overlap with the group.
+// Candidates greater than limit are not considered: callers pass the
+// largest start that could still matter to them, which prunes the sweep
+// without changing any answer they act on.
 //
 // The candidates are visited in ascending order while two monotone
 // cursors maintain the set of placements overlapping the moving window
@@ -192,10 +257,9 @@ func bandMask(wi, lo, hi int) uint64 {
 // iff any slice has its bit set, so the OR of the slices is the busy
 // bitset the band search walks; it is rebuilt only when the window
 // changed since the last candidate.
-func (f *fitter) earliestFit(j *Job, w int, dur int64, placements []Placement, limit int64) (int64, int, bool) {
-	n := len(placements)
-	byStart, byEnd := f.byStart, f.byEnd
-	startKey, endKey := f.startKey, f.endKey
+func (f *fitter) earliestFit(gid int32, w int, dur, limit int64) (int64, int, bool) {
+	starts, ends := f.starts, f.ends
+	n := len(starts)
 	busy := f.busy
 	depth := bits.Len(uint(n)) // counter slices: enough for a count of n
 	cnt := f.cnt[:len(busy)*depth]
@@ -203,14 +267,14 @@ func (f *fitter) earliestFit(j *Job, w int, dur int64, placements []Placement, l
 	dirty := true // busy is stale until first rebuilt from cnt
 	groupActive := 0
 	si, ei := 0, 0
-	gen := candGen{startKey: startKey, endKey: endKey, dur: dur}
+	gen := candGen{starts: starts, ends: ends, dur: dur}
 	for t := int64(0); t <= limit; {
 		// Admit placements entering the window: Start < t+dur. A
 		// placement that also already ended (End <= t) is retired by the
 		// second cursor in the same step, so the counts stay exact.
-		for si < n && startKey[si] < t+dur {
-			p := &placements[byStart[si]]
-			lo, hi := p.WireLo, p.WireLo+p.Width
+		for si < n && starts[si].key < t+dur {
+			e := &starts[si]
+			lo, hi := int(e.lo), int(e.lo)+int(e.w)
 			for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
 				c := cnt[wi*depth : (wi+1)*depth]
 				for k, carry := 0, bandMask(wi, lo, hi); carry != 0; k++ {
@@ -219,15 +283,15 @@ func (f *fitter) earliestFit(j *Job, w int, dur int64, placements []Placement, l
 					carry &= old
 				}
 			}
-			if j.Group != "" && p.Job.Group == j.Group {
+			if gid != 0 && e.gid == gid {
 				groupActive++
 			}
 			si++
 			dirty = true
 		}
-		for ei < n && endKey[ei] <= t {
-			p := &placements[byEnd[ei]]
-			lo, hi := p.WireLo, p.WireLo+p.Width
+		for ei < n && ends[ei].key <= t {
+			e := &ends[ei]
+			lo, hi := int(e.lo), int(e.lo)+int(e.w)
 			for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
 				c := cnt[wi*depth : (wi+1)*depth]
 				for k, borrow := 0, bandMask(wi, lo, hi); borrow != 0; k++ {
@@ -236,7 +300,7 @@ func (f *fitter) earliestFit(j *Job, w int, dur int64, placements []Placement, l
 					borrow &^= old
 				}
 			}
-			if j.Group != "" && p.Job.Group == j.Group {
+			if gid != 0 && e.gid == gid {
 				groupActive--
 			}
 			ei++
@@ -321,13 +385,15 @@ func lowestFreeRun(busy []uint64, binWidth, w int) int {
 }
 
 // bestPlacement finds the placement of j minimizing (end, width, start,
-// wire) against the current placements. One pair of sorted cursor
-// orders serves every width option of the job; options whose bare
-// duration already exceeds the incumbent end are skipped, and each
-// option's sweep stops at the last start that could still tie the
-// incumbent — both prunes are exact under the (end, width, start, wire)
-// order, so the chosen placement is identical to an unpruned search.
-func (f *fitter) bestPlacement(j *Job, placements []Placement) (Placement, bool) {
+// wire) on the board among those ending no later than maxEnd, and
+// reports false when there is none. The bound seeds the incumbent:
+// options whose bare duration already exceeds it are skipped, and each
+// option's sweep stops at the last start that could still tie it. Both
+// prunes are exact under the (end, width, start, wire) order, so the
+// answer is the unbounded minimum whenever that ends by maxEnd; the
+// polish loops pass the end a re-placement must beat, since they discard
+// any later answer.
+func (f *fitter) bestPlacement(j *Job, maxEnd int64) (Placement, bool) {
 	var best Placement
 	found := false
 	better := func(p Placement) bool {
@@ -346,16 +412,12 @@ func (f *fitter) bestPlacement(j *Job, placements []Placement) (Placement, bool)
 		return p.WireLo < best.WireLo
 	}
 
-	f.prepare(placements)
-	for _, opt := range f.opts[j] {
-		limit := int64(math.MaxInt64)
-		if found {
-			if opt.Time > best.End {
-				continue // even a start at 0 ends after the incumbent
-			}
-			limit = best.End - opt.Time
+	jo := f.opts.of(j)
+	for _, opt := range jo.pts {
+		if opt.Time > maxEnd {
+			continue // even a start at 0 ends after the bound
 		}
-		t, wireLo, ok := f.earliestFit(j, opt.Width, opt.Time, placements, limit)
+		t, wireLo, ok := f.earliestFit(jo.gid, opt.Width, opt.Time, maxEnd-opt.Time)
 		if !ok {
 			continue
 		}
@@ -363,6 +425,7 @@ func (f *fitter) bestPlacement(j *Job, placements []Placement) (Placement, bool)
 		if better(p) {
 			best = p
 			found = true
+			maxEnd = p.End
 		}
 	}
 	return best, found

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -138,10 +139,11 @@ func orderBy[K cmp.Ordered](in *instance, key func(*Job) K) []*Job {
 
 // pack is the pipeline every backend runs. It parses the options,
 // validates the request and builds the shared fitter; then the best
-// usable warm seed, or else the backend's cold packing, is handed to
-// the backend's polish step, and the result is checked for cancellation
-// and validated. A backend supplies only cold and polish, so both share
-// one warm-start, cancellation and validation contract.
+// usable warm seed, or else the backend's cold packing, is loaded onto
+// the shared fitter's board and handed to the backend's polish step,
+// and the result is checked for cancellation and validated. A backend
+// supplies only cold and polish, so both share one warm-start,
+// cancellation and validation contract.
 func pack(jobs []*Job, width int, opts []Option,
 	cold func(in *instance, f *fitter) (*Schedule, error),
 	polish func(s *Schedule, f *fitter)) (*Schedule, error) {
@@ -149,8 +151,8 @@ func pack(jobs []*Job, width int, opts []Option,
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if width < 1 {
-		return nil, fmt.Errorf("tam: bin width %d < 1", width)
+	if width < 1 || width > maxBinWidth {
+		return nil, fmt.Errorf("tam: bin width %d outside [1, %d]", width, maxBinWidth)
 	}
 	if len(jobs) == 0 {
 		return &Schedule{Width: width}, nil
@@ -171,6 +173,7 @@ func pack(jobs []*Job, width int, opts []Option,
 			return nil, err
 		}
 	}
+	shared.prepare(s.Placements)
 	polish(s, shared)
 
 	if err := cfg.ctxErr(); err != nil {
@@ -201,17 +204,19 @@ func warmSeed(jobs []*Job, width int, seeds []*Schedule, f *fitter) *Schedule {
 	return best
 }
 
-// Optimize packs the jobs into a TAM of the given width and returns a
-// validated schedule. The heuristic follows the rectangle-packing
-// formulation: jobs are considered longest-first, each is placed at the
-// position and width option minimizing its finish time (preferring
-// narrower widths on ties), and a bounded improvement loop then re-places
-// the jobs that define the makespan, letting them widen into idle wires.
+// Optimize packs the jobs into a TAM of the given width, at most 65535
+// wires, and returns a validated schedule. The heuristic follows the
+// rectangle-packing formulation: jobs are considered longest-first, each
+// is placed at the position and width option minimizing its finish time
+// (preferring narrower widths on ties), and a bounded improvement loop
+// then re-places the jobs that define the makespan, letting them widen
+// into idle wires.
 //
 // The three complementary packing orderings are independent, so they run
-// concurrently; the winner is chosen deterministically (smallest
-// makespan, first ordering on ties), making the result identical to a
-// sequential evaluation. Its polish is repack followed by improve.
+// concurrently, the first on the shared fitter and the others on forks;
+// the winner is chosen deterministically (smallest makespan, first
+// ordering on ties), making the result identical to a sequential
+// evaluation. Its polish is repack followed by improve.
 func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 	return pack(jobs, width, opts, packOrderings, func(s *Schedule, f *fitter) {
 		repack(s, f)
@@ -243,7 +248,10 @@ func packOrderings(in *instance, shared *fitter) (*Schedule, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f := shared.fork()
+			f := shared
+			if oi > 0 {
+				f = shared.fork()
+			}
 			if results[oi], errs[oi] = packList(orderBy(in, key), f); errs[oi] == nil {
 				improve(results[oi], f)
 			}
@@ -339,15 +347,13 @@ func shrinkSeed(jobs []*Job, width int, seed *Schedule, f *fitter) *Schedule {
 		return nil
 	}
 	s := &Schedule{Width: width, Placements: make([]Placement, 0, len(order))}
+	f.prepare(nil)
 	for _, j := range order {
-		p, ok := f.bestPlacement(j, s.Placements)
+		p, ok := f.bestPlacement(j, math.MaxInt64)
 		if !ok {
 			return nil
 		}
-		s.Placements = append(s.Placements, p)
-		if p.End > s.Makespan {
-			s.Makespan = p.End
-		}
+		f.place(s, p)
 	}
 	return s
 }
@@ -356,18 +362,16 @@ func shrinkSeed(jobs []*Job, width int, seed *Schedule, f *fitter) *Schedule {
 func packList(order []*Job, f *fitter) (*Schedule, error) {
 	s := &Schedule{Width: f.binWidth}
 	s.Placements = make([]Placement, 0, len(order))
+	f.prepare(nil)
 	for _, j := range order {
 		if err := f.cfg.ctxErr(); err != nil {
 			return nil, err
 		}
-		p, ok := f.bestPlacement(j, s.Placements)
+		p, ok := f.bestPlacement(j, math.MaxInt64)
 		if !ok {
 			return nil, fmt.Errorf("tam: could not place job %s", j.ID)
 		}
-		s.Placements = append(s.Placements, p)
-		if p.End > s.Makespan {
-			s.Makespan = p.End
-		}
+		f.place(s, p)
 	}
 	return s, nil
 }
@@ -378,7 +382,8 @@ func packList(order []*Job, f *fitter) (*Schedule, error) {
 // inform later choices and every re-placement is checked against the
 // live schedule (including its serialization groups). A re-placed job
 // can always return to its old slot, so each step is monotone: neither
-// the job's end nor the makespan ever increases.
+// the job's end nor the makespan ever increases. f's board must mirror
+// s, and does again on return.
 func repack(s *Schedule, f *fitter) {
 	done := make(map[*Job]bool, len(s.Placements))
 	for {
@@ -402,16 +407,13 @@ func repack(s *Schedule, f *fitter) {
 		if worst < 0 {
 			break
 		}
-		removed := s.Placements[worst]
+		removed := f.unplace(s, worst)
 		done[removed.Job] = true
-		last := len(s.Placements) - 1
-		s.Placements[worst] = s.Placements[last]
-		s.Placements = s.Placements[:last]
-		p, ok := f.bestPlacement(removed.Job, s.Placements)
-		if !ok || p.End > removed.End {
+		p, ok := f.bestPlacement(removed.Job, removed.End)
+		if !ok {
 			p = removed
 		}
-		s.Placements = append(s.Placements, p)
+		f.place(s, p)
 	}
 	s.Makespan = 0
 	for i := range s.Placements {
@@ -453,6 +455,7 @@ func candidateWidths(j *Job, binWidth int, cfg config) []wrapper.Point {
 // loop moves on to the next one instead of giving up — moving the others
 // frees wires and windows that can unstick it on a later pass — and only
 // stops once a whole pass leaves every makespan-defining job in place.
+// f's board must mirror s, and does again on return.
 func improve(s *Schedule, f *fitter) {
 	tried := make(map[*Job]bool)
 	for pass := 0; pass < f.cfg.improvePasses; pass++ {
@@ -477,21 +480,17 @@ func improve(s *Schedule, f *fitter) {
 			if worst < 0 {
 				break
 			}
-			removed := s.Placements[worst]
+			removed := f.unplace(s, worst)
 			tried[removed.Job] = true
-			last := len(s.Placements) - 1
-			s.Placements[worst] = s.Placements[last]
-			s.Placements = s.Placements[:last]
-
-			p, ok := f.bestPlacement(removed.Job, s.Placements)
-			if !ok || p.End >= s.Makespan {
+			p, ok := f.bestPlacement(removed.Job, s.Makespan-1)
+			if !ok {
 				// No strict improvement for this job: restore it and try
 				// the next makespan-defining job.
 				p = removed
 			} else {
 				moved = true
 			}
-			s.Placements = append(s.Placements, p)
+			f.place(s, p)
 		}
 		if !moved {
 			return

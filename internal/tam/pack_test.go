@@ -3,6 +3,7 @@ package tam
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,14 +11,16 @@ import (
 )
 
 // fitterFor builds a fitter over the jobs of a hand-made schedule, the
-// way Optimize would.
+// way Optimize would, with the schedule loaded onto its board.
 func fitterFor(s *Schedule, extra ...*Job) *fitter {
 	jobs := append([]*Job(nil), extra...)
 	for i := range s.Placements {
 		jobs = append(jobs, s.Placements[i].Job)
 	}
 	cfg := config{improvePasses: len(jobs), paretoOnly: true}
-	return newFitter(newOptionTable(jobs, s.Width, cfg), s.Width, cfg)
+	f := newFitter(newOptionTable(jobs, s.Width, cfg), s.Width, cfg)
+	f.prepare(s.Placements)
+	return f
 }
 
 // Regression for the monotonicity gap where improve gave up at the first
@@ -113,14 +116,11 @@ func TestRepackAndImproveAreMonotoneAndValid(t *testing.T) {
 		// Greedy pass without polish, in insertion order.
 		s := &Schedule{Width: width}
 		for _, j := range jobs {
-			p, ok := f.bestPlacement(j, s.Placements)
+			p, ok := f.bestPlacement(j, math.MaxInt64)
 			if !ok {
 				t.Fatalf("trial %d: could not place %s", trial, j.ID)
 			}
-			s.Placements = append(s.Placements, p)
-			if p.End > s.Makespan {
-				s.Makespan = p.End
-			}
+			f.place(s, p)
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("trial %d: greedy schedule invalid: %v", trial, err)

@@ -1,15 +1,15 @@
 package tam
 
-// PackRectangle packs the jobs into a TAM of the given width using the
-// rectangle bin-packing formulation: each (module, width option) is a
-// width×time rectangle, and jobs are placed one at a time in the
-// diagonal-length order of arXiv 1008.4446 — longest diagonal first,
-// where a job's diagonal is measured on its preferred rectangle with
-// both axes normalized to the instance (width by the bin width, time by
-// the longest preferred duration), so neither axis dominates by unit
-// choice alone. Serialization groups weight the time axis by the whole
-// group's serial duration, for the same reason Optimize does: a chain
-// of short tests behaves like one long rectangle.
+// PackRectangle packs the jobs into a TAM of the given width, at most
+// 65535 wires, using the rectangle bin-packing formulation: each
+// (module, width option) is a width×time rectangle, and jobs are placed
+// one at a time in the diagonal-length order of arXiv 1008.4446 —
+// longest diagonal first, where a job's diagonal is measured on its
+// preferred rectangle with both axes normalized to the instance (width
+// by the bin width, time by the longest preferred duration), so neither
+// axis dominates by unit choice alone. Serialization groups weight the
+// time axis by the whole group's serial duration, for the same reason
+// Optimize does: a chain of short tests behaves like one long rectangle.
 //
 // Each job is placed by the same earliest-fit bestPlacement machinery
 // as the occupancy backend — minimizing (end, width, start, wire) over

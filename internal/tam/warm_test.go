@@ -1,6 +1,7 @@
 package tam
 
 import (
+	"math"
 	"testing"
 
 	"mixsoc/internal/wrapper"
@@ -218,20 +219,21 @@ func BenchmarkEarliestFit(b *testing.B) {
 	probe := jobs[len(jobs)-1]
 	placements := s.Placements[:len(s.Placements)-1]
 	cfg := config{improvePasses: len(jobs), paretoOnly: true}
-	opts := newOptionTable(jobs, 64, cfg)
-	run := func(b *testing.B, best func(*Job, []Placement) (Placement, bool)) {
+	f := newFitter(newOptionTable(jobs, 64, cfg), 64, cfg)
+	f.prepare(placements)
+	run := func(b *testing.B, best func() (Placement, bool)) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, ok := best(probe, placements); !ok {
+			if _, ok := best(); !ok {
 				b.Fatal("no placement found")
 			}
 		}
 	}
 	b.Run("bitmask", func(b *testing.B) {
-		run(b, newFitter(opts, 64, cfg).bestPlacement)
+		run(b, func() (Placement, bool) { return f.bestPlacement(probe, math.MaxInt64) })
 	})
 	b.Run("counter-scan", func(b *testing.B) {
-		run(b, newFitter(opts, 64, cfg).bestPlacementScan)
+		run(b, func() (Placement, bool) { return f.bestPlacementScan(probe, placements) })
 	})
 }
 

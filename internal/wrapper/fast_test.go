@@ -1,31 +1,15 @@
 package wrapper
 
 import (
+	"slices"
 	"testing"
 
 	"mixsoc/internal/itc02"
 )
 
-// The allocation-free staircase path (timeWith / waterFillMax) must
-// reproduce the reference design computation exactly for every module
-// and width — Pareto and BestTime are defined in terms of New.
-func TestFastTimeMatchesDesign(t *testing.T) {
-	for _, m := range itc02.P93791().Cores() {
-		buf := newDesignBuf(m, 64)
-		for w := 1; w <= 64; w++ {
-			ref, err := Time(m, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := timeWith(m, w, buf); got != ref {
-				t.Fatalf("module %d width %d: timeWith = %d, Time = %d", m.ID, w, got, ref)
-			}
-		}
-	}
-}
-
-// waterFillMax must agree with the max of the materialized waterFill for
-// adversarial small cases (remainder spreads, zero cells, single bin).
+// waterFillMax over the sorted levels must agree with the max of the
+// materialized waterFill over the unsorted bins for adversarial small
+// cases (remainder spreads, zero cells, single bin).
 func TestWaterFillMaxMatchesWaterFill(t *testing.T) {
 	cases := []struct {
 		base  []int
@@ -43,8 +27,8 @@ func TestWaterFillMaxMatchesWaterFill(t *testing.T) {
 	for _, c := range cases {
 		full := waterFill(c.base, c.cells, len(c.base))
 		want := maxOf(full)
-		lv := make([]int, len(c.base))
-		if got := waterFillMax(c.base, c.cells, lv); got != want {
+		lv := slices.Sorted(slices.Values(c.base))
+		if got := waterFillMax(lv, c.cells); got != want {
 			t.Errorf("waterFillMax(%v, %d) = %d, want %d (filled %v)", c.base, c.cells, got, want, full)
 		}
 	}

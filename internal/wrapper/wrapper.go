@@ -151,27 +151,24 @@ func partitionBFDInto(sortedDesc []int, bins []int) {
 // not allocate per width. One buffer serves one goroutine.
 type designBuf struct {
 	sortedScan []int // module scan chains, descending, computed once
-	bins       []int // BFD partition scratch
-	lv         []int // sorted bin levels for waterFillMax
+	lv         []int // sorted wrapper chain levels, one per wire
 }
 
 func newDesignBuf(m *itc02.Module, maxW int) *designBuf {
 	return &designBuf{
 		sortedScan: m.SortedScanDescending(),
-		bins:       make([]int, maxW),
 		lv:         make([]int, maxW),
 	}
 }
 
 // waterFillMax returns the maximum bin level after water-filling cells
-// over base (the quantity scanTestTime needs), without materializing the
-// filled bins. It reproduces waterFill's arithmetic exactly: bins are
-// raised lowest-first to a common level, then the remainder is spread
-// one cell per bin. lv is scratch of len(base), overwritten.
-func waterFillMax(base []int, cells int, lv []int) int {
-	w := len(base)
-	copy(lv, base)
-	slices.Sort(lv)
+// over the ascending levels lv (the quantity scanTestTime needs),
+// without materializing the filled bins. It reproduces waterFill's
+// arithmetic exactly: bins are raised lowest-first to a common level,
+// then the remainder is spread one cell per bin. Water-filling depends
+// only on the multiset of levels, so sorted levels serve any bin order.
+func waterFillMax(lv []int, cells int) int {
+	w := len(lv)
 	maxBase := lv[w-1]
 	if cells <= 0 {
 		return maxBase
@@ -203,12 +200,22 @@ func waterFillMax(base []int, cells int, lv []int) int {
 
 // timeWith computes Time(m, w) through the scratch buffers: the same
 // BFD partition, water-filling and per-test formula as New, minus every
-// allocation.
+// allocation. The partition's levels are sorted once for both
+// water-fills; with no more chains than wires BFD gives every chain its
+// own wire, so the levels are w−c zeros and the chains, ascending.
 func timeWith(m *itc02.Module, w int, b *designBuf) int64 {
-	bins := b.bins[:w]
-	partitionBFDInto(b.sortedScan, bins)
-	si := waterFillMax(bins, m.Inputs+m.Bidirs, b.lv[:w])
-	so := waterFillMax(bins, m.Outputs+m.Bidirs, b.lv[:w])
+	lv := b.lv[:w]
+	if c := len(b.sortedScan); c <= w {
+		clear(lv[:w-c])
+		for i, l := range b.sortedScan {
+			lv[w-1-i] = l
+		}
+	} else {
+		partitionBFDInto(b.sortedScan, lv)
+		slices.Sort(lv)
+	}
+	si := waterFillMax(lv, m.Inputs+m.Bidirs)
+	so := waterFillMax(lv, m.Outputs+m.Bidirs)
 
 	var total int64
 	for _, t := range m.Tests {
