@@ -93,6 +93,9 @@ type engineSession struct {
 	// empty when hashing failed.
 	digitalHash string
 	maxWidths   int // schedule caches kept before width-LRU eviction
+	// table is the design's costed candidate table, built by the first
+	// planning call and read by every later one.
+	table *sharedTable
 
 	plans atomic.Uint64 // planning calls served
 
@@ -227,6 +230,7 @@ func (e *Engine) session(d *Design, hash string) (*engineSession, error) {
 		hash:      hash,
 		design:    clone,
 		maxWidths: e.opts.MaxWidthCaches,
+		table:     &sharedTable{d: clone},
 		byWidth:   map[widthKey]*widthCache{},
 	}
 	s.stairs = s.newStairs(e.opts.MaxWidth)
@@ -295,10 +299,11 @@ func (s *engineSession) newStairs(maxW int) *wrapper.StaircaseCache {
 
 // caches wires a planning call over widths up to maxW to the session:
 // the engine's instrumented packer for the backend, the engine's
-// digital-jobs cache, the session's cold schedule caches, and its
-// staircase cache. The staircase cache grows (is replaced by a wider,
-// initially empty one) when the call needs widths beyond what it
-// precomputes; the prefix property keeps its answers bit-identical.
+// digital-jobs cache, the session's cold schedule caches, its
+// candidate table, and its staircase cache. The staircase cache grows
+// (is replaced by a wider, initially empty one) when the call needs
+// widths beyond what it precomputes; the prefix property keeps its
+// answers bit-identical.
 func (s *engineSession) caches(maxW int, backend string) (*planCaches, error) {
 	pk, err := s.engine.packerFor(backend)
 	if err != nil {
@@ -315,6 +320,7 @@ func (s *engineSession) caches(maxW int, backend string) (*planCaches, error) {
 		packer:  pk,
 		digital: s.engine.digitalJobs,
 		digKey:  s.digitalHash,
+		table:   s.table,
 		cache:   func(w int) *ScheduleCache { return s.scheduleCache(w, pk.Name()) },
 	}, nil
 }

@@ -302,13 +302,18 @@ func (e *Evaluator) ScheduleContext(ctx context.Context, p partition.Partition) 
 	if err != nil {
 		return nil, err
 	}
+	e.count(key)
+	return s, nil
+}
+
+// count accounts the schedule under key toward Runs, once per key.
+func (e *Evaluator) count(key string) {
 	e.mu.Lock()
 	if !e.counted[key] {
 		e.counted[key] = true
 		e.runs++
 	}
 	e.mu.Unlock()
-	return s, nil
 }
 
 // Prefetch computes and caches the schedule for configuration p without
@@ -323,12 +328,6 @@ func (e *Evaluator) Prefetch(p partition.Partition) {
 // leaves no trace in the cache.
 func (e *Evaluator) PrefetchContext(ctx context.Context, p partition.Partition) {
 	_, _ = e.compute(ctx, p, p.Key(nil))
-}
-
-// scheduleUncounted is Prefetch returning its schedule: it computes and
-// caches without touching Runs, for speculative cost probes.
-func (e *Evaluator) scheduleUncounted(ctx context.Context, p partition.Partition) (*tam.Schedule, error) {
-	return e.compute(ctx, p, p.Key(nil))
 }
 
 // TestTime returns the SOC test time for configuration p in cycles.

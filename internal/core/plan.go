@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"mixsoc/internal/analog"
 	"mixsoc/internal/partition"
@@ -77,6 +78,12 @@ type Planner struct {
 	// occupancy backend, and nil means it too. A shared Cache must be
 	// private to the backend.
 	Packer tam.Packer
+
+	// table, when non-nil, serves the costed candidates from a table
+	// shared across planners of the design. Only planners whose cost
+	// model and policy are NewPlanner's defaults are wired to one; nil
+	// costs the candidates afresh under the planner's own model.
+	table *sharedTable
 }
 
 // NewPlanner returns a planner with the defaults used by the paper's
@@ -157,11 +164,81 @@ func (pl *Planner) evaluator() *Evaluator {
 	return e
 }
 
-// candidate is one feasible configuration, costed once: its area term
-// CA and its preliminary cost (equation 3) need no TAM run.
+// costed is one feasible configuration with everything about it that
+// needs no TAM run: its schedule-cache key, its wrapper count, its area
+// term CA (equation 1) and its normalized analog test-time lower bound
+// LTBnorm (equation 2).
+type costed struct {
+	p        partition.Partition
+	key      string // p.Key(nil)
+	wrappers int
+	ca, ltb  float64
+}
+
+// candidateTable is a design's candidate set costed under one cost
+// model and policy. None of it depends on the TAM width or the cost
+// weights, so an Engine session (or a one-shot sweep) builds it once
+// and every planner over the design reads it. It is read-only once
+// built.
+type candidateTable struct {
+	candidates int      // configurations the policy admits
+	infeasible int      // of those, rejected by the feasibility rule
+	feasible   []costed // in candidate order
+	allShare   costed   // the CT normalization point; only p and key set
+}
+
+// costCandidates enumerates the design's candidates and costs every
+// feasible one; the cost model's feasibility rule drops the rest (the
+// paper's "should not be considered"). It is the planner's only costing
+// loop.
+func costCandidates(d *Design, cm analog.CostModel, policy partition.Policy) (*candidateTable, error) {
+	cands := d.Candidates(policy)
+	if len(cands) == 0 {
+		return nil, fmt.Errorf("core: policy admits no candidate configurations")
+	}
+	t := &candidateTable{candidates: len(cands), feasible: make([]costed, 0, len(cands))}
+	for _, p := range cands {
+		if skip, err := infeasible(cm, d, p); err != nil {
+			return nil, err
+		} else if skip {
+			t.infeasible++
+			continue
+		}
+		ca, ltb, err := costParts(d, cm, p)
+		if err != nil {
+			return nil, err
+		}
+		t.feasible = append(t.feasible, costed{p: p, key: p.Key(nil), wrappers: p.Wrappers(), ca: ca, ltb: ltb})
+	}
+	if len(t.feasible) == 0 {
+		return nil, fmt.Errorf("core: every candidate configuration is infeasible")
+	}
+	t.allShare.p = d.AllShare()
+	t.allShare.key = t.allShare.p.Key(nil)
+	return t, nil
+}
+
+// sharedTable is a design's candidate table under the default cost
+// model and the paper's policy — what NewPlanner installs — built on
+// first use and then shared by every planner wired to it.
+type sharedTable struct {
+	once sync.Once
+	d    *Design
+	t    *candidateTable
+	err  error
+}
+
+func (s *sharedTable) get() (*candidateTable, error) {
+	s.once.Do(func() {
+		s.t, s.err = costCandidates(s.d, analog.DefaultCostModel(), partition.PaperPolicy)
+	})
+	return s.t, s.err
+}
+
+// candidate is a feasible configuration of the table with its
+// preliminary cost (equation 3) at the run's weights.
 type candidate struct {
-	p      partition.Partition
-	ca     float64
+	*costed
 	prelim float64
 }
 
@@ -178,46 +255,41 @@ type run struct {
 	*Planner
 	ctx      context.Context
 	e        *Evaluator
+	table    *candidateTable
 	feasible []candidate // in candidate order
 	res      *Result
 	best     int // index of the incumbent in res.Evaluated; -1 for none
 }
 
-// setup resolves the defaults, enumerates the candidates and costs
-// every feasible one; the cost model's feasibility rule drops the rest
-// (the paper's "should not be considered").
+// setup resolves the defaults and the costed candidate table — the
+// shared one when the planner is wired to it, else its own — and prices
+// every feasible candidate's preliminary cost at the planner's weights.
 func (pl *Planner) setup(ctx context.Context, method string) (*run, error) {
 	cm, policy, err := pl.defaults()
 	if err != nil {
 		return nil, err
 	}
-	cands := pl.Design.Candidates(policy)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("core: policy admits no candidate configurations")
+	var t *candidateTable
+	if pl.table != nil {
+		t, err = pl.table.get()
+	} else {
+		t, err = costCandidates(pl.Design, cm, policy)
+	}
+	if err != nil {
+		return nil, err
 	}
 	r := &run{
 		Planner:  pl,
 		ctx:      ctx,
 		e:        pl.evaluator(),
-		feasible: make([]candidate, 0, len(cands)),
-		res:      &Result{Method: method, Candidates: len(cands)},
+		table:    t,
+		feasible: make([]candidate, len(t.feasible)),
+		res:      &Result{Method: method, Candidates: t.candidates, Infeasible: t.infeasible},
 		best:     -1,
 	}
-	for _, p := range cands {
-		if skip, err := infeasible(cm, pl.Design, p); err != nil {
-			return nil, err
-		} else if skip {
-			r.res.Infeasible++
-			continue
-		}
-		ca, ltb, err := costParts(pl.Design, cm, p)
-		if err != nil {
-			return nil, err
-		}
-		r.feasible = append(r.feasible, candidate{p: p, ca: ca, prelim: pl.Weights.Time*ltb + pl.Weights.Area*ca})
-	}
-	if len(r.feasible) == 0 {
-		return nil, fmt.Errorf("core: every candidate configuration is infeasible")
+	for i := range t.feasible {
+		c := &t.feasible[i]
+		r.feasible[i] = candidate{costed: c, prelim: pl.Weights.Time*c.ltb + pl.Weights.Area*c.ca}
 	}
 	return r, nil
 }
@@ -226,21 +298,24 @@ func (pl *Planner) setup(ctx context.Context, method string) (*run, error) {
 // than one worker it first packs the all-share point and warm in
 // parallel; the replay accounts them.
 func (r *run) allShare(warm []candidate) error {
-	allShareP := r.Design.AllShare()
 	if r.workers() > 1 {
 		if err := ForEachCtx(r.ctx, len(warm)+1, r.workers(), func(i int) {
 			if i == 0 {
-				r.e.PrefetchContext(r.ctx, allShareP)
+				_, _ = r.e.compute(r.ctx, r.table.allShare.p, r.table.allShare.key)
 				return
 			}
-			r.e.PrefetchContext(r.ctx, warm[i-1].p)
+			_, _ = r.e.compute(r.ctx, warm[i-1].p, warm[i-1].key)
 		}); err != nil {
 			return err
 		}
 	}
-	t, err := r.e.TestTimeContext(r.ctx, allShareP)
-	r.res.AllShare = t
-	return err
+	s, err := r.e.compute(r.ctx, r.table.allShare.p, r.table.allShare.key)
+	if err != nil {
+		return err
+	}
+	r.e.count(r.table.allShare.key)
+	r.res.AllShare = s.Makespan
+	return nil
 }
 
 // cost is the full cost of c at makespan t.
@@ -292,7 +367,7 @@ func (r *run) speculate(list []candidate, pr prune) error {
 		if skip, _, err := r.skip(c, inc.load(), pr); err != nil || skip {
 			return // the replay reports errors deterministically
 		}
-		s, err := r.e.scheduleUncounted(r.ctx, c.p)
+		s, err := r.e.compute(r.ctx, c.p, c.key)
 		if err != nil {
 			return
 		}
@@ -317,10 +392,12 @@ func (r *run) replay(list []candidate, pr prune) error {
 		if skip {
 			continue
 		}
-		t, err := r.e.TestTimeContext(r.ctx, c.p)
+		s, err := r.e.compute(r.ctx, c.p, c.key)
 		if err != nil {
 			return err
 		}
+		r.e.count(c.key)
+		t := s.Makespan
 		ct, cost := r.cost(c, t)
 		r.res.Evaluated = append(r.res.Evaluated, Evaluation{
 			Partition: c.p, TestTime: t, CT: ct, CA: c.ca, Cost: cost, Prelim: c.prelim,
@@ -431,17 +508,17 @@ func (pl *Planner) CostOptimizerContext(ctx context.Context) (*Result, error) {
 	// wrappers first; within it members go by preliminary cost, then
 	// label, so its first member is its representative.
 	slices.SortFunc(r.feasible, func(a, b candidate) int {
-		if c := cmp.Compare(b.p.Wrappers(), a.p.Wrappers()); c != 0 {
+		if c := cmp.Compare(b.wrappers, a.wrappers); c != 0 {
 			return c
 		}
 		if c := cmp.Compare(a.prelim, b.prelim); c != 0 {
 			return c
 		}
-		return strings.Compare(a.p.Key(nil), b.p.Key(nil))
+		return strings.Compare(a.key, b.key)
 	})
 	var reps []candidate
 	for i, c := range r.feasible {
-		if i == 0 || c.p.Wrappers() != r.feasible[i-1].p.Wrappers() {
+		if i == 0 || c.wrappers != r.feasible[i-1].wrappers {
 			reps = append(reps, c)
 		}
 	}
@@ -463,8 +540,8 @@ func (pl *Planner) CostOptimizerContext(ctx context.Context) (*Result, error) {
 	bestRep, g, wrappers := r.bestCost(), -1, 0
 	rest := r.feasible[:0]
 	for _, c := range r.feasible {
-		if c.p.Wrappers() != wrappers {
-			g, wrappers = g+1, c.p.Wrappers() // the representative, already evaluated
+		if c.wrappers != wrappers {
+			g, wrappers = g+1, c.wrappers // the representative, already evaluated
 			continue
 		}
 		if r.res.Evaluated[g].Cost <= bestRep+pl.Epsilon {

@@ -135,15 +135,17 @@ func SweepWithContext(ctx context.Context, d *Design, widths []int, weights []We
 
 // planCaches is the cache wiring of a planning call: the wrapper
 // staircase cache, the packer, the cross-design digital-jobs cache and
-// the design's key in it, and the source of each width's cold schedule
-// cache. One-shot calls get private ones from freshCaches; an Engine
-// session hands out its long-lived ones (engineSession.caches), so
-// repeated calls over one design reuse each other's packings.
+// the design's key in it, the design's costed candidate table, and the
+// source of each width's cold schedule cache. One-shot calls get
+// private ones from freshCaches; an Engine session hands out its
+// long-lived ones (engineSession.caches), so repeated calls over one
+// design reuse each other's packings and costings.
 type planCaches struct {
 	stairs  *wrapper.StaircaseCache
 	packer  tam.Packer
 	digital *DigitalJobsCache
 	digKey  string
+	table   *sharedTable
 	// cache returns the cold schedule cache for a width; distinct
 	// packers get distinct caches.
 	cache func(width int) *ScheduleCache
@@ -169,6 +171,7 @@ func (c *planCaches) wire(pl *Planner, sc *ScheduleCache) {
 	pl.Staircases = c.stairs
 	pl.Digital, pl.DigitalKey = c.digital, c.digKey
 	pl.Packer = c.packer
+	pl.table = c.table
 }
 
 // sweep is the sweep engine room; caches supplies the wiring for
@@ -212,6 +215,9 @@ func sweep(ctx context.Context, d *Design, widths []int, weights []Weights, opt 
 	if err != nil {
 		return nil, err
 	}
+	if pc.table == nil { // one-shot caches: one table for the sweep
+		pc.table = &sharedTable{d: d}
+	}
 	schedules := make(map[int]*ScheduleCache, len(selWidths))
 	for w := range selWidths {
 		if opt.WarmStart {
@@ -232,6 +238,9 @@ func sweep(ctx context.Context, d *Design, widths []int, weights []Weights, opt 
 		pl.Workers = inner
 		pl.Bounded = opt.Bounded
 		if opt.Configure != nil {
+			// The hook may change the cost model or policy, so the
+			// planner costs its own candidates.
+			pl.table = nil
 			opt.Configure(pl)
 		}
 		var (

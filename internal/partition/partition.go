@@ -16,7 +16,10 @@
 package partition
 
 import (
+	"bytes"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -161,36 +164,45 @@ func fromRGS(rgs []int) Partition {
 // turned into the other by permuting items within a class. class[i] is
 // the equivalence class of item i; pass nil for all-distinct items.
 func (p Partition) Key(class []int) string {
-	keys := make([]string, len(p))
-	for i, g := range p {
-		cs := make([]int, len(g))
-		for j, it := range g {
-			if class == nil {
-				cs[j] = it
-			} else {
-				cs[j] = class[it]
+	// Each group's sorted labels are rendered into one buffer, then the
+	// groups' spans of it are ordered by their text and joined. For the
+	// small partitions the planner keys, the buffers stay on the stack.
+	var (
+		bufArr   [64]byte
+		spanArr  [16][2]int
+		labelArr [16]int
+	)
+	buf, spans := bufArr[:0], spanArr[:0]
+	for _, g := range p {
+		labels := labelArr[:0]
+		for _, it := range g {
+			if class != nil {
+				it = class[it]
 			}
+			labels = append(labels, it)
 		}
-		sort.Ints(cs)
-		var sb strings.Builder
-		for j, c := range cs {
+		slices.Sort(labels)
+		lo := len(buf)
+		for j, c := range labels {
 			if j > 0 {
-				sb.WriteByte(',')
+				buf = append(buf, ',')
 			}
-			sb.WriteString(itoa(c))
+			buf = strconv.AppendInt(buf, int64(c), 10)
 		}
-		keys[i] = sb.String()
+		spans = append(spans, [2]int{lo, len(buf)})
 	}
-	sort.Strings(keys)
-	return strings.Join(keys, "|")
-}
-
-func itoa(v int) string {
-	// small non-negative ints only
-	if v < 10 {
-		return string(rune('0' + v))
+	slices.SortFunc(spans, func(a, b [2]int) int {
+		return bytes.Compare(buf[a[0]:a[1]], buf[b[0]:b[1]])
+	})
+	var sb strings.Builder
+	sb.Grow(len(buf) + len(spans))
+	for i, sp := range spans {
+		if i > 0 {
+			sb.WriteByte('|')
+		}
+		sb.Write(buf[sp[0]:sp[1]])
 	}
-	return itoa(v/10) + itoa(v%10)
+	return sb.String()
 }
 
 // Dedup removes partitions that are equivalent under the item classes,

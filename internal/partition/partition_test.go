@@ -1,6 +1,9 @@
 package partition
 
 import (
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -151,6 +154,64 @@ func TestKeyEquivalence(t *testing.T) {
 	s := Partition{{0, 3}, {1, 2}, {4}}
 	if r.Key(classesAB) != s.Key(classesAB) {
 		t.Error("pair-swap partitions have different keys")
+	}
+}
+
+// keyReference is Key as first written: one string per group, the
+// groups sorted as strings and joined.
+func keyReference(p Partition, class []int) string {
+	keys := make([]string, len(p))
+	for i, g := range p {
+		cs := make([]int, len(g))
+		for j, it := range g {
+			if class == nil {
+				cs[j] = it
+			} else {
+				cs[j] = class[it]
+			}
+		}
+		sort.Ints(cs)
+		parts := make([]string, len(cs))
+		for j, c := range cs {
+			parts[j] = strconv.Itoa(c)
+		}
+		keys[i] = strings.Join(parts, ",")
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, "|")
+}
+
+// Key equals the reference rendering on every partition of up to 7
+// items, without classes and under classes with multi-digit labels
+// (whose string order differs from their numeric order), and on
+// partitions with more groups and labels than Key's stack buffers hold.
+func TestKeyMatchesReference(t *testing.T) {
+	for n := 1; n <= 7; n++ {
+		classes := [][]int{nil, make([]int, n), make([]int, n), make([]int, n)}
+		for i := 0; i < n; i++ {
+			classes[2][i] = i % 2
+			classes[3][i] = []int{10, 2, 123, 9, 2, 45, 1000}[i]
+		}
+		for _, p := range All(n) {
+			for _, class := range classes {
+				if got, want := p.Key(class), keyReference(p, class); got != want {
+					t.Fatalf("%v.Key(%v) = %q, want %q", p, class, got, want)
+				}
+			}
+		}
+	}
+	wide := make(Partition, 40)
+	for i := range wide {
+		wide[i] = []int{39 - i}
+	}
+	big := Partition{make([]int, 40)}
+	for i := range big[0] {
+		big[0][i] = (i * 7) % 40
+	}
+	for _, p := range []Partition{wide, big} {
+		if got, want := p.Key(nil), keyReference(p, nil); got != want {
+			t.Errorf("Key = %q, want %q", got, want)
+		}
 	}
 }
 

@@ -471,12 +471,12 @@ func (j *job) finishLocked(sp *sweepSpec) {
 	for i, sh := range j.shards {
 		parts[i] = sh.resp
 	}
-	data, err := json.MarshalIndent(mergeShards(sp, parts), "", "  ")
+	data, err := marshalJSON(mergeShards(sp, parts))
 	if err != nil {
 		j.failLocked(err)
 		return
 	}
-	j.result = append(data, '\n')
+	j.result = data
 	j.terminalLocked(JobStateDone)
 }
 
@@ -677,11 +677,10 @@ func (m *jobManager) recoverJob(dir string) error {
 // or zero-length file behind. Job manifests and shard checkpoints both
 // go through it.
 func writeJSONFile(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := marshalJSON(v)
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-")
 	if err != nil {

@@ -1,11 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"maps"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
@@ -147,18 +149,9 @@ func TestAnalogCoreCap(t *testing.T) {
 	}
 }
 
-// TestServerPlanHotAllocs pins Server.Plan's allocations on a warmed
-// server over the 36 plan-hot bodies (four benchmarks × three widths ×
-// three weightings): every design comes from the memo and every
-// schedule from the engine's caches, so what is left is request
-// validation, candidate filtering, costing and the replay. The ceiling
-// sits about 5% above the count measured when the pin was set.
-func TestServerPlanHotAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector changes allocation counts")
-	}
-	s := New(Options{Workers: 1})
-	t.Cleanup(s.Close)
+// planHotRequests are the 36 plan-hot bodies: four benchmarks × three
+// widths × three weightings.
+func planHotRequests() []PlanRequest {
 	var reqs []PlanRequest
 	for _, b := range []string{"p93791m", "d695m", "g1023m", "t512505m"} {
 		for _, w := range []int{32, 48, 64} {
@@ -167,6 +160,22 @@ func TestServerPlanHotAllocs(t *testing.T) {
 			}
 		}
 	}
+	return reqs
+}
+
+// TestServerPlanHotAllocs pins Server.Plan's allocations on a warmed
+// server over the 36 plan-hot bodies: every design comes from the memo,
+// every schedule from the engine's caches and every candidate's costing
+// from its session's table, so what is left is request validation,
+// preliminary costs and the replay. The ceiling sits about 5% above the
+// count measured when the pin was set.
+func TestServerPlanHotAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	s := New(Options{Workers: 1})
+	t.Cleanup(s.Close)
+	reqs := planHotRequests()
 	ctx := context.Background()
 	planAll := func() {
 		for _, req := range reqs {
@@ -176,10 +185,49 @@ func TestServerPlanHotAllocs(t *testing.T) {
 		}
 	}
 	planAll() // warm the memo, sessions and schedule caches
-	const ceiling = 173
+	const ceiling = 24.5
 	got := testing.AllocsPerRun(10, planAll) / float64(len(reqs))
 	t.Logf("%.1f allocs per Server.Plan", got)
 	if got > ceiling {
-		t.Errorf("%.1f allocs per Server.Plan, ceiling %d", got, ceiling)
+		t.Errorf("%.1f allocs per Server.Plan, ceiling %v", got, ceiling)
+	}
+}
+
+// TestPlanHandlerAllocs pins the allocations of a whole warmed
+// /v1/plan request through Server.Handler() over the plan-hot bodies —
+// routing, instrumentation, decoding, planning and the response
+// encoder — with an httptest.ResponseRecorder standing in for the
+// connection. The ceiling sits about 5% above the count measured when
+// the pin was set.
+func TestPlanHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	s := New(Options{Workers: 1})
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	var bodies [][]byte
+	for _, req := range planHotRequests() {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	serveAll := func() {
+		for _, body := range bodies {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+		}
+	}
+	serveAll() // warm the memo, sessions and schedule caches
+	const ceiling = 59
+	got := testing.AllocsPerRun(10, serveAll) / float64(len(bodies))
+	t.Logf("%.1f allocs per /v1/plan request", got)
+	if got > ceiling {
+		t.Errorf("%.1f allocs per /v1/plan request, ceiling %v", got, ceiling)
 	}
 }

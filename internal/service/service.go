@@ -52,6 +52,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -574,11 +575,18 @@ func serveJSON[Req, Resp any](call func(context.Context, Req) (Resp, error)) htt
 }
 
 // decodeBody parses a JSON request body under the size bound, writing
-// the 400 itself (and returning false) on failure.
+// the 400 itself (and returning false) on failure. The body is one JSON
+// value: anything but whitespace after it is rejected too.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeStatus(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}

@@ -373,3 +373,49 @@ func TestRoundRobinPartition(t *testing.T) {
 		}
 	}
 }
+
+// A POST body is one JSON value. On every POST endpoint, anything but
+// whitespace after it is a 400 naming the trailing data, while trailing
+// spaces, tabs and newlines leave the status class as it was without
+// them (a resubmitted job is a 200 where its first submission was a
+// 202).
+func TestPostBodyRejectsTrailingData(t *testing.T) {
+	_, ts := newTestServer(t)
+	postRaw := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(out)
+	}
+	for _, ep := range []struct{ path, body string }{
+		{"/v1/plan", `{"width":32}`},
+		{"/v1/batch", `{"items":[{"width":32}]}`},
+		{"/v1/sweep", `{"widths":[32]}`},
+		{"/v1/shard", `{"widths":[32],"shard":0,"of":1}`},
+		{"/v1/sweeps", `{"widths":[32]}`},
+		{"/v1/workers", `{"remove":["http://127.0.0.1:1"]}`},
+	} {
+		want, wantBody := postRaw(ep.path, ep.body)
+		if want == http.StatusBadRequest {
+			t.Fatalf("%s %s: the bare body is already a 400: %s", ep.path, ep.body, wantBody)
+		}
+		for _, tail := range []string{"\n", " \t\r\n  "} {
+			if got, body := postRaw(ep.path, ep.body+tail); got/100 != want/100 {
+				t.Errorf("%s with trailing %q: status %d, want %d: %s", ep.path, tail, got, want, body)
+			}
+		}
+		for _, tail := range []string{" garbage", `{"width":48}`, "]", "}", "\n0", ` "x"`, "null"} {
+			got, body := postRaw(ep.path, ep.body+tail)
+			if got != http.StatusBadRequest || !strings.Contains(body, "trailing data") {
+				t.Errorf("%s with trailing %q: status %d, want 400 naming the trailing data: %s", ep.path, tail, got, body)
+			}
+		}
+	}
+}

@@ -428,12 +428,89 @@ func validateBackend(name string) error {
 
 // WriteJSON writes v as indented JSON with a trailing newline — the
 // exact bytes the HTTP handlers send, shared with msoc-plan -json so
-// CLI output and service responses can be diffed byte for byte.
+// CLI output and service responses can be diffed byte for byte. The
+// bytes are json.MarshalIndent(v, "", "  ") plus "\n", written in one
+// Write.
 func WriteJSON(w io.Writer, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := marshalJSON(v)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(append(data, '\n'))
+	_, err = w.Write(data)
 	return err
+}
+
+// marshalJSON returns WriteJSON's bytes. json.MarshalIndent marshals v
+// compactly and then re-scans every byte through the JSON state
+// machine to indent it; the encoder's compact output is valid and has
+// no whitespace outside strings, so one pass that only tracks where
+// strings begin and end indents it the same way.
+func marshalJSON(v any) ([]byte, error) {
+	var iw indentWriter
+	if err := json.NewEncoder(&iw).Encode(v); err != nil {
+		return nil, err
+	}
+	return iw.out, nil
+}
+
+// indentWriter receives an Encoder's compact bytes (one value and its
+// newline per Write) and keeps them indented.
+type indentWriter struct{ out []byte }
+
+func (iw *indentWriter) Write(p []byte) (int, error) {
+	iw.out = appendIndent(make([]byte, 0, 2*len(p)), p)
+	return len(p), nil
+}
+
+// indentSpaces is a newline and the indentation of 32 levels.
+const indentSpaces = "\n                                                                "
+
+// appendIndent appends src, compact JSON as encoding/json emits it, to
+// dst indented as json.Indent(dst, src, "", "  ") does: two spaces per
+// nesting level, ": " after object keys, and empty objects and arrays
+// kept as {} and []. Strings, numbers and literals are copied in runs,
+// and so are the bytes after the value (the Encoder's newline).
+func appendIndent(dst, src []byte) []byte {
+	depth, run := 0, 0 // run: the first byte not yet copied
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case '"':
+			for i++; i < len(src) && src[i] != '"'; i++ {
+				if src[i] == '\\' {
+					i++
+				}
+			}
+			continue
+		case '{', '[':
+			dst = append(dst, src[run:i+1]...)
+			if i+1 < len(src) && (src[i+1] == '}' || src[i+1] == ']') {
+				i++
+				dst = append(dst, src[i])
+			} else {
+				depth++
+				dst = appendNewline(dst, depth)
+			}
+		case '}', ']':
+			dst = append(dst, src[run:i]...)
+			depth--
+			dst = append(appendNewline(dst, depth), c)
+		case ',':
+			dst = appendNewline(append(dst, src[run:i+1]...), depth)
+		case ':':
+			dst = append(append(dst, src[run:i]...), ':', ' ')
+		default:
+			continue
+		}
+		run = i + 1
+	}
+	return append(dst, src[run:]...)
+}
+
+// appendNewline appends a newline and depth levels of indentation.
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, indentSpaces[:1+2*min(depth, 32)]...)
+	for ; depth > 32; depth-- {
+		dst = append(dst, "  "...)
+	}
+	return dst
 }
