@@ -22,6 +22,22 @@ package core
 // strict improvement — so pruning such candidates changes neither the
 // best cost bits nor the selected configuration, only how many
 // candidates get packed (NEval and Result.Pruned).
+//
+// A probe costs O(1) and allocates nothing, because the makespan bound
+// splits into parts that each depend on one thing only:
+//
+//	LB(p) = max(⌈(Vdig(W) + Vana) / W⌉, Ldig(W), serial(p))
+//
+// Vdig(W) and Ldig(W) are the digital jobs' summed cheapest area and
+// longest widest-option time, which depend only on the width; Vana is
+// Σ TAMWidth·Cycles over the analog tests, constant for the design;
+// serial(p) is the busiest wrapper group's Σ TotalCycles, which depends
+// only on the partition. Every analog test sits in its wrapper's group
+// and runs at least one cycle, so serial(p) also covers the longest
+// single analog test. The evaluator computes the first two parts once,
+// on its first probe (Evaluator.boundFloor), and the candidate table
+// stores serial(p) (costed.serial). LowerBound keeps the BuildJobs
+// formulation as the reference the probe is pinned against.
 
 import (
 	"mixsoc/internal/partition"
@@ -32,7 +48,8 @@ import (
 // prunes candidate p with, given the all-share normalization time: it
 // never exceeds the cost a full TAM evaluation of p reports. Exported
 // for the property suite that pins that admissibility across seeded
-// designs; planning calls use the evaluator-cached equivalent.
+// designs; planning calls use the O(1) probe, bound, which equals it
+// bit for bit.
 func (pl *Planner) LowerBound(p partition.Partition, allShare int64) (float64, error) {
 	cm, _, err := pl.defaults()
 	if err != nil {
@@ -46,29 +63,24 @@ func (pl *Planner) LowerBound(p partition.Partition, allShare int64) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	return pl.boundCost(jobs, ca, allShare), nil
+	return pl.boundCost(tam.AdmissibleLowerBound(jobs, pl.Width), ca, allShare), nil
 }
 
-// boundAt is LowerBound on the planner's hot path: it reuses the
-// evaluator's cached digital job set (identical to a fresh BuildJobs —
-// staircases are content-determined) and the candidate's already
-// computed area term.
-func (pl *Planner) boundAt(e *Evaluator, p partition.Partition, ca float64, allShare int64) (float64, error) {
-	digital, err := e.digitalJobs()
+// bound is LowerBound on the planner's hot path: the evaluator's
+// width part of the floor, raised to the candidate's serialization
+// floor.
+func (pl *Planner) bound(e *Evaluator, c *costed, allShare int64) (float64, error) {
+	fl, err := e.boundFloor()
 	if err != nil {
 		return 0, err
 	}
-	jobs, err := appendAnalogJobs(digital, pl.Design, p)
-	if err != nil {
-		return 0, err
-	}
-	return pl.boundCost(jobs, ca, allShare), nil
+	fl.Longest = max(fl.Longest, c.serial)
+	return pl.boundCost(fl.Makespan(pl.Width), c.ca, allShare), nil
 }
 
-// boundCost folds a makespan lower bound over jobs into a cost lower
-// bound at the planner's weights.
-func (pl *Planner) boundCost(jobs []*tam.Job, ca float64, allShare int64) float64 {
-	lb := tam.AdmissibleLowerBound(jobs, pl.Width)
+// boundCost folds a makespan lower bound into a cost lower bound at the
+// planner's weights.
+func (pl *Planner) boundCost(lb int64, ca float64, allShare int64) float64 {
 	ctLB := 100 * float64(lb) / float64(allShare)
 	return pl.Weights.Time*ctLB + pl.Weights.Area*ca
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-
-	"mixsoc/internal/tam"
 )
 
 // TestBoundedMatchesUnbounded pins the branch-and-bound contract on the
@@ -125,50 +123,6 @@ func TestLowerBoundAdmissible(t *testing.T) {
 				t.Errorf("W=%d %s: lower bound %v exceeds cost %v",
 					width, ev.Partition.Key(nil), lb, ev.Cost)
 			}
-		}
-	}
-}
-
-// TestLowerBoundMatchesBuildJobs pins the hot-path bound against the
-// exported one: the evaluator-cached digital jobs must produce the
-// exact bound a fresh BuildJobs computes.
-func TestLowerBoundMatchesBuildJobs(t *testing.T) {
-	d := paperDesign()
-	pl := NewPlanner(d, 24, EqualWeights)
-	e := pl.evaluator()
-	cm, policy, err := pl.defaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	allShare, err := e.TestTime(d.AllShare())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range d.Candidates(policy) {
-		if skip, err := infeasible(cm, d, p); err != nil || skip {
-			continue
-		}
-		ca, _, err := costParts(d, cm, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, err := pl.boundAt(e, p, ca, allShare)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow, err := pl.LowerBound(p, allShare)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(fast) != math.Float64bits(slow) {
-			t.Errorf("%s: hot-path bound %v != BuildJobs bound %v", p.Key(nil), fast, slow)
-		}
-		jobs, err := BuildJobs(d, p, pl.Width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lb := tam.AdmissibleLowerBound(jobs, pl.Width); lb <= 0 {
-			t.Errorf("%s: degenerate makespan bound %d", p.Key(nil), lb)
 		}
 	}
 }

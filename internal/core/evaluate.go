@@ -174,8 +174,7 @@ type Evaluator struct {
 	cache *ScheduleCache
 
 	mu      sync.Mutex
-	counted map[string]bool
-	runs    int
+	counted map[string]bool // NEval is its size
 
 	// The digital cores' wrapper staircases are identical for every
 	// sharing configuration, so they are designed once per evaluator and
@@ -183,6 +182,11 @@ type Evaluator struct {
 	digOnce    sync.Once
 	digital    []*tam.Job
 	digitalErr error
+
+	// floor is the width part of Bounded mode's makespan bound (see
+	// boundFloor), set by the first bound probe, so unbounded plans
+	// never compute it.
+	floor atomic.Pointer[tam.Floor]
 }
 
 // NewEvaluator returns an evaluator for the design at the given width
@@ -207,7 +211,7 @@ func NewSharedEvaluator(d *Design, width int, cache *ScheduleCache) *Evaluator {
 func (e *Evaluator) Runs() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.runs
+	return len(e.counted)
 }
 
 func (e *Evaluator) digitalJobs() ([]*tam.Job, error) {
@@ -217,6 +221,32 @@ func (e *Evaluator) digitalJobs() ([]*tam.Job, error) {
 		})
 	})
 	return e.digital, e.digitalErr
+}
+
+// boundFloor returns the part of every candidate's makespan bound that
+// does not depend on the partition: the digital jobs' admissible floor
+// at the evaluator's width, plus the volume of every analog test. A
+// candidate's bound raises Longest to its serialization floor (see
+// bound.go). The first probe computes it and later ones read it;
+// concurrent first probes may each compute it, identically. It sits
+// behind a pointer because every plan allocates an evaluator and most
+// plans never probe a bound.
+func (e *Evaluator) boundFloor() (tam.Floor, error) {
+	if fl := e.floor.Load(); fl != nil {
+		return *fl, nil
+	}
+	digital, err := e.digitalJobs()
+	if err != nil {
+		return tam.Floor{}, err
+	}
+	fl := tam.AdmissibleFloor(digital, e.Width)
+	for _, c := range e.Design.Analog {
+		for ti := range c.Tests {
+			fl.Volume += int64(c.Tests[ti].TAMWidth) * c.Tests[ti].Cycles
+		}
+	}
+	e.floor.Store(&fl)
+	return fl, nil
 }
 
 // compute returns the schedule for (p, key), serving completed cache
@@ -309,10 +339,7 @@ func (e *Evaluator) ScheduleContext(ctx context.Context, p partition.Partition) 
 // count accounts the schedule under key toward Runs, once per key.
 func (e *Evaluator) count(key string) {
 	e.mu.Lock()
-	if !e.counted[key] {
-		e.counted[key] = true
-		e.runs++
-	}
+	e.counted[key] = true
 	e.mu.Unlock()
 }
 

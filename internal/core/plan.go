@@ -166,13 +166,16 @@ func (pl *Planner) evaluator() *Evaluator {
 
 // costed is one feasible configuration with everything about it that
 // needs no TAM run: its schedule-cache key, its wrapper count, its area
-// term CA (equation 1) and its normalized analog test-time lower bound
-// LTBnorm (equation 2).
+// term CA (equation 1), its normalized analog test-time lower bound
+// LTBnorm (equation 2), and its serialization floor — the busiest
+// wrapper group's total cycles, the part of Bounded mode's bound that
+// depends on the partition.
 type costed struct {
 	p        partition.Partition
 	key      string // p.Key(nil)
 	wrappers int
 	ca, ltb  float64
+	serial   int64
 }
 
 // candidateTable is a design's candidate set costed under one cost
@@ -208,7 +211,7 @@ func costCandidates(d *Design, cm analog.CostModel, policy partition.Policy) (*c
 		if err != nil {
 			return nil, err
 		}
-		t.feasible = append(t.feasible, costed{p: p, key: p.Key(nil), wrappers: p.Wrappers(), ca: ca, ltb: ltb})
+		t.feasible = append(t.feasible, costed{p: p, key: p.Key(nil), wrappers: p.Wrappers(), ca: ca, ltb: ltb, serial: serialCycles(d, p)})
 	}
 	if len(t.feasible) == 0 {
 		return nil, fmt.Errorf("core: every candidate configuration is infeasible")
@@ -216,6 +219,20 @@ func costCandidates(d *Design, cm analog.CostModel, policy partition.Policy) (*c
 	t.allShare.p = d.AllShare()
 	t.allShare.key = t.allShare.p.Key(nil)
 	return t, nil
+}
+
+// serialCycles is the busiest wrapper group's total test cycles under
+// p: the tests behind one wrapper run back to back.
+func serialCycles(d *Design, p partition.Partition) int64 {
+	var busiest int64
+	for _, g := range p {
+		var cycles int64
+		for _, ci := range g {
+			cycles += d.Analog[ci].TotalCycles()
+		}
+		busiest = max(busiest, cycles)
+	}
+	return busiest
 }
 
 // sharedTable is a design's candidate table under the default cost
@@ -337,7 +354,7 @@ func (r *run) skip(c candidate, inc float64, pr prune) (skip, pruned bool, err e
 	if !pr.bound {
 		return false, false, nil
 	}
-	lb, err := r.boundAt(r.e, c.p, c.ca, r.res.AllShare)
+	lb, err := r.bound(r.e, c.costed, r.res.AllShare)
 	if err != nil {
 		return false, false, err
 	}

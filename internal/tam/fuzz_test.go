@@ -40,9 +40,11 @@ func randomJobs(seed int64, nJobs, binWidth int) []*Job {
 }
 
 // earliestFitScan is the per-wire counter-scan reference for
-// fitter.earliestFit: the same candidate sweep, but over start and end
-// orders it sorts from the placements itself, with candidates collected
-// and sorted up front, one plain int32 occupancy counter per wire
+// fitter.earliestFit: a sweep over the full candidate set — 0, every
+// placement's end and every start minus the duration, where earliestFit
+// tries only 0 and the ends — over start and end orders it sorts from
+// the placements itself, with candidates collected and sorted up
+// front, one plain int32 occupancy counter per wire
 // updated wire by wire, group membership compared by name, and an O(W)
 // scan of the counters for each candidate's band search. It never reads
 // the fitter's board, so it checks the board too. Production code never
@@ -127,6 +129,84 @@ func (f *fitter) bestPlacementScan(j *Job, placements []Placement) (Placement, b
 		}
 	}
 	return best, found
+}
+
+// TestEarliestFitReleaseInstants pins earliestFit, which visits only 0
+// and the placements' ends, against the counter-scan reference, which
+// also tries every start minus the query duration, on hand-built boards
+// where such instants come before the answer: a start-minus-duration
+// instant whose window still overlaps a rectangle or a group member, a
+// job that fits only once a rectangle ends while others start earlier,
+// a window that ends exactly where the next rectangle starts, an answer
+// at the first of several ends, and a limit between those instants and
+// the answer.
+func TestEarliestFitReleaseInstants(t *testing.T) {
+	type rect struct {
+		lo, w      int
+		start, end int64
+		group      string
+	}
+	for _, tc := range []struct {
+		name     string
+		binWidth int
+		rects    []rect
+		w        int
+		dur      int64
+		group    string
+		want     int64 // the earliest fit's start
+	}{
+		{"gap too short", 8, []rect{{0, 8, 0, 10, ""}, {0, 8, 12, 30, ""}}, 8, 5, "", 30},
+		{"exact gap before a start", 8, []rect{{0, 8, 0, 6, ""}, {0, 8, 8, 10, ""}, {0, 8, 15, 30, ""}}, 8, 5, "", 10},
+		{"first end, more to come", 8, []rect{{0, 8, 0, 10, ""}, {4, 4, 12, 14, ""}, {0, 4, 20, 30, ""}}, 4, 5, "", 10},
+		{"fits after an end", 8, []rect{{0, 4, 0, 20, ""}, {4, 4, 5, 25, ""}, {2, 2, 22, 40, ""}}, 6, 3, "", 40},
+		{"narrow band opens", 8, []rect{{0, 5, 0, 12, ""}, {5, 3, 3, 9, ""}, {5, 3, 11, 30, ""}}, 3, 4, "", 12},
+		{"group member ahead", 8, []rect{{0, 2, 0, 10, "g"}, {6, 2, 15, 20, "g"}, {2, 2, 4, 8, ""}}, 2, 6, "g", 20},
+		{"group and wires", 16, []rect{{0, 8, 0, 7, "g"}, {8, 8, 9, 18, ""}, {0, 16, 21, 24, ""}, {4, 4, 28, 35, "g"}}, 12, 6, "g", 35},
+		{"multi-word bin", 100, []rect{{0, 70, 0, 50, ""}, {60, 40, 55, 90, ""}, {0, 40, 60, 80, ""}}, 45, 20, "", 80},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs := make([]*Job, 0, len(tc.rects)+1)
+			s := &Schedule{Width: tc.binWidth}
+			for i, r := range tc.rects {
+				j := &Job{ID: fmt.Sprintf("r%d", i), Options: []wrapper.Point{{Width: r.w, Time: r.end - r.start}}, Group: r.group}
+				jobs = append(jobs, j)
+				s.Placements = append(s.Placements, Placement{Job: j, Width: r.w, Start: r.start, End: r.end, WireLo: r.lo})
+				s.Makespan = max(s.Makespan, r.end)
+			}
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			placements := s.Placements
+			probe := &Job{ID: "probe", Options: []wrapper.Point{{Width: tc.w, Time: tc.dur}}, Group: tc.group}
+			jobs = append(jobs, probe)
+			cfg := config{improvePasses: len(jobs), paretoOnly: true}
+			f := newFitter(newOptionTable(jobs, tc.binWidth, cfg), tc.binWidth, cfg)
+			f.prepare(placements)
+			gid := f.opts.of(probe).gid
+
+			// The board must hold a start-minus-duration instant before
+			// the answer, or the case does not test what it claims.
+			limits := []int64{math.MaxInt64, tc.want, tc.want - 1, 0}
+			for _, p := range placements {
+				if at := p.Start - tc.dur; at >= 0 {
+					limits = append(limits, at)
+				}
+			}
+			if slices.Min(limits[4:]) >= tc.want {
+				t.Fatalf("no start-minus-duration instant precedes the answer %d", tc.want)
+			}
+			for _, limit := range limits {
+				bt, bw, bok := f.earliestFit(gid, tc.w, tc.dur, limit)
+				st, sw, sok := f.earliestFitScan(probe, tc.w, tc.dur, placements, limit)
+				if bt != st || bw != sw || bok != sok {
+					t.Errorf("limit %d: earliestFit (%d,%d,%v), scan (%d,%d,%v)", limit, bt, bw, bok, st, sw, sok)
+				}
+				if want := limit >= tc.want; bok != want || (bok && bt != tc.want) {
+					t.Errorf("limit %d: earliestFit (%d,%v), want start %d found=%v", limit, bt, bok, tc.want, want)
+				}
+			}
+		})
+	}
 }
 
 // FuzzFitterReference packs random job sets (bin widths 1–256, so both

@@ -2,7 +2,6 @@ package tam
 
 import (
 	"cmp"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -24,12 +23,14 @@ import (
 //
 // Three speedups over the naive rescan live here:
 //
-//   - the candidate start times of a query (0, each placed rectangle's
-//     end, and each start minus the query duration) are not collected
-//     and sorted per width option; they are generated in ascending
-//     order by merging the board's two edge arrays, whose 16-byte,
-//     pointer-free edges the cursors read sequentially, so every width
-//     option of a job shares the one incrementally maintained order;
+//   - a query visits only release instants: 0 and the placements' ends,
+//     in the board's end order. A window [t, t+d) overlaps placement p
+//     iff p.Start < t+d and t < p.End. Between two consecutive ends the
+//     second condition is fixed while the first only gains placements
+//     as t rises, so the overlapping set only grows; a window that fits
+//     anywhere in that stretch also fits at its left end. The earliest
+//     fit is therefore always at 0 or at some placement's end, and no
+//     start-minus-duration instant ever needs a look;
 //   - the occupancy of the moving window is kept as vertical
 //     (bit-sliced) counters: bit w of slice k is bit k of wire w's
 //     count, so admitting or retiring a placement is a carry or borrow
@@ -39,8 +40,9 @@ import (
 //     word at a time (see lowestFreeRun), so each candidate check is a
 //     few word operations instead of an O(W) counter scan. A bin of at
 //     most 64 wires — every width the paper sweeps — is simply a
-//     one-word bitset. The per-wire counter scan lives on only in the
-//     tests, as the reference this sweep is fuzzed against
+//     one-word bitset. The per-wire counter scan over the full
+//     candidate set (0, ends, and starts minus the duration) lives on
+//     only in the tests, as the reference this sweep is fuzzed against
 //     (FuzzFitterReference, FuzzFitterBoard).
 type fitter struct {
 	binWidth int
@@ -188,42 +190,6 @@ func deleteEdge(es []edge, key int64, lo int) []edge {
 	return slices.Delete(es, i, i+1)
 }
 
-// candGen yields the candidate start times of one earliest-fit query in
-// strictly ascending order: 0, then the ends of placed rectangles and
-// their starts minus the query duration (a window can also become
-// feasible right before a rectangle begins) — the same candidate set as
-// a full collect-and-sort, produced by merging the board's sorted start
-// and end edges with two monotone cursors. This is what lets one board
-// serve every width option of a job: the duration-dependent candidate
-// stream costs O(n) per option instead of an O(n log n) sort.
-type candGen struct {
-	starts []edge
-	ends   []edge
-	dur    int64
-	ce, cs int // cursors into ends / starts
-}
-
-// next returns the smallest candidate strictly greater than t, or
-// math.MaxInt64 when exhausted.
-func (g *candGen) next(t int64) int64 {
-	for g.ce < len(g.ends) && g.ends[g.ce].key <= t {
-		g.ce++
-	}
-	for g.cs < len(g.starts) && g.starts[g.cs].key-g.dur <= t {
-		g.cs++
-	}
-	nxt := int64(math.MaxInt64)
-	if g.ce < len(g.ends) {
-		nxt = g.ends[g.ce].key
-	}
-	if g.cs < len(g.starts) {
-		if s := g.starts[g.cs].key - g.dur; s < nxt {
-			nxt = s
-		}
-	}
-	return nxt
-}
-
 // bandMask returns the bits of bitset word wi that lie inside the wire
 // band [lo, hi).
 func bandMask(wi, lo, hi int) uint64 {
@@ -240,23 +206,25 @@ func bandMask(wi, lo, hi int) uint64 {
 // earliestFit returns the earliest start time (and lowest wire band) at
 // which a w×dur rectangle of serialization group gid (0 for none) fits
 // on the board: no wire conflicts and no time overlap with the group.
-// Candidates greater than limit are not considered: callers pass the
+// Starts greater than limit are not considered: callers pass the
 // largest start that could still matter to them, which prunes the sweep
 // without changing any answer they act on.
 //
-// The candidates are visited in ascending order while two monotone
-// cursors maintain the set of placements overlapping the moving window
-// [t, t+dur) as per-wire occupancy counts plus a count of active
-// same-group placements. Counts are needed because two placements may
-// cover the same wire at different times within one window. They are
-// stored bit-sliced — slice k holds bit k of every wire's count, and
+// The release instants (0, then each placement's end; see fitter) are
+// visited in ascending order while two monotone cursors maintain the
+// set of placements overlapping the moving window [t, t+dur) as
+// per-wire occupancy counts plus a count of active same-group
+// placements. Counts are needed because two placements may cover the
+// same wire at different times within one window. They are stored
+// bit-sliced — slice k holds bit k of every wire's count, and
 // bits.Len(n) slices hold any count up to n — so admitting a placement
 // adds its band mask with a carry ripple up the slices of each word it
 // covers, retiring one subtracts with a borrow ripple, and either stops
 // at the first slice where the carry or borrow is zero. A wire is busy
 // iff any slice has its bit set, so the OR of the slices is the busy
-// bitset the band search walks; it is rebuilt only when the window
-// changed since the last candidate.
+// bitset the band search walks. Every step past 0 retires at least the
+// placement whose end it stands on, so the bitset is rebuilt at every
+// instant the group constraint leaves open.
 func (f *fitter) earliestFit(gid int32, w int, dur, limit int64) (int64, int, bool) {
 	starts, ends := f.starts, f.ends
 	n := len(starts)
@@ -264,11 +232,9 @@ func (f *fitter) earliestFit(gid int32, w int, dur, limit int64) (int64, int, bo
 	depth := bits.Len(uint(n)) // counter slices: enough for a count of n
 	cnt := f.cnt[:len(busy)*depth]
 	clear(cnt)
-	dirty := true // busy is stale until first rebuilt from cnt
 	groupActive := 0
 	si, ei := 0, 0
-	gen := candGen{starts: starts, ends: ends, dur: dur}
-	for t := int64(0); t <= limit; {
+	for t := int64(0); t <= limit; t = ends[ei].key {
 		// Admit placements entering the window: Start < t+dur. A
 		// placement that also already ended (End <= t) is retired by the
 		// second cursor in the same step, so the counts stay exact.
@@ -287,7 +253,6 @@ func (f *fitter) earliestFit(gid int32, w int, dur, limit int64) (int64, int, bo
 				groupActive++
 			}
 			si++
-			dirty = true
 		}
 		for ei < n && ends[ei].key <= t {
 			e := &ends[ei]
@@ -304,28 +269,22 @@ func (f *fitter) earliestFit(gid int32, w int, dur, limit int64) (int64, int, bo
 				groupActive--
 			}
 			ei++
-			dirty = true
 		}
 		if groupActive == 0 {
-			if dirty {
-				for wi := range busy {
-					var b uint64
-					for _, s := range cnt[wi*depth : (wi+1)*depth] {
-						b |= s
-					}
-					busy[wi] = b
+			for wi := range busy {
+				var b uint64
+				for _, s := range cnt[wi*depth : (wi+1)*depth] {
+					b |= s
 				}
-				dirty = false
+				busy[wi] = b
 			}
 			if lo := lowestFreeRun(busy, f.binWidth, w); lo >= 0 {
 				return t, lo, true
 			}
 		}
-		nt := gen.next(t)
-		if nt == math.MaxInt64 {
-			break
+		if ei == n {
+			break // every placement has ended: no later instant differs
 		}
-		t = nt
 	}
 	return 0, 0, false
 }

@@ -76,64 +76,71 @@ func WithContext(ctx context.Context) Option {
 }
 
 // instance is one validated pack request plus the per-job quantities
-// the backends' cold orderings are built from.
+// the backends' cold orderings are built from. The per-job slices are
+// indexed like jobs, so the ordering comparators read them without a
+// map lookup or a staircase walk inside sort.
 type instance struct {
 	jobs  []*Job
 	width int
-	// groupTotal is each serialization group's serial time at its
-	// widest options. Groups behave like one long chain: one useful
-	// weight for a job is its whole group's serial time rather than its
-	// own (often short) time, or the chain ends up in a tail behind a
-	// tightly packed bin.
-	groupTotal map[string]int64
 	// target is the packTarget makespan estimate; a job's preferred
 	// width is its narrowest option meeting it (preferredWidth).
 	target int64
-	// prefTime is each job's time at its preferred width, precomputed
-	// so the ordering comparators do no staircase walks inside sort.
-	prefTime map[*Job]int64
+	// prefTime is each job's time at its preferred width.
+	prefTime []int64
+	// chain is each job's chain weight: its serialization group's
+	// serial time at the widest options, or its own preferred time when
+	// it has no group. Groups behave like one long chain: one useful
+	// weight for a job is its whole group's serial time rather than its
+	// own (often short) time, or the chain ends up in a tail behind a
+	// tightly packed bin.
+	chain []int64
 }
 
 func newInstance(jobs []*Job, width int) *instance {
 	in := &instance{
-		jobs:       jobs,
-		width:      width,
-		groupTotal: map[string]int64{},
-		target:     packTarget(jobs, width),
-		prefTime:   make(map[*Job]int64, len(jobs)),
+		jobs:     jobs,
+		width:    width,
+		target:   packTarget(jobs, width),
+		prefTime: make([]int64, len(jobs)),
+		chain:    make([]int64, len(jobs)),
 	}
-	for _, j := range jobs {
+	groupTotal := map[string]int64{}
+	for i, j := range jobs {
 		if j.Group != "" {
-			in.groupTotal[j.Group] += j.minTime(width)
+			groupTotal[j.Group] += j.minTime(width)
 		}
-		in.prefTime[j] = timeFor(j, preferredWidth(j, width, in.target))
+		in.prefTime[i] = timeFor(j, preferredWidth(j, width, in.target))
+	}
+	for i, j := range jobs {
+		in.chain[i] = in.prefTime[i]
+		if j.Group != "" {
+			in.chain[i] = groupTotal[j.Group]
+		}
 	}
 	return in
 }
 
-// chain is a job's chain weight: its serialization group's serial time,
-// or its own preferred time when it has no group.
-func (in *instance) chain(j *Job) int64 {
-	if j.Group != "" {
-		return in.groupTotal[j.Group]
+// orderBy returns the jobs sorted by descending key (indexed like
+// in.jobs), ties broken by descending preferred time and then ascending
+// ID — a total order, so every backend's ordering is deterministic.
+func orderBy[K cmp.Ordered](in *instance, key []K) []*Job {
+	idx := make([]int32, len(in.jobs))
+	for i := range idx {
+		idx[i] = int32(i)
 	}
-	return in.prefTime[j]
-}
-
-// orderBy returns the jobs sorted by descending key, ties broken by
-// descending preferred time and then ascending ID — a total order, so
-// every backend's ordering is deterministic.
-func orderBy[K cmp.Ordered](in *instance, key func(*Job) K) []*Job {
-	order := slices.Clone(in.jobs)
-	slices.SortFunc(order, func(a, b *Job) int {
-		if c := cmp.Compare(key(b), key(a)); c != 0 {
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := cmp.Compare(key[b], key[a]); c != 0 {
 			return c
 		}
 		if c := cmp.Compare(in.prefTime[b], in.prefTime[a]); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.ID, b.ID)
+		return cmp.Compare(in.jobs[a].ID, in.jobs[b].ID)
 	})
+	order := make([]*Job, len(idx))
+	for i, x := range idx {
+		order[i] = in.jobs[x]
+	}
 	return order
 }
 
@@ -231,15 +238,11 @@ func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 // only on the winner: repack re-places every job, so running it per
 // ordering buys little for its cost.
 func packOrderings(in *instance, shared *fitter) (*Schedule, error) {
-	volumes := make(map[*Job]int64, len(in.jobs))
-	for _, j := range in.jobs {
-		volumes[j] = j.volume(in.width)
+	volumes := make([]int64, len(in.jobs))
+	for i, j := range in.jobs {
+		volumes[i] = j.volume(in.width)
 	}
-	orderings := []func(j *Job) int64{
-		in.chain,
-		func(j *Job) int64 { return in.prefTime[j] },
-		func(j *Job) int64 { return volumes[j] },
-	}
+	orderings := [][]int64{in.chain, in.prefTime, volumes}
 
 	results := make([]*Schedule, len(orderings))
 	errs := make([]error, len(orderings))
@@ -385,7 +388,7 @@ func packList(order []*Job, f *fitter) (*Schedule, error) {
 // the job's end nor the makespan ever increases. f's board must mirror
 // s, and does again on return.
 func repack(s *Schedule, f *fitter) {
-	done := make(map[*Job]bool, len(s.Placements))
+	done := make([]bool, len(s.Placements)) // by placement, see markMoved
 	for {
 		// On cancellation the schedule is abandoned by pack, so
 		// bailing between steps (possibly leaving Makespan un-tightened)
@@ -396,7 +399,7 @@ func repack(s *Schedule, f *fitter) {
 		worst := -1
 		for i := range s.Placements {
 			p := &s.Placements[i]
-			if done[p.Job] {
+			if done[i] {
 				continue
 			}
 			if worst < 0 || p.End > s.Placements[worst].End ||
@@ -408,12 +411,12 @@ func repack(s *Schedule, f *fitter) {
 			break
 		}
 		removed := f.unplace(s, worst)
-		done[removed.Job] = true
 		p, ok := f.bestPlacement(removed.Job, removed.End)
 		if !ok {
 			p = removed
 		}
 		f.place(s, p)
+		markMoved(done, worst)
 	}
 	s.Makespan = 0
 	for i := range s.Placements {
@@ -421,6 +424,17 @@ func repack(s *Schedule, f *fitter) {
 			s.Makespan = s.Placements[i].End
 		}
 	}
+}
+
+// markMoved mirrors on flags, kept parallel to a schedule's placements,
+// an unplace of placement i followed by a place: the last placement's
+// flag moves into slot i, as the placement itself did, and the
+// re-placed job, now last, is flagged. The polish loops mark the jobs
+// they have handled this way, with no per-job lookup.
+func markMoved(flags []bool, i int) {
+	last := len(flags) - 1
+	flags[i] = flags[last]
+	flags[last] = true
 }
 
 // preferredWidth picks the narrowest option whose time meets the target
@@ -457,7 +471,7 @@ func candidateWidths(j *Job, binWidth int, cfg config) []wrapper.Point {
 // stops once a whole pass leaves every makespan-defining job in place.
 // f's board must mirror s, and does again on return.
 func improve(s *Schedule, f *fitter) {
-	tried := make(map[*Job]bool)
+	tried := make([]bool, len(s.Placements)) // by placement, see markMoved
 	for pass := 0; pass < f.cfg.improvePasses; pass++ {
 		clear(tried)
 		moved := false
@@ -470,7 +484,7 @@ func improve(s *Schedule, f *fitter) {
 			// pass (stable choice by ID).
 			worst := -1
 			for i := range s.Placements {
-				if s.Placements[i].End != s.Makespan || tried[s.Placements[i].Job] {
+				if s.Placements[i].End != s.Makespan || tried[i] {
 					continue
 				}
 				if worst < 0 || s.Placements[i].Job.ID < s.Placements[worst].Job.ID {
@@ -481,7 +495,6 @@ func improve(s *Schedule, f *fitter) {
 				break
 			}
 			removed := f.unplace(s, worst)
-			tried[removed.Job] = true
 			p, ok := f.bestPlacement(removed.Job, s.Makespan-1)
 			if !ok {
 				// No strict improvement for this job: restore it and try
@@ -491,6 +504,7 @@ func improve(s *Schedule, f *fitter) {
 				moved = true
 			}
 			f.place(s, p)
+			markMoved(tried, worst)
 		}
 		if !moved {
 			return

@@ -32,20 +32,20 @@ func PackRectangle(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 // descending order of each job's squared normalized diagonal.
 func packDiagonal(in *instance, f *fitter) (*Schedule, error) {
 	var maxChain int64 = 1 // avoid division by zero on all-zero times
-	for _, j := range in.jobs {
-		maxChain = max(maxChain, in.chain(j))
+	for _, c := range in.chain {
+		maxChain = max(maxChain, c)
 	}
 	// Squared normalized diagonal length of each job's preferred
 	// rectangle. The squares and the sum are kept in separate
 	// statements so no fused multiply-add can perturb the comparison
 	// order across architectures.
-	diag := make(map[*Job]float64, len(in.jobs))
-	for _, j := range in.jobs {
+	diag := make([]float64, len(in.jobs))
+	for i, j := range in.jobs {
 		x := float64(preferredWidth(j, in.width, in.target)) / float64(in.width)
-		y := float64(in.chain(j)) / float64(maxChain)
+		y := float64(in.chain[i]) / float64(maxChain)
 		xx := x * x
 		yy := y * y
-		diag[j] = xx + yy
+		diag[i] = xx + yy
 	}
-	return packList(orderBy(in, func(j *Job) float64 { return diag[j] }), f)
+	return packList(orderBy(in, diag), f)
 }

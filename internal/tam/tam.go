@@ -211,12 +211,13 @@ func (s *Schedule) Utilization() float64 {
 }
 
 // packTarget is the packers' improvement target: the makespan at which
-// they stop polishing. It is lowerBound with each job's volume taken at
-// its widest usable option, which tracks what greedy packings actually
-// spend but can exceed the area of a schedule that narrows a job — so
-// it is not a bound on every valid schedule. AdmissibleLowerBound is.
+// they stop polishing. It is the floor of the jobs with each job's
+// volume taken at its widest usable option, which tracks what greedy
+// packings actually spend but can exceed the area of a schedule that
+// narrows a job — so it is not a bound on every valid schedule.
+// AdmissibleLowerBound is.
 func packTarget(jobs []*Job, width int) int64 {
-	return lowerBound(jobs, width, (*Job).volume)
+	return floorOf(jobs, width, (*Job).volume).Makespan(width)
 }
 
 // AdmissibleLowerBound returns a makespan no valid schedule of the jobs
@@ -226,34 +227,50 @@ func packTarget(jobs []*Job, width int) int64 {
 // wrapper group's jobs serialize. Branch-and-bound pruning needs exactly
 // that admissibility.
 func AdmissibleLowerBound(jobs []*Job, width int) int64 {
-	return lowerBound(jobs, width, (*Job).minVolume)
+	return AdmissibleFloor(jobs, width).Makespan(width)
 }
 
-// lowerBound is the body packTarget and AdmissibleLowerBound share: the
-// larger of the total job volume (as the volume function measures it)
-// divided by the width, rounded up, and the longest unavoidable job or
-// serialized group time.
-func lowerBound(jobs []*Job, width int, volumeOf func(*Job, int) int64) int64 {
-	var volume int64
-	var longest int64
+// Floor holds the two sums a makespan lower bound is made of: the
+// jobs' total wire-cycle volume and the longest time that must run
+// serially — one job at its widest usable option, or one serialization
+// group's jobs back to back.
+type Floor struct {
+	Volume  int64
+	Longest int64
+}
+
+// Makespan is the floor's bound in a bin of the given width: the larger
+// of the volume divided by the width, rounded up, and the longest
+// serial time.
+func (fl Floor) Makespan(width int) int64 {
+	return max((fl.Volume+int64(width)-1)/int64(width), fl.Longest)
+}
+
+// AdmissibleFloor returns the Floor AdmissibleLowerBound reads. Volume
+// adds over jobs and Longest is a maximum over jobs and groups, so a
+// caller extending the job set with jobs in groups of their own can
+// bound the union from this floor plus those jobs' volume and group
+// times, without building the union.
+func AdmissibleFloor(jobs []*Job, width int) Floor {
+	return floorOf(jobs, width, (*Job).minVolume)
+}
+
+// floorOf is the one definition packTarget and AdmissibleLowerBound
+// share: the total job volume (as the volume function measures it) and
+// the longest unavoidable job or serialized group time.
+func floorOf(jobs []*Job, width int, volumeOf func(*Job, int) int64) Floor {
+	var fl Floor
 	groupTime := map[string]int64{}
 	for _, j := range jobs {
-		volume += volumeOf(j, width)
+		fl.Volume += volumeOf(j, width)
 		mt := j.minTime(width)
-		if mt > longest {
-			longest = mt
-		}
+		fl.Longest = max(fl.Longest, mt)
 		if j.Group != "" {
 			groupTime[j.Group] += mt
 		}
 	}
 	for _, t := range groupTime {
-		if t > longest {
-			longest = t
-		}
+		fl.Longest = max(fl.Longest, t)
 	}
-	if lb := (volume + int64(width) - 1) / int64(width); lb > longest {
-		return lb
-	}
-	return longest
+	return fl
 }
