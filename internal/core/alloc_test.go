@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 )
 
@@ -41,5 +42,56 @@ func TestPlanHotPathAllocs(t *testing.T) {
 		if got > tc.ceiling {
 			t.Errorf("%s: %v allocs/plan, ceiling %v", tc.name, got, tc.ceiling)
 		}
+	}
+}
+
+// TestPackJobsAllocs pins what a pack allocates to build its jobs once
+// its evaluator holds the digital jobs and the analog templates: the
+// job slice and one block of analog job structs, nothing per test or
+// per wrapper group. It also pins the job IDs and group names, which
+// Gantt and CSV output print.
+func TestPackJobsAllocs(t *testing.T) {
+	d := paperDesign()
+	e := testEvaluator(d, 32, nil)
+	tests := 0
+	for _, c := range d.Analog {
+		tests += len(c.Tests)
+	}
+	cands := d.Candidates(nil)
+	for _, p := range cands {
+		jobs, err := e.jobs(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		analog := jobs[len(jobs)-tests:]
+		k := 0
+		for gi, g := range p {
+			for _, ci := range g {
+				for ti := range d.Analog[ci].Tests {
+					j := analog[k]
+					k++
+					if id := fmt.Sprintf("%s/%s", d.Analog[ci].Name, d.Analog[ci].Tests[ti].Name); j.ID != id {
+						t.Fatalf("%s: job ID %q, want %q", p.Key(nil), j.ID, id)
+					}
+					if group := fmt.Sprintf("wrapper%d", gi); j.Group != group {
+						t.Fatalf("%s: job %s in group %q, want %q", p.Key(nil), j.ID, j.Group, group)
+					}
+				}
+			}
+		}
+	}
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	i := 0
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := e.jobs(cands[i%len(cands)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("%v allocs/job build", got)
+	if got > 2 {
+		t.Errorf("%v allocs to build a pack's jobs, want 2 (the job slice and the analog job structs)", got)
 	}
 }

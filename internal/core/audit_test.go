@@ -33,7 +33,7 @@ func TestPlanAllAnalogSOC(t *testing.T) {
 		if err != nil {
 			t.Fatalf("exhaustive=%v: %v", exhaustive, err)
 		}
-		s, err := NewEvaluator(d, 16).Schedule(res.Best.Partition)
+		s, err := testSchedule(d, 16, res.Best.Partition)
 		if err != nil {
 			t.Fatalf("exhaustive=%v schedule: %v", exhaustive, err)
 		}
@@ -62,7 +62,7 @@ func TestPlanSingleDigitalModule(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CostOptimizer: %v", err)
 	}
-	s, err := NewEvaluator(d, 16).Schedule(res.Best.Partition)
+	s, err := testSchedule(d, 16, res.Best.Partition)
 	if err != nil {
 		t.Fatalf("ScheduleFor: %v", err)
 	}
@@ -91,9 +91,9 @@ func TestZeroTimeModuleSkipped(t *testing.T) {
 	if err := soc.Validate(); err != nil {
 		t.Fatalf("zero-time SOC should be valid: %v", err)
 	}
-	jobs, err := DigitalJobs(&Design{Name: "g", Digital: soc}, 16)
+	jobs, err := DigitalJobsWith(&Design{Name: "g", Digital: soc}, 16, nil)
 	if err != nil {
-		t.Fatalf("DigitalJobs: %v", err)
+		t.Fatalf("DigitalJobsWith: %v", err)
 	}
 	if len(jobs) != 1 || jobs[0].ID != "real" {
 		t.Fatalf("jobs = %v, want only the real module", jobs)
@@ -105,7 +105,7 @@ func TestZeroTimeModuleSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("planning with a zero-time module: %v", err)
 	}
-	s, err := NewEvaluator(d, 16).Schedule(res.Best.Partition)
+	s, err := testSchedule(d, 16, res.Best.Partition)
 	if err != nil {
 		t.Fatalf("ScheduleFor: %v", err)
 	}

@@ -35,7 +35,7 @@ package core
 // only on the partition. Every analog test sits in its wrapper's group
 // and runs at least one cycle, so serial(p) also covers the longest
 // single analog test. The evaluator computes the first two parts once,
-// on its first probe (Evaluator.boundFloor), and the candidate table
+// on its first probe (evaluator.boundFloor), and the candidate table
 // stores serial(p) (costed.serial). LowerBound keeps the BuildJobs
 // formulation as the reference the probe is pinned against.
 
@@ -69,7 +69,7 @@ func (pl *Planner) LowerBound(p partition.Partition, allShare int64) (float64, e
 // bound is LowerBound on the planner's hot path: the evaluator's
 // width part of the floor, raised to the candidate's serialization
 // floor.
-func (pl *Planner) bound(e *Evaluator, c *costed, allShare int64) (float64, error) {
+func (pl *Planner) bound(e *evaluator, c *costed, allShare int64) (float64, error) {
 	fl, err := e.boundFloor()
 	if err != nil {
 		return 0, err

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -36,13 +37,15 @@ func TestLowerBoundMatchesBuildJobs(t *testing.T) {
 		designs[fmt.Sprintf("medium-%02d", seed)] = d
 	}
 	checked := 0
+	eng := core.NewEngine(core.EngineOptions{})
 	for name, d := range designs {
 		for width := 16; width <= 64; width += 8 {
 			pl := core.NewPlanner(d, width, core.EqualWeights)
-			allShare, err := core.NewEvaluator(d, width).TestTime(d.AllShare())
+			s, err := eng.Schedule(context.Background(), d, d.AllShare(), width)
 			if err != nil {
 				t.Fatalf("%s W=%d: %v", name, width, err)
 			}
+			allShare := s.Makespan
 			ps, probes, err := core.BoundProbes(pl, allShare)
 			if err != nil {
 				t.Fatalf("%s W=%d: %v", name, width, err)

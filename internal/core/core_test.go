@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"mixsoc/internal/analog"
 	"mixsoc/internal/itc02"
 	"mixsoc/internal/partition"
+	"mixsoc/internal/tam"
 )
 
 // paperDesign builds p93791m: the embedded digital benchmark plus the
@@ -134,23 +136,37 @@ func TestWeights(t *testing.T) {
 	}
 }
 
+// testEvaluator returns the evaluator of an unwired planner for d at
+// width w, over cache (nil: a private one).
+func testEvaluator(d *Design, w int, cache *ScheduleCache) *evaluator {
+	pl := NewPlanner(d, w, EqualWeights)
+	pl.Cache = cache
+	return pl.evaluator()
+}
+
+// testSchedule packs configuration p of d at width w on a fresh
+// unwired evaluator.
+func testSchedule(d *Design, w int, p partition.Partition) (*tam.Schedule, error) {
+	return testEvaluator(d, w, nil).schedule(context.Background(), p, p.Key(nil))
+}
+
 func TestEvaluatorCachesAndCounts(t *testing.T) {
 	d := paperDesign()
-	e := NewEvaluator(d, 32)
+	e := testEvaluator(d, 32, nil)
 	p := d.AllShare()
-	t1, err := e.TestTime(p)
+	s1, err := e.schedule(context.Background(), p, p.Key(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := e.TestTime(p.Clone())
+	s2, err := e.schedule(context.Background(), p.Clone(), p.Key(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t1 != t2 {
-		t.Errorf("cache returned different time: %d vs %d", t1, t2)
+	if s1.Makespan != s2.Makespan {
+		t.Errorf("cache returned different time: %d vs %d", s1.Makespan, s2.Makespan)
 	}
-	if e.Runs() != 1 {
-		t.Errorf("Runs = %d, want 1 (second call cached)", e.Runs())
+	if e.runs() != 1 {
+		t.Errorf("runs = %d, want 1 (second call cached)", e.runs())
 	}
 }
 
@@ -341,9 +357,8 @@ func TestPlannerRejectsBadInput(t *testing.T) {
 
 func TestScheduleSerializesSharedWrappers(t *testing.T) {
 	d := paperDesign()
-	e := NewEvaluator(d, 48)
 	p := partition.Partition{{0, 1, 4}, {2, 3}} // {A,B,E}{C,D}
-	s, err := e.Schedule(p)
+	s, err := testSchedule(d, 48, p)
 	if err != nil {
 		t.Fatal(err)
 	}

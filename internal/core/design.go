@@ -132,9 +132,9 @@ func (d *Design) Candidates(policy partition.Policy) []partition.Partition {
 //     and the several tests of a single core, which occupy the same
 //     wrapper — therefore never overlap in time.
 func BuildJobs(d *Design, p partition.Partition, width int) ([]*tam.Job, error) {
-	digital, err := DigitalJobs(d, width)
+	digital, err := DigitalJobsWith(d, width, nil)
 	if err != nil {
 		return nil, err
 	}
-	return appendAnalogJobs(digital, d, p)
+	return newAnalogJobs(d).appendTo(digital, p)
 }

@@ -47,10 +47,10 @@ type EngineOptions struct {
 // per-width schedule caches for every design it has seen, keyed by the
 // design's content hash (DesignHash), evicts whole designs by LRU, and
 // threads context cancellation through every planning call. All methods
-// are safe for concurrent use, and every result is bit-identical to the
-// corresponding one-shot free function (Plan, SweepWith, ...): the
-// caches only deduplicate deterministic work, and warm-started sweeps
-// never write into the shared cold caches.
+// are safe for concurrent use, and every result is bit-identical to an
+// unwired planner's (NewPlanner with no caches set): the caches only
+// deduplicate deterministic work, and warm-started sweeps never write
+// into the shared cold caches.
 //
 // A zero-valued Engine is not usable; construct with NewEngine.
 type Engine struct {
@@ -82,9 +82,11 @@ type Engine struct {
 	backends map[string]*backendCounters
 }
 
-// engineSession is the cache state of one canonicalized design: the
-// engine-owned design copy, its cross-width staircase cache, and one
-// cold schedule cache per TAM width.
+// engineSession is the cache state of one design, and every planning
+// call's only source of cache wiring: the design, its cross-width
+// staircase cache, its candidate table, and one cold schedule cache per
+// TAM width. An Engine keeps one per canonicalized design; a one-shot
+// SweepWith plans on a throwaway one over the caller's design.
 type engineSession struct {
 	engine *Engine
 	hash   string
@@ -225,15 +227,7 @@ func (e *Engine) session(d *Design, hash string) (*engineSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &engineSession{
-		engine:    e,
-		hash:      hash,
-		design:    clone,
-		maxWidths: e.opts.MaxWidthCaches,
-		table:     &sharedTable{d: clone},
-		byWidth:   map[widthKey]*widthCache{},
-	}
-	s.stairs = s.newStairs(e.opts.MaxWidth)
+	s := e.newSession(clone, hash)
 	// A failed hash (practically impossible) leaves the key empty, which
 	// simply opts the session out of digital-jobs sharing.
 	s.digitalHash, _ = DigitalHash(clone)
@@ -268,6 +262,21 @@ func (e *Engine) session(d *Design, hash string) (*engineSession, error) {
 	return s, nil
 }
 
+// newSession returns a session planning on d itself, outside the
+// engine's session map, with no digital-jobs sharing (digitalHash "").
+func (e *Engine) newSession(d *Design, hash string) *engineSession {
+	s := &engineSession{
+		engine:    e,
+		hash:      hash,
+		design:    d,
+		maxWidths: e.opts.MaxWidthCaches,
+		table:     &sharedTable{d: d},
+		byWidth:   map[widthKey]*widthCache{},
+	}
+	s.stairs = s.newStairs(e.opts.MaxWidth)
+	return s
+}
+
 // scheduleStats sums the session's schedule-cache counters: the live
 // width caches plus the widths its own LRU already retired.
 func (s *engineSession) scheduleStats() CacheStats {
@@ -297,6 +306,14 @@ func (s *engineSession) newStairs(maxW int) *wrapper.StaircaseCache {
 	return sc
 }
 
+// planCaches is one planning call's wiring: the session, its staircase
+// cache as of the call, and the engine packer for the call's backend.
+type planCaches struct {
+	s      *engineSession
+	stairs *wrapper.StaircaseCache
+	packer tam.Packer
+}
+
 // caches wires a planning call over widths up to maxW to the session:
 // the engine's instrumented packer for the backend, the engine's
 // digital-jobs cache, the session's cold schedule caches, its
@@ -315,14 +332,21 @@ func (s *engineSession) caches(maxW int, backend string) (*planCaches, error) {
 	}
 	stairs := s.stairs
 	s.mu.Unlock()
-	return &planCaches{
-		stairs:  stairs,
-		packer:  pk,
-		digital: s.engine.digitalJobs,
-		digKey:  s.digitalHash,
-		table:   s.table,
-		cache:   func(w int) *ScheduleCache { return s.scheduleCache(w, pk.Name()) },
-	}, nil
+	return &planCaches{s: s, stairs: stairs, packer: pk}, nil
+}
+
+// cache returns the session's cold schedule cache for width w.
+func (c *planCaches) cache(w int) *ScheduleCache {
+	return c.s.scheduleCache(w, c.packer.Name())
+}
+
+// wire connects pl to the caches, with sc as its schedule cache.
+func (c *planCaches) wire(pl *Planner, sc *ScheduleCache) {
+	pl.Cache = sc
+	pl.Staircases = c.stairs
+	pl.Digital, pl.DigitalKey = c.s.engine.digitalJobs, c.s.digitalHash
+	pl.Packer = c.packer
+	pl.table = c.s.table
 }
 
 // scheduleCache returns the session's cold schedule cache for width w
@@ -382,8 +406,9 @@ type PlanOptions struct {
 // Plan runs the paper's Cost_Optimizer heuristic on the design at TAM
 // width w, serving wrapper staircases and TAM schedules from the
 // design's cache session. The Result — including NEval — is
-// bit-identical to a one-shot Plan call: caches only deduplicate
-// deterministic work, and each call accounts its own evaluations.
+// bit-identical to an unwired NewPlanner planner's: caches only
+// deduplicate deterministic work, and each call accounts its own
+// evaluations.
 func (e *Engine) Plan(ctx context.Context, d *Design, width int, w Weights) (*Result, error) {
 	return e.PlanWith(ctx, d, width, w, PlanOptions{})
 }
@@ -433,7 +458,7 @@ func (e *Engine) Schedule(ctx context.Context, d *Design, p partition.Partition,
 	}
 	pl := &Planner{Design: s.design, Width: width}
 	pc.wire(pl, pc.cache(width))
-	return pl.evaluator().ScheduleContext(ctx, p)
+	return pl.evaluator().schedule(ctx, p, p.Key(nil))
 }
 
 // Sweep solves the planning problem across TAM widths and weight
@@ -452,7 +477,7 @@ func (e *Engine) Sweep(ctx context.Context, d *Design, widths []int, weights []W
 	if opt.Workers == 0 {
 		opt.Workers = e.workers()
 	}
-	return sweep(ctx, s.design, widths, weights, opt, s.caches)
+	return sweep(ctx, s, widths, weights, opt)
 }
 
 // DesignInfo describes one live cache session of an Engine.

@@ -74,8 +74,7 @@ func TestEngineBitIdenticalToDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvaluator(warmTestDesign(), 32)
-	sd, err := ev.Schedule(warmTestDesign().AllShare())
+	sd, err := testSchedule(warmTestDesign(), 32, warmTestDesign().AllShare())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +83,10 @@ func TestEngineBitIdenticalToDirect(t *testing.T) {
 	}
 }
 
-// An engine's sweep must match the one-shot SweepWith point for point,
-// and a repeat sweep (served largely from the session caches) must not
-// drift.
+// An engine's sweep must match one unwired planner per grid point,
+// each with private caches, on every backend — so the shared caches
+// only deduplicate work — and a repeat sweep (served largely from the
+// session caches) must not drift.
 func TestEngineSweepBitIdenticalToDirect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solver sweeps are slow")
@@ -96,22 +96,36 @@ func TestEngineSweepBitIdenticalToDirect(t *testing.T) {
 	widths := []int{32, 48}
 	weights := []Weights{EqualWeights, {Time: 0.25, Area: 0.75}}
 
-	direct, err := SweepWith(warmTestDesign(), widths, weights, SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 2; round++ {
-		got, err := eng.Sweep(ctx, warmTestDesign(), widths, weights, SweepOptions{})
-		if err != nil {
-			t.Fatal(err)
+	for _, backend := range []string{tam.BackendOccupancy, tam.BackendRectangle, BackendTournament} {
+		var direct []*Result
+		for _, wt := range weights {
+			for _, w := range widths {
+				pl := NewPlanner(warmTestDesign(), w, wt)
+				pk, err := PackerFor(backend)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pl.Packer = pk
+				res, err := pl.CostOptimizer()
+				if err != nil {
+					t.Fatal(err)
+				}
+				direct = append(direct, res)
+			}
 		}
-		if len(got) != len(direct) {
-			t.Fatalf("round %d: %d points, want %d", round, len(got), len(direct))
-		}
-		for i := range got {
-			if got[i].Width != direct[i].Width || got[i].Weights != direct[i].Weights ||
-				!sameResult(got[i].Result, direct[i].Result) {
-				t.Fatalf("round %d point %d: engine sweep diverges from direct", round, i)
+		for round := 0; round < 2; round++ {
+			got, err := eng.Sweep(ctx, warmTestDesign(), widths, weights, SweepOptions{Backend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(direct) {
+				t.Fatalf("%s round %d: %d points, want %d", backend, round, len(got), len(direct))
+			}
+			for i := range got {
+				if got[i].Width != widths[i%len(widths)] || got[i].Weights != weights[i/len(widths)] ||
+					!sameResult(got[i].Result, direct[i]) {
+					t.Fatalf("%s round %d point %d: engine sweep diverges from direct", backend, round, i)
+				}
 			}
 		}
 	}
@@ -268,11 +282,11 @@ func TestWaiterHonorsOwnContext(t *testing.T) {
 		t.Fatal("entry unexpectedly existed")
 	}
 
-	ev := NewSharedEvaluator(d, 32, cache)
+	ev := testEvaluator(d, 32, cache)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	_, err := ev.ScheduleContext(ctx, p)
+	_, err := ev.schedule(ctx, p, p.Key(nil))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("waiter returned %v, want its own context.DeadlineExceeded", err)
 	}
@@ -282,9 +296,9 @@ func TestWaiterHonorsOwnContext(t *testing.T) {
 
 	// The owner eventually completes; subsequent calls serve the entry.
 	ev.fill(nil, p, key, ent)
-	s, err := ev.Schedule(p)
+	s, err := ev.schedule(context.Background(), p, p.Key(nil))
 	if err != nil || s == nil {
-		t.Fatalf("post-completion Schedule = (%v, %v)", s, err)
+		t.Fatalf("post-completion schedule = (%v, %v)", s, err)
 	}
 	if cache.Peek(key) != s {
 		t.Error("completed entry not served from the cache")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -19,7 +20,7 @@ import (
 // sweep, or between an exhaustive and a heuristic run at the same width)
 // deduplicates the packing work without changing any reported numbers:
 // the TAM optimizer is deterministic, so a cached schedule is identical
-// to a recomputed one, and each Evaluator still counts its own NEval.
+// to a recomputed one, and each planner still counts its own NEval.
 //
 // Cancellation never poisons the cache: a computation aborted by its
 // caller's context is dropped rather than memoized, so the next request
@@ -129,49 +130,15 @@ func (c *ScheduleCache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
 
-// Evaluator runs TAM optimizations for sharing configurations of one
-// design at one TAM width, caching results by configuration. It counts
-// the number of distinct TAM optimizer runs, the NEval metric of
-// Table 4. It is safe for concurrent use: parallel planners prefetch
-// schedules through it (Prefetch does not count toward NEval) and a
+// evaluator runs the TAM optimizations of one solve through its
+// planner's wiring (Cache, Staircases, Digital, Warm, Packer) and
+// counts the distinct configurations the solve accounted, the NEval
+// metric of Table 4. It is safe for concurrent use: parallel planners
+// pack speculatively through compute, which counts nothing, and a
 // deterministic replay then accounts the runs in sequential order.
-type Evaluator struct {
-	Design *Design
-	Width  int
-
-	// Staircases, when non-nil, serves the digital cores' wrapper
-	// staircases from a design-level cache shared across widths (see
-	// wrapper.StaircaseCache); nil computes them from scratch. Set it
-	// before the evaluator's first use.
-	Staircases *wrapper.StaircaseCache
-
-	// Digital, when non-nil together with a non-empty DigitalKey, serves
-	// the design's digital TAM jobs from a cross-design cache keyed by
-	// (DigitalKey, Width) — see DigitalJobsCache. DigitalKey must be the
-	// design's DigitalHash. Set both before the evaluator's first use.
-	Digital    *DigitalJobsCache
-	DigitalKey string
-
-	// Warm lists the schedule caches of adjacent TAM widths, nearest
-	// first: configurations already packed there seed this evaluator's
-	// TAM runs via tam.WithWarmStart, the best adoption winning (a
-	// narrower width's schedule is adopted verbatim, a wider width's
-	// re-placed in seed order). Set it before the evaluator's first use,
-	// and only from sweep drivers whose source widths are complete —
-	// Peek never blocks, so a racing source cache would make warm
-	// seeding (not results, but timing) nondeterministic.
-	Warm []*ScheduleCache
-
-	// Packer is the packing backend every TAM run goes through;
-	// NewSharedEvaluator sets the default occupancy backend. The backing
-	// cache must be private to this backend (an Engine session keeps one
-	// schedule cache per (width, backend) pair): entries carry no backend
-	// tag of their own, so mixing backends in one cache would serve one
-	// backend's schedule as another's. Set it before the evaluator's
-	// first use.
-	Packer tam.Packer
-
-	cache *ScheduleCache
+type evaluator struct {
+	pl    *Planner
+	cache *ScheduleCache // pl.Cache, or a private one
 
 	mu      sync.Mutex
 	counted map[string]bool // NEval is its size
@@ -183,41 +150,27 @@ type Evaluator struct {
 	digital    []*tam.Job
 	digitalErr error
 
+	analog atomic.Pointer[analogJobs] // built by the first pack
+
 	// floor is the width part of Bounded mode's makespan bound (see
 	// boundFloor), set by the first bound probe, so unbounded plans
 	// never compute it.
 	floor atomic.Pointer[tam.Floor]
 }
 
-// NewEvaluator returns an evaluator for the design at the given width
-// with a private schedule cache.
-func NewEvaluator(d *Design, width int) *Evaluator {
-	return NewSharedEvaluator(d, width, nil)
-}
-
-// NewSharedEvaluator returns an evaluator backed by the given schedule
-// cache; nil means a private cache. The cache must only be shared
-// between evaluators of the same design and width.
-func NewSharedEvaluator(d *Design, width int, cache *ScheduleCache) *Evaluator {
-	if cache == nil {
-		cache = NewScheduleCache()
-	}
-	return &Evaluator{Design: d, Width: width, Packer: tam.OccupancyPacker{}, cache: cache, counted: map[string]bool{}}
-}
-
-// Runs returns the number of TAM optimizer invocations accounted so far:
-// distinct configurations requested through Schedule or TestTime.
-// Prefetched schedules are not counted until (unless) they are requested.
-func (e *Evaluator) Runs() int {
+// runs returns the number of TAM optimizer invocations accounted so
+// far: distinct configurations requested through schedule.
+func (e *evaluator) runs() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.counted)
 }
 
-func (e *Evaluator) digitalJobs() ([]*tam.Job, error) {
+func (e *evaluator) digitalJobs() ([]*tam.Job, error) {
 	e.digOnce.Do(func() {
-		e.digital, e.digitalErr = e.Digital.jobs(e.DigitalKey, e.Width, func() ([]*tam.Job, error) {
-			return DigitalJobsWith(e.Design, e.Width, e.Staircases)
+		pl := e.pl
+		e.digital, e.digitalErr = pl.Digital.jobs(pl.DigitalKey, pl.Width, func() ([]*tam.Job, error) {
+			return DigitalJobsWith(pl.Design, pl.Width, pl.Staircases)
 		})
 	})
 	return e.digital, e.digitalErr
@@ -231,7 +184,7 @@ func (e *Evaluator) digitalJobs() ([]*tam.Job, error) {
 // concurrent first probes may each compute it, identically. It sits
 // behind a pointer because every plan allocates an evaluator and most
 // plans never probe a bound.
-func (e *Evaluator) boundFloor() (tam.Floor, error) {
+func (e *evaluator) boundFloor() (tam.Floor, error) {
 	if fl := e.floor.Load(); fl != nil {
 		return *fl, nil
 	}
@@ -239,14 +192,31 @@ func (e *Evaluator) boundFloor() (tam.Floor, error) {
 	if err != nil {
 		return tam.Floor{}, err
 	}
-	fl := tam.AdmissibleFloor(digital, e.Width)
-	for _, c := range e.Design.Analog {
+	fl := tam.AdmissibleFloor(digital, e.pl.Width)
+	for _, c := range e.pl.Design.Analog {
 		for ti := range c.Tests {
 			fl.Volume += int64(c.Tests[ti].TAMWidth) * c.Tests[ti].Cycles
 		}
 	}
 	e.floor.Store(&fl)
 	return fl, nil
+}
+
+// jobs returns the TAM jobs for configuration p: the shared digital
+// jobs followed by the analog jobs p's wrappers serve. Past the first
+// call it allocates only the job slice and the analog job structs.
+func (e *evaluator) jobs(p partition.Partition) ([]*tam.Job, error) {
+	digital, err := e.digitalJobs()
+	if err != nil {
+		return nil, err
+	}
+	a := e.analog.Load()
+	if a == nil {
+		// Concurrent first packs may each build it, identically.
+		a = newAnalogJobs(e.pl.Design)
+		e.analog.Store(a)
+	}
+	return a.appendTo(digital, p)
 }
 
 // compute returns the schedule for (p, key), serving completed cache
@@ -257,8 +227,9 @@ func (e *Evaluator) boundFloor() (tam.Floor, error) {
 // owner's cancellation is dropped from the cache, never memoized; a
 // live waiter that observes one retries with a fresh entry. The
 // hit/miss counters record one miss per TAM run and one hit per
-// result actually served from the cache.
-func (e *Evaluator) compute(ctx context.Context, p partition.Partition, key string) (*tam.Schedule, error) {
+// result actually served from the cache. It counts nothing toward
+// NEval.
+func (e *evaluator) compute(ctx context.Context, p partition.Partition, key string) (*tam.Schedule, error) {
 	var ctxDone <-chan struct{}
 	if ctx != nil {
 		ctxDone = ctx.Done() // nil channel (nil ctx) blocks forever
@@ -291,20 +262,15 @@ func (e *Evaluator) compute(ctx context.Context, p partition.Partition, key stri
 
 // fill packs the schedule for (p, key) into the owned entry and closes
 // its done channel.
-func (e *Evaluator) fill(ctx context.Context, p partition.Partition, key string, ent *cacheEntry) {
+func (e *evaluator) fill(ctx context.Context, p partition.Partition, key string, ent *cacheEntry) {
 	defer close(ent.done)
-	digital, err := e.digitalJobs()
-	if err != nil {
-		ent.err = err
-		return
-	}
-	jobs, err := appendAnalogJobs(digital, e.Design, p)
+	jobs, err := e.jobs(p)
 	if err != nil {
 		ent.err = err
 		return
 	}
 	var opts []tam.Option
-	for _, warm := range e.Warm {
+	for _, warm := range e.pl.Warm {
 		if seed := warm.Peek(key); seed != nil {
 			opts = append(opts, tam.WithWarmStart(seed))
 		}
@@ -312,76 +278,35 @@ func (e *Evaluator) fill(ctx context.Context, p partition.Partition, key string,
 	if ctx != nil {
 		opts = append(opts, tam.WithContext(ctx))
 	}
-	ent.s, ent.err = e.Packer.Pack(jobs, e.Width, opts...)
+	pk := e.pl.Packer
+	if pk == nil {
+		pk = tam.OccupancyPacker{}
+	}
+	ent.s, ent.err = pk.Pack(jobs, e.pl.Width, opts...)
 }
 
-// Schedule returns the rectangle-packed schedule for configuration p,
-// computing it on first use anywhere (this evaluator or a shared cache)
-// and counting it toward Runs on first use here.
-func (e *Evaluator) Schedule(p partition.Partition) (*tam.Schedule, error) {
-	return e.ScheduleContext(nil, p)
-}
-
-// ScheduleContext is Schedule under a context: the TAM packing loops
-// poll ctx and the call returns ctx.Err() once it fires, with the
-// aborted computation dropped from the cache rather than memoized. A
-// nil ctx never cancels.
-func (e *Evaluator) ScheduleContext(ctx context.Context, p partition.Partition) (*tam.Schedule, error) {
-	key := p.Key(nil)
+// schedule returns the packed schedule for configuration p, whose key
+// is p.Key(nil), computing it on first use anywhere (this evaluator or
+// a shared cache) and counting it toward runs on first use here. The
+// TAM packing loops poll ctx and the call returns ctx.Err() once it
+// fires, with the aborted computation dropped from the cache rather
+// than memoized. A nil ctx never cancels.
+func (e *evaluator) schedule(ctx context.Context, p partition.Partition, key string) (*tam.Schedule, error) {
 	s, err := e.compute(ctx, p, key)
 	if err != nil {
 		return nil, err
 	}
-	e.count(key)
-	return s, nil
-}
-
-// count accounts the schedule under key toward Runs, once per key.
-func (e *Evaluator) count(key string) {
 	e.mu.Lock()
 	e.counted[key] = true
 	e.mu.Unlock()
+	return s, nil
 }
 
-// Prefetch computes and caches the schedule for configuration p without
-// counting it toward Runs. Parallel planners use it to warm the cache
-// speculatively; errors are deliberately dropped here and resurface,
-// deterministically, when the schedule is actually requested.
-func (e *Evaluator) Prefetch(p partition.Partition) {
-	e.PrefetchContext(nil, p)
-}
-
-// PrefetchContext is Prefetch under a context; a cancelled prefetch
-// leaves no trace in the cache.
-func (e *Evaluator) PrefetchContext(ctx context.Context, p partition.Partition) {
-	_, _ = e.compute(ctx, p, p.Key(nil))
-}
-
-// TestTime returns the SOC test time for configuration p in cycles.
-func (e *Evaluator) TestTime(p partition.Partition) (int64, error) {
-	return e.TestTimeContext(nil, p)
-}
-
-// TestTimeContext is TestTime under a context; see ScheduleContext.
-func (e *Evaluator) TestTimeContext(ctx context.Context, p partition.Partition) (int64, error) {
-	s, err := e.ScheduleContext(ctx, p)
-	if err != nil {
-		return 0, err
-	}
-	return s.Makespan, nil
-}
-
-// DigitalJobs builds the TAM jobs of the design's digital cores: one
+// DigitalJobsWith builds the TAM jobs of the design's digital cores: one
 // flexible job per core carrying its wrapper staircase (Pareto widths up
-// to the TAM width). The result is independent of the analog sharing
-// configuration.
-func DigitalJobs(d *Design, width int) ([]*tam.Job, error) {
-	return DigitalJobsWith(d, width, nil)
-}
-
-// DigitalJobsWith is DigitalJobs drawing staircases from a design-level
-// cache when sc is non-nil, so a width sweep designs each module's
-// wrapper once instead of once per width.
+// to the TAM width), drawn from sc when it is non-nil, so a width sweep
+// designs each module's wrapper once instead of once per width. The
+// result is independent of the analog sharing configuration.
 func DigitalJobsWith(d *Design, width int, sc *wrapper.StaircaseCache) ([]*tam.Job, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("core: TAM width %d < 1", width)
@@ -408,27 +333,54 @@ func DigitalJobsWith(d *Design, width int, sc *wrapper.StaircaseCache) ([]*tam.J
 	return jobs, nil
 }
 
-// appendAnalogJobs returns a new job slice extending digital with one
-// fixed job per analog test, tagged with the serialization group of the
-// wrapper that serves its core under partition p. digital is not
-// modified.
-func appendAnalogJobs(digital []*tam.Job, d *Design, p partition.Partition) ([]*tam.Job, error) {
-	if p.N() != len(d.Analog) {
-		return nil, fmt.Errorf("core: partition covers %d cores, design has %d", p.N(), len(d.Analog))
+// analogJobs is the part of a design's analog TAM jobs that no
+// partition changes: per analog core, one job per test carrying its ID
+// and its one fixed-shape option, and the group name of each wrapper
+// index. appendTo fills in the groups.
+type analogJobs struct {
+	tests  [][]tam.Job // per analog core, Group unset
+	groups []string    // "wrapper<i>" for wrapper index i
+	n      int         // analog tests in all
+}
+
+func newAnalogJobs(d *Design) *analogJobs {
+	a := &analogJobs{tests: make([][]tam.Job, len(d.Analog)), groups: make([]string, len(d.Analog))}
+	for ci, c := range d.Analog {
+		a.groups[ci] = "wrapper" + strconv.Itoa(ci)
+		a.tests[ci] = make([]tam.Job, len(c.Tests))
+		for ti := range c.Tests {
+			t := &c.Tests[ti]
+			a.tests[ci][ti] = tam.Job{ID: c.Name + "/" + t.Name, Options: []wrapper.Point{{Width: t.TAMWidth, Time: t.Cycles}}}
+		}
+		a.n += len(c.Tests)
 	}
-	jobs := make([]*tam.Job, len(digital), len(digital)+4*len(d.Analog))
+	return a
+}
+
+// appendTo returns a new job slice extending digital with one fixed job
+// per analog test, tagged with the serialization group of the wrapper
+// that serves its core under partition p. digital is not modified, and
+// the jobs share their IDs and options with the templates, which is
+// safe because the packer never mutates jobs.
+func (a *analogJobs) appendTo(digital []*tam.Job, p partition.Partition) ([]*tam.Job, error) {
+	if p.N() != len(a.tests) {
+		return nil, fmt.Errorf("core: partition covers %d cores, design has %d", p.N(), len(a.tests))
+	}
+	jobs := make([]*tam.Job, len(digital), len(digital)+a.n)
 	copy(jobs, digital)
+	analog := make([]tam.Job, 0, a.n)
 	for gi, g := range p {
-		group := fmt.Sprintf("wrapper%d", gi)
+		group := ""
+		if gi < len(a.groups) {
+			group = a.groups[gi]
+		} else { // only past empty groups, which no candidate has
+			group = "wrapper" + strconv.Itoa(gi)
+		}
 		for _, ci := range g {
-			c := d.Analog[ci]
-			for ti := range c.Tests {
-				t := &c.Tests[ti]
-				jobs = append(jobs, &tam.Job{
-					ID:      fmt.Sprintf("%s/%s", c.Name, t.Name),
-					Options: []wrapper.Point{{Width: t.TAMWidth, Time: t.Cycles}},
-					Group:   group,
-				})
+			for _, t := range a.tests[ci] {
+				t.Group = group
+				analog = append(analog, t)
+				jobs = append(jobs, &analog[len(analog)-1])
 			}
 		}
 	}

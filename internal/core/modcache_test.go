@@ -170,7 +170,7 @@ func TestDigitalJobsCacheEviction(t *testing.T) {
 		t.Helper()
 		jobs, err := c.jobs("h", w, func() ([]*tam.Job, error) {
 			builds++
-			return DigitalJobs(d, w)
+			return DigitalJobsWith(d, w, nil)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -96,7 +97,7 @@ func TestSweepParallelDeterministic(t *testing.T) {
 	// Force a multi-worker pool even on a single-CPU machine so the
 	// concurrent path is actually exercised (and raced under -race).
 	old := runtime.GOMAXPROCS(4)
-	points, err := Sweep(d, widths, weights, false, nil)
+	points, err := SweepWith(d, widths, weights, SweepOptions{})
 	runtime.GOMAXPROCS(old)
 	if err != nil {
 		t.Fatal(err)
@@ -126,26 +127,30 @@ func TestSweepParallelDeterministic(t *testing.T) {
 	}
 }
 
-// Evaluator.Runs must count exactly the configurations requested through
-// the counted API — prefetching must stay invisible to NEval.
+// evaluator.runs must count exactly the configurations requested
+// through schedule — speculative packs (compute) must stay invisible to
+// NEval.
 func TestPrefetchDoesNotCount(t *testing.T) {
 	d := planDesign()
-	e := NewEvaluator(d, 32)
+	e := testEvaluator(d, 32, nil)
 	p := d.AllShare()
-	e.Prefetch(p)
-	if e.Runs() != 0 {
-		t.Fatalf("Runs = %d after Prefetch, want 0", e.Runs())
-	}
-	if _, err := e.TestTime(p); err != nil {
+	ctx := context.Background()
+	if _, err := e.compute(ctx, p, p.Key(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if e.Runs() != 1 {
-		t.Fatalf("Runs = %d after first counted use, want 1", e.Runs())
+	if e.runs() != 0 {
+		t.Fatalf("runs = %d after a speculative pack, want 0", e.runs())
 	}
-	if _, err := e.TestTime(p); err != nil {
+	if _, err := e.schedule(ctx, p, p.Key(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if e.Runs() != 1 {
-		t.Fatalf("Runs = %d after repeat use, want 1 (cached)", e.Runs())
+	if e.runs() != 1 {
+		t.Fatalf("runs = %d after first counted use, want 1", e.runs())
+	}
+	if _, err := e.schedule(ctx, p, p.Key(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if e.runs() != 1 {
+		t.Fatalf("runs = %d after repeat use, want 1 (cached)", e.runs())
 	}
 }

@@ -56,27 +56,30 @@ type Planner struct {
 	// paper's algorithm sequentially over the warmed cache, so the
 	// Result — including NEval — is identical to a single-worker run.
 	Workers int
-	// Cache, when non-nil, backs the planner's evaluator with a shared
-	// schedule store (see ScheduleCache). It must belong to the same
-	// design and width.
+	// Cache, when non-nil, backs the planner's TAM runs with a shared
+	// schedule store (see ScheduleCache); nil means a private one per
+	// solve. It must belong to the same design, width and packer.
 	Cache *ScheduleCache
 	// Staircases, when non-nil, serves digital wrapper staircases from a
 	// design-level cache shared across widths (see
 	// wrapper.StaircaseCache).
 	Staircases *wrapper.StaircaseCache
 	// Digital and DigitalKey, when both set, serve the design's digital
-	// TAM jobs from a cross-design cache (see Evaluator.Digital).
+	// TAM jobs from a cross-design cache keyed by (DigitalKey, Width);
+	// see DigitalJobsCache. DigitalKey must be the design's DigitalHash.
 	Digital    *DigitalJobsCache
 	DigitalKey string
-	// Warm lists the completed schedule caches of adjacent widths used
-	// to seed TAM runs, nearest width first (see Evaluator.Warm).
+	// Warm lists the completed schedule caches of adjacent widths,
+	// nearest first, whose packings seed this planner's TAM runs
+	// (tam.WithWarmStart, best adoption wins). Peek never blocks, so
+	// only a driver whose source widths are complete may set it.
 	// Warm-started packing is not guaranteed to reproduce cold makespans
 	// bit-for-bit; leave it empty where exact reproduction matters.
 	Warm []*ScheduleCache
 	// Packer is the packing backend every TAM run goes through (see
-	// Evaluator.Packer and PackerFor); NewPlanner sets the default
-	// occupancy backend, and nil means it too. A shared Cache must be
-	// private to the backend.
+	// PackerFor); NewPlanner sets the default occupancy backend, and nil
+	// means it too. A shared Cache must be private to the backend, as
+	// its entries carry no backend tag.
 	Packer tam.Packer
 
 	// table, when non-nil, serves the costed candidates from a table
@@ -152,16 +155,14 @@ func (pl *Planner) workers() int {
 	return DefaultWorkers()
 }
 
-func (pl *Planner) evaluator() *Evaluator {
-	e := NewSharedEvaluator(pl.Design, pl.Width, pl.Cache)
-	e.Staircases = pl.Staircases
-	e.Digital = pl.Digital
-	e.DigitalKey = pl.DigitalKey
-	e.Warm = pl.Warm
-	if pl.Packer != nil {
-		e.Packer = pl.Packer
+// evaluator returns a fresh evaluator over the planner's wiring, which
+// must not change while it is in use.
+func (pl *Planner) evaluator() *evaluator {
+	cache := pl.Cache
+	if cache == nil {
+		cache = NewScheduleCache()
 	}
-	return e
+	return &evaluator{pl: pl, cache: cache, counted: map[string]bool{}}
 }
 
 // costed is one feasible configuration with everything about it that
@@ -271,7 +272,7 @@ type prune struct {
 type run struct {
 	*Planner
 	ctx      context.Context
-	e        *Evaluator
+	e        *evaluator
 	table    *candidateTable
 	feasible []candidate // in candidate order
 	res      *Result
@@ -326,11 +327,10 @@ func (r *run) allShare(warm []candidate) error {
 			return err
 		}
 	}
-	s, err := r.e.compute(r.ctx, r.table.allShare.p, r.table.allShare.key)
+	s, err := r.e.schedule(r.ctx, r.table.allShare.p, r.table.allShare.key)
 	if err != nil {
 		return err
 	}
-	r.e.count(r.table.allShare.key)
 	r.res.AllShare = s.Makespan
 	return nil
 }
@@ -409,11 +409,10 @@ func (r *run) replay(list []candidate, pr prune) error {
 		if skip {
 			continue
 		}
-		s, err := r.e.compute(r.ctx, c.p, c.key)
+		s, err := r.e.schedule(r.ctx, c.p, c.key)
 		if err != nil {
 			return err
 		}
-		r.e.count(c.key)
 		t := s.Makespan
 		ct, cost := r.cost(c, t)
 		r.res.Evaluated = append(r.res.Evaluated, Evaluation{
@@ -430,7 +429,7 @@ func (r *run) replay(list []candidate, pr prune) error {
 // and NEval is what the evaluator accounted.
 func (r *run) result() *Result {
 	r.res.Best = r.res.Evaluated[r.best]
-	r.res.NEval = r.e.Runs()
+	r.res.NEval = r.e.runs()
 	return r.res
 }
 

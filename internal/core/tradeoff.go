@@ -3,11 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
-
-	"mixsoc/internal/partition"
-	"mixsoc/internal/tam"
-	"mixsoc/internal/wrapper"
 )
 
 // SweepPoint is one solved planning instance of a trade-off sweep.
@@ -97,13 +92,6 @@ type SweepOptions struct {
 	DesignHash string
 }
 
-// Sweep solves the planning problem across TAM widths and weight
-// settings — the cost surface the paper's Table 4 explores — with the
-// default options (cold packing). See SweepWith.
-func Sweep(d *Design, widths []int, weights []Weights, exhaustive bool, configure func(*Planner)) ([]SweepPoint, error) {
-	return SweepWith(d, widths, weights, SweepOptions{Exhaustive: exhaustive, Configure: configure})
-}
-
 // SweepWith solves the planning problem across TAM widths and weight
 // settings. Grid points at the same TAM width share one schedule cache
 // (test schedules do not depend on the cost weights), and the whole
@@ -130,66 +118,29 @@ func SweepWith(d *Design, widths []int, weights []Weights, opt SweepOptions) ([]
 // packing was aborted are dropped from the caches rather than memoized,
 // so the sweep's caches stay consistent across a cancellation.
 func SweepWithContext(ctx context.Context, d *Design, widths []int, weights []Weights, opt SweepOptions) ([]SweepPoint, error) {
-	return sweep(ctx, d, widths, weights, opt, freshCaches)
-}
-
-// planCaches is the cache wiring of a planning call: the wrapper
-// staircase cache, the packer, the cross-design digital-jobs cache and
-// the design's key in it, the design's costed candidate table, and the
-// source of each width's cold schedule cache. One-shot calls get
-// private ones from freshCaches; an Engine session hands out its
-// long-lived ones (engineSession.caches), so repeated calls over one
-// design reuse each other's packings and costings.
-type planCaches struct {
-	stairs  *wrapper.StaircaseCache
-	packer  tam.Packer
-	digital *DigitalJobsCache
-	digKey  string
-	table   *sharedTable
-	// cache returns the cold schedule cache for a width; distinct
-	// packers get distinct caches.
-	cache func(width int) *ScheduleCache
-}
-
-// freshCaches returns private caches for widths up to maxW, packing
-// through the named backend.
-func freshCaches(maxW int, backend string) (*planCaches, error) {
-	pk, err := PackerFor(backend)
-	if err != nil {
-		return nil, err
+	// A throwaway engine session over the caller's own design: nothing
+	// outlives the call, so there is nothing to clone or key by hash,
+	// and a Configure hook sees the design it was handed.
+	maxW := 0
+	for _, w := range widths {
+		maxW = max(maxW, w)
 	}
-	return &planCaches{
-		stairs: wrapper.NewStaircaseCache(maxW),
-		packer: pk,
-		cache:  func(int) *ScheduleCache { return NewScheduleCache() },
-	}, nil
+	return sweep(ctx, NewEngine(EngineOptions{MaxWidth: maxW}).newSession(d, ""), widths, weights, opt)
 }
 
-// wire connects pl to the caches, with sc as its schedule cache.
-func (c *planCaches) wire(pl *Planner, sc *ScheduleCache) {
-	pl.Cache = sc
-	pl.Staircases = c.stairs
-	pl.Digital, pl.DigitalKey = c.digital, c.digKey
-	pl.Packer = c.packer
-	pl.table = c.table
-}
-
-// sweep is the sweep engine room; caches supplies the wiring for
-// widths up to the widest selected one. Schedule caches come from it
-// only for cold sweeps: a WarmStart sweep packs along a different
-// search trajectory, so its schedules must never enter a shared cold
-// cache (they would break the bit-identity of later cold calls); it
-// still shares the staircase cache, which is exact.
-func sweep(ctx context.Context, d *Design, widths []int, weights []Weights, opt SweepOptions, caches func(maxW int, backend string) (*planCaches, error)) ([]SweepPoint, error) {
+// sweep is the sweep engine room, planning on session s's design with
+// its wiring for widths up to the widest selected one. Schedule caches
+// come from the session only for cold sweeps: a WarmStart sweep packs
+// along a different search trajectory, so its schedules must never
+// enter a shared cold cache (they would break the bit-identity of later
+// cold calls); it still shares the staircase cache, which is exact.
+func sweep(ctx context.Context, s *engineSession, widths []int, weights []Weights, opt SweepOptions) ([]SweepPoint, error) {
 	if len(widths) == 0 || len(weights) == 0 {
 		return nil, fmt.Errorf("core: sweep needs at least one width and one weight setting")
 	}
 	workers := opt.Workers
 	if workers < 1 {
 		workers = DefaultWorkers()
-	}
-	selected := func(w int, wt Weights) bool {
-		return opt.Select == nil || opt.Select(w, wt)
 	}
 	// Dense grid indices of the selected points, weights-major; the
 	// staircase and schedule caches cover exactly the selected widths.
@@ -199,7 +150,7 @@ func sweep(ctx context.Context, d *Design, widths []int, weights []Weights, opt 
 	selWidths := make(map[int]bool, len(widths))
 	for k, wt := range weights {
 		for ci, w := range widths {
-			if !selected(w, wt) {
+			if opt.Select != nil && !opt.Select(w, wt) {
 				continue
 			}
 			keep = append(keep, k*len(widths)+ci)
@@ -211,12 +162,9 @@ func sweep(ctx context.Context, d *Design, widths []int, weights []Weights, opt 
 	if len(keep) == 0 {
 		return nil, fmt.Errorf("core: sweep selection admits no grid points")
 	}
-	pc, err := caches(maxW, opt.Backend)
+	pc, err := s.caches(maxW, opt.Backend)
 	if err != nil {
 		return nil, err
-	}
-	if pc.table == nil { // one-shot caches: one table for the sweep
-		pc.table = &sharedTable{d: d}
 	}
 	schedules := make(map[int]*ScheduleCache, len(selWidths))
 	for w := range selWidths {
@@ -232,7 +180,7 @@ func sweep(ctx context.Context, d *Design, widths []int, weights []Weights, opt 
 	solve := func(i int, warm []*ScheduleCache, inner int) {
 		wt := weights[i/len(widths)]
 		w := widths[i%len(widths)]
-		pl := NewPlanner(d, w, wt)
+		pl := NewPlanner(s.design, w, wt)
 		pc.wire(pl, schedules[w])
 		pl.Warm = warm
 		pl.Workers = inner
@@ -337,35 +285,6 @@ func warmSources(completed []int, w int, caches map[int]*ScheduleCache) []*Sched
 		return []*ScheduleCache{caches[above]}
 	}
 	return nil
-}
-
-// WidthCurve returns the SOC test time of one fixed sharing
-// configuration across TAM widths: the staircase a designer inspects to
-// size the TAM. Times are non-increasing in W up to scheduling noise.
-// The widths share one staircase cache, so the digital wrappers are
-// designed once for the whole curve.
-func WidthCurve(d *Design, p partition.Partition, widths []int) ([]int64, error) {
-	return WidthCurveContext(context.Background(), d, p, widths)
-}
-
-// WidthCurveContext is WidthCurve under a context; the packing of each
-// width polls ctx and the call returns ctx.Err() once it fires.
-func WidthCurveContext(ctx context.Context, d *Design, p partition.Partition, widths []int) ([]int64, error) {
-	if len(widths) == 0 {
-		return nil, fmt.Errorf("core: width curve needs widths")
-	}
-	stairs := wrapper.NewStaircaseCache(slices.Max(widths))
-	out := make([]int64, len(widths))
-	for i, w := range widths {
-		ev := NewEvaluator(d, w)
-		ev.Staircases = stairs
-		t, err := ev.TestTimeContext(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = t
-	}
-	return out, nil
 }
 
 // BestOver returns the sweep point with the lowest best-configuration

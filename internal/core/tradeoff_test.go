@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"mixsoc/internal/analog"
@@ -11,7 +12,7 @@ import (
 
 func TestSweep(t *testing.T) {
 	d := paperDesign()
-	pts, err := Sweep(d, []int{32, 48}, []Weights{EqualWeights}, false, nil)
+	pts, err := SweepWith(d, []int{32, 48}, []Weights{EqualWeights}, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestSweep(t *testing.T) {
 		t.Errorf("best width %d not in sweep", best.Width)
 	}
 
-	if _, err := Sweep(d, nil, []Weights{EqualWeights}, false, nil); err == nil {
+	if _, err := SweepWith(d, nil, []Weights{EqualWeights}, SweepOptions{}); err == nil {
 		t.Error("empty widths accepted")
 	}
 	if _, err := BestOver(nil); err == nil {
@@ -42,10 +43,10 @@ func TestSweep(t *testing.T) {
 func TestSweepConfigureHook(t *testing.T) {
 	d := paperDesign()
 	called := 0
-	_, err := Sweep(d, []int{32}, []Weights{EqualWeights}, false, func(pl *Planner) {
+	_, err := SweepWith(d, []int{32}, []Weights{EqualWeights}, SweepOptions{Configure: func(pl *Planner) {
 		pl.CostModel = analog.PaperCostModel()
 		called++
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +152,51 @@ func TestSweepSelectWarmChain(t *testing.T) {
 	}
 }
 
+// TestSweepWithPlansOnCallersDesign: a one-shot sweep plans on the
+// caller's own design, not a copy, so a Configure hook that wires
+// caches keyed by pointers into that design (module staircases) hits
+// them; and its staircase cache reaches exactly the widest grid width,
+// so it never designs wrappers wider than the grid needs.
+func TestSweepWithPlansOnCallersDesign(t *testing.T) {
+	d := paperDesign()
+	widths := []int{24, 40, 32}
+	var mu sync.Mutex
+	calls := 0
+	_, err := SweepWithContext(context.Background(), d, widths, []Weights{EqualWeights}, SweepOptions{
+		Configure: func(pl *Planner) {
+			mu.Lock()
+			defer mu.Unlock()
+			calls++
+			if pl.Design != d {
+				t.Errorf("W=%d: planner design %p, want the caller's %p", pl.Width, pl.Design, d)
+			}
+			if got := pl.Staircases.MaxWidth(); got != 40 {
+				t.Errorf("W=%d: staircase cache reaches W=%d, want the widest grid width 40", pl.Width, got)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != len(widths) {
+		t.Errorf("Configure ran %d times, want %d", calls, len(widths))
+	}
+}
+
+// TestWidthCurveMonotoneish: the test time of one sharing
+// configuration, scheduled through an engine at growing TAM widths,
+// falls in a staircase (up to scheduling noise).
 func TestWidthCurveMonotoneish(t *testing.T) {
 	d := paperDesign()
 	widths := []int{24, 32, 48, 64}
-	curve, err := WidthCurve(d, d.NoShare(), widths)
-	if err != nil {
-		t.Fatal(err)
+	e := NewEngine(EngineOptions{MaxWidth: 64})
+	curve := make([]int64, len(widths))
+	for i, w := range widths {
+		s, err := e.Schedule(context.Background(), d, d.NoShare(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curve[i] = s.Makespan
 	}
 	for i := 1; i < len(curve); i++ {
 		// Allow small heuristic noise but demand the overall downward
@@ -168,8 +208,5 @@ func TestWidthCurveMonotoneish(t *testing.T) {
 	}
 	if curve[len(curve)-1] >= curve[0] {
 		t.Errorf("no improvement across the sweep: %v", curve)
-	}
-	if _, err := WidthCurve(d, d.NoShare(), nil); err == nil {
-		t.Error("empty widths accepted")
 	}
 }

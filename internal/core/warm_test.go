@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,14 +17,14 @@ func warmTestDesign() *Design {
 func TestScheduleCachePeek(t *testing.T) {
 	d := warmTestDesign()
 	cache := NewScheduleCache()
-	ev := NewSharedEvaluator(d, 32, cache)
+	ev := testEvaluator(d, 32, cache)
 	p := d.AllShare()
 	key := p.Key(nil)
 
 	if got := cache.Peek(key); got != nil {
 		t.Fatal("Peek returned a schedule before any computation")
 	}
-	s, err := ev.Schedule(p)
+	s, err := ev.schedule(context.Background(), p, p.Key(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,15 +45,15 @@ func TestEvaluatorWarmChaining(t *testing.T) {
 	p := d.AllShare()
 
 	prev := NewScheduleCache()
-	evNarrow := NewSharedEvaluator(d, 32, prev)
-	narrow, err := evNarrow.Schedule(p)
+	ctx := context.Background()
+	narrow, err := testEvaluator(d, 32, prev).schedule(ctx, p, p.Key(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	evWide := NewSharedEvaluator(d, 48, nil)
-	evWide.Warm = []*ScheduleCache{prev}
-	wide, err := evWide.Schedule(p)
+	evWide := testEvaluator(d, 48, nil)
+	evWide.pl.Warm = []*ScheduleCache{prev}
+	wide, err := evWide.schedule(ctx, p, p.Key(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,31 +121,6 @@ func TestSweepWarmStartDeterministicAndClose(t *testing.T) {
 	}
 }
 
-// Cold sweeps through SweepWith must remain bit-identical to the
-// legacy Sweep entry point (which the paper-table reproductions rely
-// on).
-func TestSweepWithColdMatchesSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("solver sweeps are slow")
-	}
-	d := warmTestDesign()
-	widths := []int{32, 48}
-	weights := []Weights{{Time: 0.5, Area: 0.5}}
-	a, err := Sweep(d, widths, weights, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SweepWith(d, widths, weights, SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i].Result.Best.Cost != b[i].Result.Best.Cost || a[i].Result.NEval != b[i].Result.NEval {
-			t.Fatalf("point %d: cold SweepWith diverges from Sweep", i)
-		}
-	}
-}
-
 // Warm-start must compose with partitions whose groups pin analog jobs:
 // chain every paper candidate across two widths and validate every
 // schedule.
@@ -155,16 +131,17 @@ func TestWarmChainingAllCandidates(t *testing.T) {
 	d := warmTestDesign()
 	combos := d.Candidates(partition.PaperPolicy)
 	prev := NewScheduleCache()
-	evNarrow := NewSharedEvaluator(d, 32, prev)
+	ctx := context.Background()
+	evNarrow := testEvaluator(d, 32, prev)
 	for _, p := range combos {
-		if _, err := evNarrow.Schedule(p); err != nil {
+		if _, err := evNarrow.schedule(ctx, p, p.Key(nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	evWide := NewSharedEvaluator(d, 40, nil)
-	evWide.Warm = []*ScheduleCache{prev}
+	evWide := testEvaluator(d, 40, nil)
+	evWide.pl.Warm = []*ScheduleCache{prev}
 	for _, p := range combos {
-		s, err := evWide.Schedule(p)
+		s, err := evWide.schedule(ctx, p, p.Key(nil))
 		if err != nil {
 			t.Fatal(err)
 		}

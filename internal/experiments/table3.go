@@ -10,7 +10,6 @@ import (
 	"mixsoc/internal/analog"
 	"mixsoc/internal/core"
 	"mixsoc/internal/partition"
-	"mixsoc/internal/wrapper"
 )
 
 // Table3Row is one sharing combination evaluated at every width.
@@ -34,10 +33,11 @@ type Table3Result struct {
 // width and normalizes test times to the all-share case per width. Every
 // (width, combination) pair, plus each width's all-share point, is one
 // task of a single pool; a sequential pass then normalizes the packed
-// times, making the table identical to a sequential run. All widths
-// share one wrapper staircase cache: each digital module's staircase is
-// designed once at the widest column and served to the narrower ones as
-// a prefix.
+// times, making the table identical to a sequential run. A throwaway
+// engine packs them all, so each width packs a configuration once and
+// every width draws on one wrapper staircase cache: each digital
+// module's staircase is designed once at the widest column and served
+// to the narrower ones as a prefix.
 func Table3(d *core.Design, widths []int) (*Table3Result, error) {
 	ctx := context.Background()
 	if d == nil {
@@ -51,16 +51,16 @@ func Table3(d *core.Design, widths []int) (*Table3Result, error) {
 	// i > 0 is combination i-1.
 	points := append([]partition.Partition{d.AllShare()}, d.Candidates(partition.PaperPolicy)...)
 	combos := points[1:]
-	stairs := wrapper.NewStaircaseCache(slices.Max(widths))
-	evs := make([]*core.Evaluator, len(widths))
-	for wi, w := range widths {
-		evs[wi] = core.NewEvaluator(d, w)
-		evs[wi].Staircases = stairs
-	}
+	eng := core.NewEngine(core.EngineOptions{MaxWidth: slices.Max(widths)})
 	times := make([]int64, len(widths)*len(points))
 	errs := make([]error, len(times))
 	if err := core.ForEachCtx(ctx, len(times), core.DefaultWorkers(), func(i int) {
-		times[i], errs[i] = evs[i/len(points)].TestTimeContext(ctx, points[i%len(points)])
+		s, err := eng.Schedule(ctx, d, points[i%len(points)], widths[i/len(points)])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		times[i] = s.Makespan
 	}); err != nil {
 		return nil, err
 	}

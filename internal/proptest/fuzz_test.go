@@ -1,6 +1,7 @@
 package proptest
 
 import (
+	"context"
 	"testing"
 
 	"mixsoc/internal/analog"
@@ -61,7 +62,7 @@ func FuzzPlanSOC(f *testing.F) {
 		if err != nil {
 			t.Fatalf("planning a parse-valid SOC failed: %v\n%s", err, input)
 		}
-		s, err := core.NewEvaluator(d, fuzzWidth).Schedule(res.Best.Partition)
+		s, err := core.NewEngine(core.EngineOptions{}).Schedule(context.Background(), d, res.Best.Partition, fuzzWidth)
 		if err != nil {
 			t.Fatalf("scheduling the chosen configuration failed: %v", err)
 		}

@@ -2,8 +2,10 @@ package proptest
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"mixsoc/internal/core"
@@ -172,9 +174,14 @@ func checkCodecInvariance(t *testing.T, d *core.Design) {
 // increases as the TAM gets wider.
 func checkWidthMonotone(t *testing.T, d *core.Design) {
 	t.Helper()
-	curve, err := core.WidthCurve(d, d.AllShare(), curveWidths)
-	if err != nil {
-		t.Fatalf("WidthCurve: %v", err)
+	e := core.NewEngine(core.EngineOptions{MaxWidth: slices.Max(curveWidths)})
+	curve := make([]int64, len(curveWidths))
+	for i, w := range curveWidths {
+		s, err := e.Schedule(context.Background(), d, d.AllShare(), w)
+		if err != nil {
+			t.Fatalf("Schedule W=%d: %v", w, err)
+		}
+		curve[i] = s.Makespan
 	}
 	for i := 1; i < len(curve); i++ {
 		if curve[i] > curve[i-1] {
