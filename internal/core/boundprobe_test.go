@@ -41,7 +41,7 @@ func TestLowerBoundMatchesBuildJobs(t *testing.T) {
 	for name, d := range designs {
 		for width := 16; width <= 64; width += 8 {
 			pl := core.NewPlanner(d, width, core.EqualWeights)
-			s, err := eng.Schedule(context.Background(), d, d.AllShare(), width)
+			s, err := eng.Schedule(context.Background(), d, d.AllShare(), width, "")
 			if err != nil {
 				t.Fatalf("%s W=%d: %v", name, width, err)
 			}

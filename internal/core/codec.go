@@ -170,20 +170,42 @@ func UnmarshalDesign(data []byte) (*Design, error) {
 	return d, nil
 }
 
-// CloneDesign deep-copies a design by a codec round trip, so the copy
-// shares no pointers with the original. The Engine clones every design
-// it admits: its cache sessions must not alias caller-owned modules a
-// caller could mutate mid-flight.
+// CloneDesign deep-copies a design field by field, so the copy shares
+// no pointer or backing array with the original. The Engine clones
+// every design it admits: its cache sessions must not alias
+// caller-owned modules a caller could mutate mid-flight. The copy
+// marshals to the original's MarshalDesign bytes, and, as a codec round
+// trip would, it turns a nil Digital into an empty SOC.
 func CloneDesign(d *Design) (*Design, error) {
-	data, err := MarshalDesign(d)
-	if err != nil {
-		return nil, err
+	if d == nil {
+		return nil, fmt.Errorf("core: cannot clone a nil design")
 	}
-	var dj designJSON
-	if err := json.Unmarshal(data, &dj); err != nil {
-		return nil, fmt.Errorf("core: clone round trip: %w", err)
+	out := &Design{Name: d.Name, Digital: &itc02.SOC{}}
+	if soc := d.Digital; soc != nil {
+		out.Digital.Name = soc.Name
+		mods := make([]itc02.Module, len(soc.Modules))
+		out.Digital.Modules = make([]*itc02.Module, len(mods))
+		for i, m := range soc.Modules {
+			if m == nil {
+				return nil, fmt.Errorf("core: cannot clone a nil module")
+			}
+			mods[i] = *m
+			mods[i].Scan = append([]int(nil), m.Scan...)
+			mods[i].Tests = append([]itc02.Test(nil), m.Tests...)
+			out.Digital.Modules[i] = &mods[i]
+		}
 	}
-	return fromDesignJSON(dj), nil
+	cores := make([]analog.Core, len(d.Analog))
+	out.Analog = make([]*analog.Core, len(cores))
+	for i, c := range d.Analog {
+		if c == nil {
+			return nil, fmt.Errorf("core: cannot clone a nil analog core")
+		}
+		cores[i] = *c
+		cores[i].Tests = append([]analog.Test(nil), c.Tests...)
+		out.Analog[i] = &cores[i]
+	}
+	return out, nil
 }
 
 // DesignHash returns the design's content hash: the hex SHA-256 of the

@@ -190,14 +190,16 @@ func (e *Engine) packerFor(name string) (tam.Packer, error) {
 // session returns the cache session for the design's content hash,
 // creating (and LRU-evicting) as needed. hash is the caller's
 // DesignHash(d); empty means session validates and hashes d itself.
-// The session plans against an engine-owned deep copy of the first
-// design seen with that hash, so callers may mutate or discard their
-// design afterwards — and so the pointer-keyed staircase cache actually
-// hits across calls that pass separately allocated but identical
-// designs. Given a hash, only a miss validates and clones d: a hit
+// The session plans against an engine-owned deep copy (CloneDesign) of
+// the first design seen with that hash, so callers may mutate or
+// discard their design afterwards — and so the pointer-keyed staircase
+// cache actually hits across calls that pass separately allocated but
+// identical designs. d is validated once at most: before hashing when
+// hash is empty, otherwise only on a miss. Only a miss clones d; a hit
 // plans on the session's own copy, validated when it was created.
 func (e *Engine) session(d *Design, hash string) (*engineSession, error) {
-	if hash == "" {
+	validated := hash == ""
+	if validated {
 		// DesignHash needs a well-formed design (no nil modules).
 		if err := d.Validate(); err != nil {
 			return nil, err
@@ -220,8 +222,10 @@ func (e *Engine) session(d *Design, hash string) (*engineSession, error) {
 
 	// Validate and clone outside the lock; on a double-create race the
 	// first insert wins and the loser's clone is dropped.
-	if err := d.Validate(); err != nil {
-		return nil, err
+	if !validated {
+		if err := d.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	clone, err := CloneDesign(d)
 	if err != nil {
@@ -443,10 +447,12 @@ func (e *Engine) PlanWith(ctx context.Context, d *Design, width int, w Weights, 
 
 // Schedule returns the packed TAM schedule for one sharing
 // configuration at width w, served from (and cached in) the design's
-// session. The returned schedule is shared and must be treated as
+// session. hash is the caller's DesignHash(d), trusted as
+// PlanOptions.DesignHash is; empty means Schedule validates and hashes
+// d itself. The returned schedule is shared and must be treated as
 // read-only.
-func (e *Engine) Schedule(ctx context.Context, d *Design, p partition.Partition, width int) (*tam.Schedule, error) {
-	s, err := e.session(d, "")
+func (e *Engine) Schedule(ctx context.Context, d *Design, p partition.Partition, width int, hash string) (*tam.Schedule, error) {
+	s, err := e.session(d, hash)
 	if err != nil {
 		return nil, err
 	}

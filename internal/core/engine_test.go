@@ -70,7 +70,7 @@ func TestEngineBitIdenticalToDirect(t *testing.T) {
 		t.Fatal("engine PlanExhaustive diverges from direct Exhaustive")
 	}
 
-	s, err := eng.Schedule(ctx, warmTestDesign(), warmTestDesign().AllShare(), 32)
+	s, err := eng.Schedule(ctx, warmTestDesign(), warmTestDesign().AllShare(), 32, "")
 	if err != nil {
 		t.Fatal(err)
 	}

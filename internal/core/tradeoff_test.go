@@ -192,7 +192,7 @@ func TestWidthCurveMonotoneish(t *testing.T) {
 	e := NewEngine(EngineOptions{MaxWidth: 64})
 	curve := make([]int64, len(widths))
 	for i, w := range widths {
-		s, err := e.Schedule(context.Background(), d, d.NoShare(), w)
+		s, err := e.Schedule(context.Background(), d, d.NoShare(), w, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,11 +51,20 @@ func Table3(d *core.Design, widths []int) (*Table3Result, error) {
 	// i > 0 is combination i-1.
 	points := append([]partition.Partition{d.AllShare()}, d.Candidates(partition.PaperPolicy)...)
 	combos := points[1:]
+	// Hash once for all the table's calls: a given hash spares each
+	// Engine.Schedule call its own Validate and DesignHash.
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	hash, err := core.DesignHash(d)
+	if err != nil {
+		return nil, err
+	}
 	eng := core.NewEngine(core.EngineOptions{MaxWidth: slices.Max(widths)})
 	times := make([]int64, len(widths)*len(points))
 	errs := make([]error, len(times))
 	if err := core.ForEachCtx(ctx, len(times), core.DefaultWorkers(), func(i int) {
-		s, err := eng.Schedule(ctx, d, points[i%len(points)], widths[i/len(points)])
+		s, err := eng.Schedule(ctx, d, points[i%len(points)], widths[i/len(points)], hash)
 		if err != nil {
 			errs[i] = err
 			return

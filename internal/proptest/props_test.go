@@ -177,7 +177,7 @@ func checkWidthMonotone(t *testing.T, d *core.Design) {
 	e := core.NewEngine(core.EngineOptions{MaxWidth: slices.Max(curveWidths)})
 	curve := make([]int64, len(curveWidths))
 	for i, w := range curveWidths {
-		s, err := e.Schedule(context.Background(), d, d.AllShare(), w)
+		s, err := e.Schedule(context.Background(), d, d.AllShare(), w, "")
 		if err != nil {
 			t.Fatalf("Schedule W=%d: %v", w, err)
 		}

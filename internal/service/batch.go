@@ -84,10 +84,11 @@ func batchKey(item PlanRequest, hash string) string {
 }
 
 // Batch computes the response of POST /v1/batch for req — the exact
-// code path the HTTP handler runs. Every unique item fans out through
-// Server.Plan's code path concurrently, on the design the dedup pass
-// resolved; the pool's MaxConcurrent bound (not the batch width) sets
-// how many plan at once.
+// code path the HTTP handler runs. The dedup pass resolves each
+// distinct design source once; items carrying it share the design.
+// Every unique item fans out through Server.Plan's code path
+// concurrently, on the design the dedup pass resolved; the pool's
+// MaxConcurrent bound (not the batch width) sets how many plan at once.
 func (s *Server) Batch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	if len(req.Items) == 0 {
 		return nil, badRequestf("batch needs at least one item")
@@ -98,21 +99,34 @@ func (s *Server) Batch(ctx context.Context, req BatchRequest) (*BatchResponse, e
 	ctx, cancel := s.requestCtx(ctx, req.TimeoutMS)
 	defer cancel()
 
-	// Resolve each item once and group identically-answering items onto
+	// Resolve each distinct design source (inline bytes, .soc text,
+	// benchmark name) once, and group identically-answering items onto
 	// one execution each. Unresolvable items become singletons keyed by
 	// index, and their plan resolves again to report its own error.
+	type resolved struct {
+		design *core.Design
+		hash   string
+		err    error
+	}
+	sources := make(map[[3]string]resolved, len(req.Items))
 	keys := make([]string, len(req.Items))
 	tasks := make(map[string]*batchTask, len(req.Items))
 	order := make([]string, 0, len(req.Items))
 	for i, item := range req.Items {
-		d, hash, err := s.resolve(item.Design, item.SOC, item.Benchmark)
-		key := batchKey(item, hash)
-		if err != nil {
+		// A key literal in the index expression spares a lookup the copy
+		// of the inline bytes; only a new source's key is copied.
+		r, ok := sources[[3]string{string(item.Design), item.SOC, item.Benchmark}]
+		if !ok {
+			r.design, r.hash, r.err = s.resolve(item.Design, item.SOC, item.Benchmark)
+			sources[[3]string{string(item.Design), item.SOC, item.Benchmark}] = r
+		}
+		key := batchKey(item, r.hash)
+		if r.err != nil {
 			key = fmt.Sprintf("#%d", i)
 		}
 		keys[i] = key
 		if tasks[key] == nil {
-			tasks[key] = &batchTask{item: item, design: d, hash: hash}
+			tasks[key] = &batchTask{item: item, design: r.design, hash: r.hash}
 			order = append(order, key)
 		}
 	}

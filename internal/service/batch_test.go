@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
+
+	"mixsoc/internal/core"
+	"mixsoc/internal/socgen"
 )
 
 // rawBatchResponse mirrors BatchResponse with raw item responses, so
@@ -33,17 +37,22 @@ func compact(t *testing.T, data []byte) []byte {
 
 // TestBatchItemsByteIdenticalToPlan pins the batch contract: every
 // item's response carries exactly the tokens the same request gets from
-// POST /v1/plan — across benchmarks, widths, weights, and the
-// exhaustive and bounded solver flags.
+// POST /v1/plan — across benchmarks, widths, weights, the exhaustive
+// and bounded solver flags, and an inline design that several items
+// share, so their concurrent plans read one resolved design.
 func TestBatchItemsByteIdenticalToPlan(t *testing.T) {
 	_, ts := newTestServer(t)
 	wt25, wt75 := 0.25, 0.75
+	inline := nearDupBatch(t, 3, 1).Items[0].Design
 	items := []PlanRequest{
 		{Width: 32},
 		{Width: 24, WT: &wt25},
 		{Width: 48, WT: &wt75, Exhaustive: true},
 		{Width: 32, Benchmark: "d695m"},
 		{Width: 32, Exhaustive: true, Bounded: true},
+		{Width: 24, Design: inline},
+		{Width: 32, Design: inline, WT: &wt75},
+		{Width: 40, Design: inline, Bounded: true},
 	}
 	status, body := post(t, ts, "/v1/batch", BatchRequest{Items: items})
 	if status != http.StatusOK {
@@ -175,6 +184,95 @@ func TestBatchWiderThanPool(t *testing.T) {
 	for i, item := range resp.Items {
 		if item.Status != http.StatusOK {
 			t.Errorf("item %d: status %d %q", i, item.Status, item.Error)
+		}
+	}
+}
+
+// nearDupBatch is a batch of revisions of the Medium design drawn from
+// seed at W=24, each listed twice: revision 0 is the design itself and
+// revision v bumps the pattern count of core v-1 by v.
+func nearDupBatch(tb testing.TB, seed int64, revisions int) BatchRequest {
+	tb.Helper()
+	base, err := socgen.Generate(socgen.Options{Seed: seed, Class: socgen.Medium})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	items := make([]PlanRequest, 2*revisions)
+	for v := range revisions {
+		d, err := core.CloneDesign(base)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if v > 0 {
+			d.Name = fmt.Sprintf("%s-rev%d", base.Name, v)
+			cores := d.Digital.Cores()
+			cores[(v-1)%len(cores)].Tests[0].Patterns += v
+		}
+		design, err := core.MarshalDesign(d)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		// Each listing gets its own bytes, as decoding a request body does.
+		items[v] = PlanRequest{Design: design, Width: 24}
+		items[v+revisions] = PlanRequest{Design: bytes.Clone(design), Width: 24}
+	}
+	return BatchRequest{Items: items}
+}
+
+// TestBatchDuplicateItemsAllocs pins that a batch resolves each distinct
+// design source once: on a warm server, listing each of 4 inline
+// designs twice may cost only a few allocations per extra item over
+// listing each once — far less than resolving an inline design, which
+// parses, validates and hashes it.
+func TestBatchDuplicateItemsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	s := New(Options{Workers: 1})
+	t.Cleanup(s.Close)
+	twice := nearDupBatch(t, 7, 4)
+	once := BatchRequest{Items: twice.Items[:4]}
+	ctx := context.Background()
+	allocs := func(req BatchRequest) float64 {
+		run := func() {
+			resp, err := s.Batch(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, item := range resp.Items {
+				if item.Status != http.StatusOK {
+					t.Fatalf("item %d: status %d: %s", i, item.Status, item.Error)
+				}
+			}
+		}
+		run() // warm the sessions and schedule caches
+		return testing.AllocsPerRun(10, run)
+	}
+	a1, a2 := allocs(once), allocs(twice)
+	const perItem = 10
+	t.Logf("%.1f allocs listing each design once, %.1f listing it twice", a1, a2)
+	if a2 > a1+perItem*float64(len(once.Items)) {
+		t.Errorf("listing 4 designs twice costs %.1f allocs, over %.1f for once plus %d per duplicate item", a2, a1, perItem)
+	}
+}
+
+// BenchmarkBatchNearDup measures Server.Batch in process on 16
+// near-duplicate revisions of a Medium design, each listed twice, as
+// the batch-neardup service workload sends them. Batches cycle over
+// four base designs, so the engine's eight design sessions keep
+// evicting and every batch admits its revisions anew.
+func BenchmarkBatchNearDup(b *testing.B) {
+	s := New(Options{})
+	b.Cleanup(s.Close)
+	reqs := make([]BatchRequest, 4)
+	for i := range reqs {
+		reqs[i] = nearDupBatch(b, int64(i+1), 16)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		if _, err := s.Batch(ctx, reqs[i%len(reqs)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

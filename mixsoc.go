@@ -323,7 +323,7 @@ func NewPlanner(d *Design, w int, weights Weights) *Planner {
 // enumeration result). It runs on DefaultEngine; the returned schedule
 // may be cached and shared, so treat it as read-only.
 func ScheduleFor(d *Design, p Partition, w int) (*Schedule, error) {
-	return defaultEngine.Schedule(context.Background(), d, p, w)
+	return defaultEngine.Schedule(context.Background(), d, p, w, "")
 }
 
 // WrapperAccuracy runs the Section 5 wrapper-in-the-loop experiment
