@@ -2,6 +2,7 @@ package tam
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -9,9 +10,10 @@ import (
 // TestPackHotPathAllocs pins the packing hot path's allocations: the
 // staircase queries are sub-slices of a job's options, a warmed fitter
 // places, unplaces and answers earliest-fit and best-placement queries
-// (bounded or not) from its own board and scratch, and a whole Optimize
+// (bounded or not, for an ungrouped and a grouped job) from its own
+// board and scratch, and a whole Optimize
 // call on p93791 stays within a small fixed budget of allocations and
-// bytes (it measured 49 allocations and 14,700 B when pinned).
+// bytes (it measured 49 allocations and 14,580 B when pinned).
 func TestPackHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -49,6 +51,17 @@ func TestPackHotPathAllocs(t *testing.T) {
 	removed := f.unplace(s, last)
 	probe := removed.Job
 	opt := f.opts.of(probe).pts[0]
+	// Serialization groups take the sweep's group paths: a held
+	// same-group placement skips an instant, and a same-group start
+	// ahead cuts the option walk short.
+	grouped := randomJobs(1, 40, width)
+	gs, err := Optimize(grouped, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gf := newFitter(newOptionTable(grouped, width, cfg), width, cfg)
+	gf.prepare(gs.Placements)
+	gRemoved := gf.unplace(gs, slices.IndexFunc(gs.Placements, func(p Placement) bool { return p.Job.Group != "" }))
 	fitterOps := []struct {
 		name string
 		fn   func()
@@ -68,6 +81,16 @@ func TestPackHotPathAllocs(t *testing.T) {
 				t.Fatal("bounded bestPlacement found no placement")
 			}
 		}},
+		{"grouped bestPlacement", func() {
+			if _, ok := gf.bestPlacement(gRemoved.Job, math.MaxInt64); !ok {
+				t.Fatal("grouped bestPlacement found no placement")
+			}
+		}},
+		{"grouped bounded bestPlacement", func() {
+			if _, ok := gf.bestPlacement(gRemoved.Job, gRemoved.End); !ok {
+				t.Fatal("grouped bounded bestPlacement found no placement")
+			}
+		}},
 		{"place+unplace", func() {
 			f.place(s, removed)
 			f.unplace(s, last)
@@ -79,7 +102,7 @@ func TestPackHotPathAllocs(t *testing.T) {
 		}
 	}
 
-	const allocBudget, byteBudget = 52, 15435
+	const allocBudget, byteBudget = 52, 15300
 	if got := testing.AllocsPerRun(20, func() {
 		if _, err := Optimize(jobs, width); err != nil {
 			t.Fatal(err)

@@ -39,8 +39,22 @@ func randomJobs(seed int64, nJobs, binWidth int) []*Job {
 	return jobs
 }
 
+// earliestFit returns the earliest start time, no later than limit, and
+// the lowest wire band at which a w×dur rectangle of serialization
+// group gid (0 for none) fits on the board: the production sweep asked
+// about a single width option.
+func (f *fitter) earliestFit(gid int32, w int, dur, limit int64) (int64, int, bool) {
+	maxEnd := int64(math.MaxInt64)
+	if limit < math.MaxInt64-dur {
+		maxEnd = limit + dur
+	}
+	opt := [1]wrapper.Point{{Width: w, Time: dur}}
+	p, ok := f.sweep(opt[:], gid, maxEnd)
+	return p.Start, p.WireLo, ok
+}
+
 // earliestFitScan is the per-wire counter-scan reference for
-// fitter.earliestFit: a sweep over the full candidate set — 0, every
+// earliestFit: a sweep over the full candidate set — 0, every
 // placement's end and every start minus the duration, where earliestFit
 // tries only 0 and the ends — over start and end orders it sorts from
 // the placements itself, with candidates collected and sorted up
@@ -209,36 +223,126 @@ func TestEarliestFitReleaseInstants(t *testing.T) {
 	}
 }
 
+// TestBestPlacementSharedSweep pins bestPlacement, which tries every
+// width option of a job in one sweep, against the per-option
+// counter-scan reference and a written-out answer on hand-built boards:
+// a same-group start that blocks the narrow, long option's window but
+// lies past the wide option's, a placement ending on the wires where
+// another starts at the same instant, equal-time steps of the full
+// staircase, where the narrower width wins, and a bound only the
+// shortest option can meet.
+func TestBestPlacementSharedSweep(t *testing.T) {
+	type rect struct {
+		lo, w      int
+		start, end int64
+		group      string
+	}
+	type want struct {
+		width      int
+		start, end int64
+		wireLo     int
+		found      bool
+	}
+	for _, tc := range []struct {
+		name     string
+		binWidth int
+		rects    []rect
+		opts     []wrapper.Point
+		group    string
+		full     bool // pack with the full staircase
+		maxEnd   int64
+		want     want
+	}{
+		{"group start past the short window", 8, []rect{{6, 2, 7, 20, "g"}, {0, 2, 0, 3, ""}},
+			[]wrapper.Point{{Width: 2, Time: 10}, {Width: 4, Time: 5}}, "g", false, math.MaxInt64, want{4, 0, 5, 2, true}},
+		{"end and start on one wire band", 8, []rect{{0, 4, 0, 10, ""}, {0, 4, 10, 20, ""}, {4, 4, 0, 30, ""}},
+			[]wrapper.Point{{Width: 4, Time: 5}, {Width: 8, Time: 3}}, "", false, math.MaxInt64, want{4, 20, 25, 0, true}},
+		{"equal times, narrower wins", 8, []rect{{0, 2, 0, 3, ""}},
+			[]wrapper.Point{{Width: 2, Time: 10}, {Width: 5, Time: 4}}, "", true, math.MaxInt64, want{5, 0, 4, 2, true}},
+		{"equal ends, narrower wins", 8, []rect{{3, 2, 0, 6, ""}},
+			[]wrapper.Point{{Width: 2, Time: 10}, {Width: 5, Time: 4}}, "", true, math.MaxInt64, want{2, 0, 10, 0, true}},
+		{"bound only the shortest meets", 8, []rect{{0, 8, 0, 3, ""}},
+			[]wrapper.Point{{Width: 2, Time: 10}, {Width: 4, Time: 5}}, "", false, 8, want{4, 3, 8, 0, true}},
+		{"bound none meets", 8, []rect{{0, 8, 0, 3, ""}},
+			[]wrapper.Point{{Width: 2, Time: 10}, {Width: 4, Time: 5}}, "", false, 7, want{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs := make([]*Job, 0, len(tc.rects)+1)
+			s := &Schedule{Width: tc.binWidth}
+			for i, r := range tc.rects {
+				j := &Job{ID: fmt.Sprintf("r%d", i), Options: []wrapper.Point{{Width: r.w, Time: r.end - r.start}}, Group: r.group}
+				jobs = append(jobs, j)
+				s.Placements = append(s.Placements, Placement{Job: j, Width: r.w, Start: r.start, End: r.end, WireLo: r.lo})
+				s.Makespan = max(s.Makespan, r.end)
+			}
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			probe := &Job{ID: "probe", Options: tc.opts, Group: tc.group}
+			if err := probe.Validate(tc.binWidth); err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, probe)
+			cfg := config{improvePasses: len(jobs), paretoOnly: !tc.full}
+			f := newFitter(newOptionTable(jobs, tc.binWidth, cfg), tc.binWidth, cfg)
+			f.prepare(s.Placements)
+
+			got, ok := f.bestPlacement(probe, tc.maxEnd)
+			var exp Placement
+			if tc.want.found {
+				exp = Placement{Job: probe, Width: tc.want.width, Start: tc.want.start, End: tc.want.end, WireLo: tc.want.wireLo}
+			}
+			if ok != tc.want.found || got != exp {
+				t.Errorf("bestPlacement = %+v/%v, want %+v/%v", got, ok, exp, tc.want.found)
+			}
+			scan, sok := f.bestPlacementScan(probe, s.Placements)
+			if !sok {
+				t.Fatal("the reference found no placement")
+			}
+			if fits := scan.End <= tc.maxEnd; ok != fits || (fits && got != scan) {
+				t.Errorf("bestPlacement = %+v/%v, reference %+v (maxEnd %d)", got, ok, scan, tc.maxEnd)
+			}
+		})
+	}
+}
+
 // FuzzFitterReference packs random job sets (bin widths 1–256, so both
-// one-word and multi-word bitsets; 2–81 jobs, so up to 7 counter
-// slices) on an incrementally maintained board and requires the
-// bit-sliced bitset fitter to match the counter-scan reference at every
-// step: raw earliest-fit answers for every width option, with and
-// without a pruning limit, and the chosen placement. Any divergence is a
-// bug in the bitset sweep, the board or bestPlacement's pruning.
+// one-word and multi-word bitsets; 2–81 jobs, stacked many deep on a
+// wire over time) on an incrementally maintained board and requires the
+// bitset sweep to match the counter-scan reference at every step: raw
+// earliest-fit answers for every width option, with and without a
+// pruning limit, and the chosen placement. An odd stair byte packs with
+// the full staircase, whose equal-time steps make the narrower width
+// win ties. Any divergence is a bug in the sweep, the board or
+// bestPlacement's pruning.
 func FuzzFitterReference(f *testing.F) {
-	f.Add(int64(1), uint8(8), uint8(12))
-	f.Add(int64(7), uint8(1), uint8(5))
-	f.Add(int64(42), uint8(63), uint8(16))
-	f.Add(int64(99), uint8(31), uint8(9))
-	f.Add(int64(1234), uint8(47), uint8(14))
+	f.Add(int64(1), uint8(8), uint8(12), uint8(0))
+	f.Add(int64(7), uint8(1), uint8(5), uint8(0))
+	f.Add(int64(42), uint8(63), uint8(16), uint8(0))
+	f.Add(int64(99), uint8(31), uint8(9), uint8(0))
+	f.Add(int64(1234), uint8(47), uint8(14), uint8(0))
 	// Multi-word widths: just past one word, two full words, and wider.
-	f.Add(int64(5), uint8(64), uint8(12))
-	f.Add(int64(17), uint8(65), uint8(10))
-	f.Add(int64(23), uint8(127), uint8(15))
-	f.Add(int64(31), uint8(128), uint8(8))
-	f.Add(int64(77), uint8(200), uint8(13))
-	// Many jobs: 81 in a 16-wire bin stack up to 9 deep on one wire, so
-	// carries and borrows ripple through 4 counter slices; 66 at W=200
-	// stack up to 7 deep with most bands spanning two or more words.
-	f.Add(int64(68), uint8(15), uint8(79))
-	f.Add(int64(11), uint8(199), uint8(64))
-	f.Fuzz(func(t *testing.T, seed int64, widthByte, nByte uint8) {
+	f.Add(int64(5), uint8(64), uint8(12), uint8(0))
+	f.Add(int64(17), uint8(65), uint8(10), uint8(0))
+	f.Add(int64(23), uint8(127), uint8(15), uint8(0))
+	f.Add(int64(31), uint8(128), uint8(8), uint8(0))
+	f.Add(int64(77), uint8(200), uint8(13), uint8(0))
+	// Many jobs: 81 in a 16-wire bin stack up to 9 deep on one wire; 66
+	// at W=200 stack up to 7 deep with most bands spanning two or more
+	// words.
+	f.Add(int64(68), uint8(15), uint8(79), uint8(0))
+	f.Add(int64(11), uint8(199), uint8(64), uint8(0))
+	// Full staircases: runs of equal-time widths, in one and two words.
+	f.Add(int64(1), uint8(8), uint8(12), uint8(1))
+	f.Add(int64(42), uint8(63), uint8(16), uint8(1))
+	f.Add(int64(17), uint8(65), uint8(10), uint8(1))
+	f.Add(int64(68), uint8(15), uint8(79), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, widthByte, nByte, stairByte uint8) {
 		binWidth := 1 + int(widthByte)
 		n := 2 + int(nByte)%80
 		jobs := randomJobs(seed, n, binWidth)
 
-		cfg := config{improvePasses: len(jobs), paretoOnly: true}
+		cfg := config{improvePasses: len(jobs), paretoOnly: stairByte%2 == 0}
 		opts := newOptionTable(jobs, binWidth, cfg)
 		fit := newFitter(opts, binWidth, cfg)
 
@@ -299,19 +403,23 @@ func checkBoard(t *testing.T, f *fitter, s *Schedule) {
 // incrementally sorted board to equal a fresh prepare of the live
 // placements and bestPlacement to match the counter-scan reference for
 // a job not on the board. Placements come from bestPlacement itself,
-// bounded or not, so every schedule stays valid.
+// bounded or not, so every schedule stays valid. An odd stair byte
+// packs with the full staircase, as in FuzzFitterReference.
 func FuzzFitterBoard(f *testing.F) {
-	f.Add(int64(1), uint8(8), uint8(12), uint8(40))
-	f.Add(int64(7), uint8(1), uint8(5), uint8(30))
-	f.Add(int64(42), uint8(63), uint8(16), uint8(60))
-	f.Add(int64(17), uint8(65), uint8(10), uint8(50))
-	f.Add(int64(77), uint8(200), uint8(13), uint8(80))
-	f.Add(int64(68), uint8(15), uint8(79), uint8(200))
-	f.Fuzz(func(t *testing.T, seed int64, widthByte, nByte, stepsByte uint8) {
+	f.Add(int64(1), uint8(8), uint8(12), uint8(40), uint8(0))
+	f.Add(int64(7), uint8(1), uint8(5), uint8(30), uint8(0))
+	f.Add(int64(42), uint8(63), uint8(16), uint8(60), uint8(0))
+	f.Add(int64(17), uint8(65), uint8(10), uint8(50), uint8(0))
+	f.Add(int64(77), uint8(200), uint8(13), uint8(80), uint8(0))
+	f.Add(int64(68), uint8(15), uint8(79), uint8(200), uint8(0))
+	f.Add(int64(1), uint8(8), uint8(12), uint8(40), uint8(1))
+	f.Add(int64(17), uint8(65), uint8(10), uint8(50), uint8(1))
+	f.Add(int64(68), uint8(15), uint8(79), uint8(200), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, widthByte, nByte, stepsByte, stairByte uint8) {
 		binWidth := 1 + int(widthByte)
 		n := 2 + int(nByte)%80
 		jobs := randomJobs(seed, n, binWidth)
-		cfg := config{improvePasses: len(jobs), paretoOnly: true}
+		cfg := config{improvePasses: len(jobs), paretoOnly: stairByte%2 == 0}
 		fit := newFitter(newOptionTable(jobs, binWidth, cfg), binWidth, cfg)
 		rng := rand.New(rand.NewSource(seed))
 

@@ -8,18 +8,17 @@ import (
 	"mixsoc/internal/wrapper"
 )
 
-// fitter answers earliest-fit queries against a schedule's placements
-// with a single time sweep per query instead of the per-candidate full
-// rescans of the naive formulation. One fitter serves one packing
-// goroutine and mirrors that goroutine's schedule on a board: the
-// placements' start and end edges, each array kept sorted by its time
-// key as place and unplace edit the schedule, so a query never sorts.
-// All scratch (the board, the bit-sliced occupancy counters and the
-// busy bitset) is sized from the job count when the fitter is built, so
-// steady-state placements and queries allocate nothing. The per-job
-// width options (the Pareto staircase, or the full staircase under
-// WithFullStaircase) are precomputed once per pack and shared read-only
-// between fitters.
+// fitter answers placement queries against a schedule's placements
+// with one time sweep per query, shared by all of the job's width
+// options, instead of the per-candidate full rescans of the naive
+// formulation. One fitter serves one packing goroutine and mirrors that
+// goroutine's schedule on a board: the placements' start and end edges,
+// each array kept sorted by its time key as place and unplace edit the
+// schedule, so a query never sorts. All scratch (the board and two
+// wire bitsets) is sized when the fitter is built, so steady-state
+// placements and queries allocate nothing. The per-job width options
+// (the Pareto staircase, or the full staircase under WithFullStaircase)
+// are precomputed once per pack and shared read-only between fitters.
 //
 // Three speedups over the naive rescan live here:
 //
@@ -31,18 +30,19 @@ import (
 //     anywhere in that stretch also fits at its left end. The earliest
 //     fit is therefore always at 0 or at some placement's end, and no
 //     start-minus-duration instant ever needs a look;
-//   - the occupancy of the moving window is kept as vertical
-//     (bit-sliced) counters: bit w of slice k is bit k of wire w's
-//     count, so admitting or retiring a placement is a carry or borrow
-//     ripple over its band's word masks — a few word operations, not a
-//     loop over its wires;
-//   - the band search ORs the slices into a busy bitset and walks it a
-//     word at a time (see lowestFreeRun), so each candidate check is a
-//     few word operations instead of an O(W) counter scan. A bin of at
-//     most 64 wires — every width the paper sweeps — is simply a
-//     one-word bitset. The per-wire counter scan over the full
-//     candidate set (0, ends, and starts minus the duration) lives on
-//     only in the tests, as the reference this sweep is fuzzed against
+//   - every width option is tried at each instant of the one sweep, so
+//     the instants and the board's edges are walked once per query, not
+//     once per option. The window [t, t+d) is occupied by the wires held
+//     at t — one bitset, kept by XOR as starts and ends pass — plus the
+//     bands of the starts ahead in (t, t+d); walking the options
+//     shortest-first only ever extends that set of starts ahead;
+//   - the band search walks the occupancy bitset a word at a time (see
+//     lowestFreeRun), so each candidate check is a few word operations
+//     instead of an O(W) counter scan. A bin of at most 64 wires — every
+//     width the paper sweeps — is simply a one-word bitset. The per-wire
+//     counter scan over the full candidate set (0, ends, and starts
+//     minus the duration), one option at a time, lives on only in the
+//     tests, as the reference this sweep is fuzzed against
 //     (FuzzFitterReference, FuzzFitterBoard).
 type fitter struct {
 	binWidth int
@@ -57,8 +57,8 @@ type fitter struct {
 	starts []edge
 	ends   []edge
 	// Query scratch.
-	cnt  []uint64 // bit-sliced counters: word wi, slice k at cnt[wi*depth+k]
-	busy []uint64 // bit w set iff wire w's count is nonzero
+	held []uint64 // bit w set iff a placement holds wire w at the instant
+	busy []uint64 // held plus the bands of the starts ahead in the window
 }
 
 // optionTable is the per-job data every query reads: the job's entry in
@@ -109,8 +109,8 @@ func newOptionTable(jobs []*Job, binWidth int, cfg config) optionTable {
 }
 
 // newFitter builds a fitter whose scratch is sized for a schedule of
-// every job in the option table, so the board and earliestFit never
-// grow a buffer while a pack runs.
+// every job in the option table, so the board and the sweep never grow
+// a buffer while a pack runs.
 func newFitter(opts optionTable, binWidth int, cfg config) *fitter {
 	n := len(opts.jobs)
 	words := (binWidth + 63) / 64
@@ -120,7 +120,7 @@ func newFitter(opts optionTable, binWidth int, cfg config) *fitter {
 		opts:     opts,
 		starts:   make([]edge, 0, n),
 		ends:     make([]edge, 0, n),
-		cnt:      make([]uint64, words*bits.Len(uint(n))),
+		held:     make([]uint64, words),
 		busy:     make([]uint64, words),
 	}
 }
@@ -203,92 +203,6 @@ func bandMask(wi, lo, hi int) uint64 {
 	return m
 }
 
-// earliestFit returns the earliest start time (and lowest wire band) at
-// which a w×dur rectangle of serialization group gid (0 for none) fits
-// on the board: no wire conflicts and no time overlap with the group.
-// Starts greater than limit are not considered: callers pass the
-// largest start that could still matter to them, which prunes the sweep
-// without changing any answer they act on.
-//
-// The release instants (0, then each placement's end; see fitter) are
-// visited in ascending order while two monotone cursors maintain the
-// set of placements overlapping the moving window [t, t+dur) as
-// per-wire occupancy counts plus a count of active same-group
-// placements. Counts are needed because two placements may cover the
-// same wire at different times within one window. They are stored
-// bit-sliced — slice k holds bit k of every wire's count, and
-// bits.Len(n) slices hold any count up to n — so admitting a placement
-// adds its band mask with a carry ripple up the slices of each word it
-// covers, retiring one subtracts with a borrow ripple, and either stops
-// at the first slice where the carry or borrow is zero. A wire is busy
-// iff any slice has its bit set, so the OR of the slices is the busy
-// bitset the band search walks. Every step past 0 retires at least the
-// placement whose end it stands on, so the bitset is rebuilt at every
-// instant the group constraint leaves open.
-func (f *fitter) earliestFit(gid int32, w int, dur, limit int64) (int64, int, bool) {
-	starts, ends := f.starts, f.ends
-	n := len(starts)
-	busy := f.busy
-	depth := bits.Len(uint(n)) // counter slices: enough for a count of n
-	cnt := f.cnt[:len(busy)*depth]
-	clear(cnt)
-	groupActive := 0
-	si, ei := 0, 0
-	for t := int64(0); t <= limit; t = ends[ei].key {
-		// Admit placements entering the window: Start < t+dur. A
-		// placement that also already ended (End <= t) is retired by the
-		// second cursor in the same step, so the counts stay exact.
-		for si < n && starts[si].key < t+dur {
-			e := &starts[si]
-			lo, hi := int(e.lo), int(e.lo)+int(e.w)
-			for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
-				c := cnt[wi*depth : (wi+1)*depth]
-				for k, carry := 0, bandMask(wi, lo, hi); carry != 0; k++ {
-					old := c[k]
-					c[k] = old ^ carry
-					carry &= old
-				}
-			}
-			if gid != 0 && e.gid == gid {
-				groupActive++
-			}
-			si++
-		}
-		for ei < n && ends[ei].key <= t {
-			e := &ends[ei]
-			lo, hi := int(e.lo), int(e.lo)+int(e.w)
-			for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
-				c := cnt[wi*depth : (wi+1)*depth]
-				for k, borrow := 0, bandMask(wi, lo, hi); borrow != 0; k++ {
-					old := c[k]
-					c[k] = old ^ borrow
-					borrow &^= old
-				}
-			}
-			if gid != 0 && e.gid == gid {
-				groupActive--
-			}
-			ei++
-		}
-		if groupActive == 0 {
-			for wi := range busy {
-				var b uint64
-				for _, s := range cnt[wi*depth : (wi+1)*depth] {
-					b |= s
-				}
-				busy[wi] = b
-			}
-			if lo := lowestFreeRun(busy, f.binWidth, w); lo >= 0 {
-				return t, lo, true
-			}
-		}
-		if ei == n {
-			break // every placement has ended: no later instant differs
-		}
-	}
-	return 0, 0, false
-}
-
 // lowestFreeRun returns the lowest wire index starting a run of w free
 // (zero) bits in the busy bitset, or -1 if no such band exists below
 // binWidth. Runs may span word boundaries; fully free and fully busy
@@ -343,48 +257,118 @@ func lowestFreeRun(busy []uint64, binWidth, w int) int {
 	return -1
 }
 
+// xorBand flips e's wire band in the bitset bs.
+func xorBand(bs []uint64, e *edge) {
+	lo, hi := int(e.lo), int(e.lo)+int(e.w)
+	for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
+		bs[wi] ^= bandMask(wi, lo, hi)
+	}
+}
+
+// orBand sets e's wire band in the bitset bs.
+func orBand(bs []uint64, e *edge) {
+	lo, hi := int(e.lo), int(e.lo)+int(e.w)
+	for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
+		bs[wi] |= bandMask(wi, lo, hi)
+	}
+}
+
 // bestPlacement finds the placement of j minimizing (end, width, start,
 // wire) on the board among those ending no later than maxEnd, and
-// reports false when there is none. The bound seeds the incumbent:
-// options whose bare duration already exceeds it are skipped, and each
-// option's sweep stops at the last start that could still tie it. Both
-// prunes are exact under the (end, width, start, wire) order, so the
-// answer is the unbounded minimum whenever that ends by maxEnd; the
-// polish loops pass the end a re-placement must beat, since they discard
-// any later answer.
+// reports false when there is none. The polish loops pass the end a
+// re-placement must beat, since they discard any later answer.
 func (f *fitter) bestPlacement(j *Job, maxEnd int64) (Placement, bool) {
+	jo := f.opts.of(j)
+	p, ok := f.sweep(jo.pts, jo.gid, maxEnd)
+	if ok {
+		p.Job = j
+	}
+	return p, ok
+}
+
+// sweep returns the placement, without its job, minimizing (end, width,
+// start, wire) among those of a rectangle of serialization group gid (0
+// for none) with any of the width options pts that end no later than
+// maxEnd and fit on the board: no wire conflicts and no time overlap
+// with the group. pts must be non-empty and ordered by width with
+// non-increasing times, as candidateWidths lists them for a validated
+// job.
+//
+// One pass visits the release instants (0, then each placement's end;
+// see fitter) in ascending order. Two monotone cursors keep held, the
+// wires of the placements with Start <= t < End, by XOR: admitting
+// every start <= t and retiring every end <= t cancels out each
+// placement that already ended and leaves the held ones, which share no
+// wire on a valid board, so XOR equals OR whatever order a step's
+// admits and retires run in. A count of held same-group placements is
+// kept the same way. At each instant the options are walked
+// shortest-first from a copy of held, ORing in the bands of the starts
+// ahead, from the first start > t up to t+d, so each window's occupancy
+// extends the last one's. A same-group start inside a window blocks
+// that option and every longer one.
+//
+// The bound is the incumbent's end: maxEnd falls to each better
+// answer's end. An option that cannot end by it stops the walk at this
+// instant, since every later option in the walk lasts at least as long,
+// and the sweep stops once the next instant leaves even the shortest
+// option no room. Both prunes drop only answers that end later than
+// one in hand, so the result is the unbounded minimum whenever that
+// ends by maxEnd.
+func (f *fitter) sweep(pts []wrapper.Point, gid int32, maxEnd int64) (Placement, bool) {
 	var best Placement
 	found := false
-	better := func(p Placement) bool {
-		if !found {
-			return true
+	starts, ends := f.starts, f.ends
+	n := len(starts)
+	held, busy := f.held, f.busy
+	clear(held)
+	shortest := pts[len(pts)-1].Time
+	groupHeld := 0
+	si, ei := 0, 0
+	for t := int64(0); t <= maxEnd-shortest; t = ends[ei].key {
+		for si < n && starts[si].key <= t {
+			xorBand(held, &starts[si])
+			if gid != 0 && starts[si].gid == gid {
+				groupHeld++
+			}
+			si++
 		}
-		if p.End != best.End {
-			return p.End < best.End
+		for ei < n && ends[ei].key <= t {
+			xorBand(held, &ends[ei])
+			if gid != 0 && ends[ei].gid == gid {
+				groupHeld--
+			}
+			ei++
 		}
-		if p.Width != best.Width {
-			return p.Width < best.Width
+		if groupHeld == 0 {
+			copy(busy, held)
+			ahead := si // the first start > t
+		walk:
+			for k := len(pts) - 1; k >= 0; k-- {
+				opt := pts[k]
+				if t > maxEnd-opt.Time {
+					break
+				}
+				for ; ahead < n && starts[ahead].key < t+opt.Time; ahead++ {
+					if gid != 0 && starts[ahead].gid == gid {
+						break walk
+					}
+					orBand(busy, &starts[ahead])
+				}
+				lo := lowestFreeRun(busy, f.binWidth, opt.Width)
+				if lo < 0 {
+					continue
+				}
+				p := Placement{Width: opt.Width, Start: t, End: t + opt.Time, WireLo: lo}
+				// p ends by the incumbent's end, and no two answers share
+				// an end and a width (an option's end fixes its start), so
+				// on an equal end the narrower width wins.
+				if !found || p.End < best.End || p.Width < best.Width {
+					best, found, maxEnd = p, true, p.End
+				}
+			}
 		}
-		if p.Start != best.Start {
-			return p.Start < best.Start
-		}
-		return p.WireLo < best.WireLo
-	}
-
-	jo := f.opts.of(j)
-	for _, opt := range jo.pts {
-		if opt.Time > maxEnd {
-			continue // even a start at 0 ends after the bound
-		}
-		t, wireLo, ok := f.earliestFit(jo.gid, opt.Width, opt.Time, maxEnd-opt.Time)
-		if !ok {
-			continue
-		}
-		p := Placement{Job: j, Width: opt.Width, Start: t, End: t + opt.Time, WireLo: wireLo}
-		if better(p) {
-			best = p
-			found = true
-			maxEnd = p.End
+		if ei == n {
+			break // every placement has ended: no later instant differs
 		}
 	}
 	return best, found
