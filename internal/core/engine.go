@@ -67,11 +67,12 @@ type Engine struct {
 	mu       sync.Mutex
 	sessions map[string]*engineSession
 	seq      uint64 // LRU clock, bumped per session access
-	// retired accumulates the schedule-cache counters of evicted
-	// sessions (under mu), so the engine-lifetime totals in Metrics
-	// stay monotonic — the property a Prometheus scrape counter needs —
-	// even as the LRU bound drops live caches.
-	retired CacheStats
+	// schedules is the engine-lifetime schedule-cache counter pair:
+	// every session's schedule caches count into it as they count
+	// their own hits and misses, so it stays monotonic — the property a
+	// Prometheus scrape counter needs — and complete even as the LRU
+	// bounds drop caches that planners still use.
+	schedules cacheCounters
 
 	designHits, designMisses, evictions, plans atomic.Uint64
 
@@ -104,9 +105,8 @@ type engineSession struct {
 	mu       sync.Mutex
 	stairs   *wrapper.StaircaseCache
 	byWidth  map[widthKey]*widthCache
-	retired  CacheStats // counters of width caches evicted by the LRU, under mu
-	widthSeq uint64     // width-LRU clock, under mu
-	lastUse  uint64     // under Engine.mu
+	widthSeq uint64 // width-LRU clock, under mu
+	lastUse  uint64 // under Engine.mu
 }
 
 // widthKey keys a session's schedule caches: one cache per (TAM width,
@@ -253,13 +253,6 @@ func (e *Engine) session(d *Design, hash string) (*engineSession, error) {
 				oldest = h
 			}
 		}
-		// Fold the evicted session's counters into the engine-lifetime
-		// totals before it goes. Planners still holding its caches may
-		// count a few more hits afterwards; those are lost, which keeps
-		// the totals monotonic (never inflated, never rewound).
-		st := e.sessions[oldest].scheduleStats()
-		e.retired.Hits += st.Hits
-		e.retired.Misses += st.Misses
 		delete(e.sessions, oldest)
 		e.evictions.Add(1)
 	}
@@ -279,20 +272,6 @@ func (e *Engine) newSession(d *Design, hash string) *engineSession {
 	}
 	s.stairs = s.newStairs(e.opts.MaxWidth)
 	return s
-}
-
-// scheduleStats sums the session's schedule-cache counters: the live
-// width caches plus the widths its own LRU already retired.
-func (s *engineSession) scheduleStats() CacheStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.retired
-	for _, c := range s.byWidth {
-		cs := c.cache.Stats()
-		st.Hits += cs.Hits
-		st.Misses += cs.Misses
-	}
-	return st
 }
 
 // newStairs builds a session staircase cache up to maxW, routed through
@@ -369,6 +348,7 @@ func (s *engineSession) scheduleCache(w int, backend string) *ScheduleCache {
 		return c.cache
 	}
 	c := &widthCache{cache: NewScheduleCache(), lastUse: s.widthSeq}
+	c.cache.total = &s.engine.schedules
 	s.byWidth[key] = c
 	for len(s.byWidth) > s.maxWidths {
 		oldest, oldestUse := widthKey{}, ^uint64(0)
@@ -377,9 +357,6 @@ func (s *engineSession) scheduleCache(w int, backend string) *ScheduleCache {
 				oldest, oldestUse = cw, cand.lastUse
 			}
 		}
-		st := s.byWidth[oldest].cache.Stats()
-		s.retired.Hits += st.Hits
-		s.retired.Misses += st.Misses
 		delete(s.byWidth, oldest)
 	}
 	return c.cache
@@ -546,9 +523,11 @@ type EngineMetrics struct {
 	// Schedule aggregates the hit/miss counters of every live schedule
 	// cache: a miss ran the TAM optimizer, a hit reused a packing.
 	Schedule CacheStats `json:"schedule"`
-	// ScheduleTotal is the engine-lifetime schedule counter: live caches
-	// plus every cache the LRU bounds evicted. Unlike Schedule it never
-	// decreases, which is what a Prometheus counter scrape needs.
+	// ScheduleTotal is the engine-lifetime schedule counter: every hit
+	// and miss of every session schedule cache, counted as it happens,
+	// including those after the LRU bounds evicted the cache. Unlike
+	// Schedule it never decreases, which is what a Prometheus counter
+	// scrape needs.
 	ScheduleTotal CacheStats `json:"schedule_total"`
 	// Schedules is the total number of cached TAM schedules.
 	Schedules int `json:"schedules"`
@@ -582,8 +561,8 @@ type EngineMetrics struct {
 // Metrics returns the engine's cache counters. Schedule hit/miss
 // numbers cover live width caches of live sessions only (evicted
 // sessions and evicted widths take their counters with them);
-// ScheduleTotal additionally folds in every evicted cache, so it is
-// monotonic across the engine's lifetime.
+// ScheduleTotal counts every lookup of every session cache, evicted
+// ones included, so it is monotonic across the engine's lifetime.
 func (e *Engine) Metrics() EngineMetrics {
 	m := EngineMetrics{
 		DesignHits:   e.designHits.Load(),
@@ -610,7 +589,6 @@ func (e *Engine) Metrics() EngineMetrics {
 		}
 	}
 	e.mu.Lock()
-	m.ScheduleTotal = e.retired
 	sessions := make([]*engineSession, 0, len(e.sessions))
 	for _, s := range e.sessions {
 		sessions = append(sessions, s)
@@ -619,18 +597,17 @@ func (e *Engine) Metrics() EngineMetrics {
 	m.Designs = len(sessions)
 	for _, s := range sessions {
 		s.mu.Lock()
-		m.ScheduleTotal.Hits += s.retired.Hits
-		m.ScheduleTotal.Misses += s.retired.Misses
 		for _, c := range s.byWidth {
 			st := c.cache.Stats()
 			m.Schedule.Hits += st.Hits
 			m.Schedule.Misses += st.Misses
-			m.ScheduleTotal.Hits += st.Hits
-			m.ScheduleTotal.Misses += st.Misses
 			m.Schedules += c.cache.Len()
 		}
 		s.mu.Unlock()
 	}
+	// Read after the live caches, which count after it, so Schedule
+	// never exceeds it.
+	m.ScheduleTotal = e.schedules.stats()
 	return m
 }
 

@@ -436,6 +436,77 @@ func TestEngineMetricsMonotonicAcrossEviction(t *testing.T) {
 	}
 }
 
+// packs sums an engine's packs over every backend, failed ones too.
+func packs(m EngineMetrics) uint64 {
+	var n uint64
+	for _, st := range m.BackendPacks {
+		n += st.OK + st.Errors
+	}
+	return n
+}
+
+// ScheduleTotal must count every pack once, including the packs a
+// planner finishes into a cache the LRU bounds already dropped: a sweep
+// over two widths with one width cache per session evicts the first
+// width's cache before its cells pack, and concurrent plans of two
+// designs through a one-session engine evict each other's sessions
+// mid-plan. With nothing evicted it equals the live counters, hits
+// included.
+func TestScheduleTotalCountsEveryPack(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine(EngineOptions{Workers: 2})
+	for range 2 {
+		if _, err := eng.Plan(ctx, warmTestDesign(), 32, EqualWeights); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := eng.Metrics(); m.ScheduleTotal != m.Schedule || m.Schedule.Hits == 0 || m.Schedule.Misses != packs(m) {
+		t.Errorf("no eviction: ScheduleTotal %+v, live %+v, packs %d", m.ScheduleTotal, m.Schedule, packs(m))
+	}
+
+	eng = NewEngine(EngineOptions{MaxWidthCaches: 1, Workers: 2})
+	if _, err := eng.Sweep(ctx, warmTestDesign(), []int{16, 24}, []Weights{EqualWeights}, SweepOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if m := eng.Metrics(); m.ScheduleTotal.Misses != packs(m) || m.ScheduleTotal.Misses <= m.Schedule.Misses {
+		t.Errorf("width eviction: ScheduleTotal.Misses = %d, packs %d, live misses %d",
+			m.ScheduleTotal.Misses, packs(m), m.Schedule.Misses)
+	}
+
+	eng = NewEngine(EngineOptions{MaxDesigns: 1, Workers: 2})
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mk := warmTestDesign
+			if g%2 == 1 {
+				mk = variantDesign
+			}
+			for _, w := range []int{16, 24, 32} {
+				if _, err := eng.PlanWith(ctx, mk(), w, EqualWeights, PlanOptions{Bounded: g%4 < 2}); err != nil {
+					errs[g] = err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", g, err)
+		}
+	}
+	m := eng.Metrics()
+	if m.Evictions == 0 {
+		t.Fatal("no session was evicted; the concurrent case tests nothing")
+	}
+	if m.ScheduleTotal.Misses != packs(m) {
+		t.Errorf("session eviction: ScheduleTotal.Misses = %d, packs %d", m.ScheduleTotal.Misses, packs(m))
+	}
+}
+
 // An empty backend selection resolves to the occupancy packer: it shares
 // occupancy's schedule cache — an explicit "occupancy" plan after a
 // default one packs nothing new — and its packs count under occupancy.

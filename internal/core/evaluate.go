@@ -30,7 +30,18 @@ type ScheduleCache struct {
 	mu sync.Mutex
 	m  map[string]*cacheEntry
 
-	hits, misses atomic.Uint64
+	cacheCounters
+	// total, when set, is the owning engine's lifetime pair, which the
+	// cache counts into first, so packs finished after the engine
+	// evicted the cache still count.
+	total *cacheCounters
+}
+
+// cacheCounters is a hit/miss counter pair.
+type cacheCounters struct{ hits, misses atomic.Uint64 }
+
+func (c *cacheCounters) stats() CacheStats {
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
 
 type cacheEntry struct {
@@ -127,7 +138,7 @@ func (c *ScheduleCache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
+	return c.stats()
 }
 
 // evaluator runs the TAM optimizations of one solve through its
@@ -237,6 +248,9 @@ func (e *evaluator) compute(ctx context.Context, p partition.Partition, key stri
 	for {
 		ent, owner := e.cache.entry(key)
 		if owner {
+			if e.cache.total != nil {
+				e.cache.total.misses.Add(1)
+			}
 			e.cache.misses.Add(1)
 			e.fill(ctx, p, key, ent)
 		} else {
@@ -254,6 +268,9 @@ func (e *evaluator) compute(ctx context.Context, p partition.Partition, key stri
 			continue // the owner's cancellation, not ours: recompute
 		}
 		if !owner && ent.err == nil {
+			if e.cache.total != nil {
+				e.cache.total.hits.Add(1)
+			}
 			e.cache.hits.Add(1)
 		}
 		return ent.s, ent.err

@@ -11,9 +11,10 @@ import (
 // staircase queries are sub-slices of a job's options, a warmed fitter
 // places, unplaces and answers earliest-fit and best-placement queries
 // (bounded or not, for an ungrouped and a grouped job) from its own
-// board and scratch, and a whole Optimize
-// call on p93791 stays within a small fixed budget of allocations and
-// bytes (it measured 49 allocations and 14,580 B when pinned).
+// board and scratch, as does the room filter's run length, and a whole
+// Optimize call on p93791 stays within a small fixed budget of
+// allocations and bytes (it measured 49 allocations and 14,580 B when
+// pinned).
 func TestPackHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -62,6 +63,30 @@ func TestPackHotPathAllocs(t *testing.T) {
 	gf := newFitter(newOptionTable(grouped, width, cfg), width, cfg)
 	gf.prepare(gs.Placements)
 	gRemoved := gf.unplace(gs, slices.IndexFunc(gs.Placements, func(p Placement) bool { return p.Job.Group != "" }))
+	// A filtered grouped query: with fJob off the board too, no member of
+	// its group is held at t = 0 and the held wires leave less room than
+	// its widest option, so the query's first instant runs the room
+	// filter and skips options.
+	var fJob *Job
+	var held []uint64
+	for _, c := range gs.Placements {
+		h, blocked := make([]uint64, 1), false
+		for _, p := range gs.Placements {
+			if p.Start == 0 && p.Job != c.Job {
+				blocked = blocked || p.Job.Group == c.Job.Group
+				h[0] |= (1<<uint(p.Width) - 1) << uint(p.WireLo)
+			}
+		}
+		pts := gf.opts.of(c.Job).pts
+		if c.Job.Group != "" && !blocked && longestFreeRun(h, width) < pts[len(pts)-1].Width {
+			fJob, held = c.Job, h
+			break
+		}
+	}
+	if fJob == nil {
+		t.Fatal("no grouped job whose query the room filter prunes at t = 0")
+	}
+	gf.unplace(gs, slices.IndexFunc(gs.Placements, func(p Placement) bool { return p.Job == fJob }))
 	fitterOps := []struct {
 		name string
 		fn   func()
@@ -89,6 +114,12 @@ func TestPackHotPathAllocs(t *testing.T) {
 		{"grouped bounded bestPlacement", func() {
 			if _, ok := gf.bestPlacement(gRemoved.Job, gRemoved.End); !ok {
 				t.Fatal("grouped bounded bestPlacement found no placement")
+			}
+		}},
+		{"longestFreeRun", func() { _ = longestFreeRun(held, width) }},
+		{"filtered grouped bestPlacement", func() {
+			if _, ok := gf.bestPlacement(fJob, math.MaxInt64); !ok {
+				t.Fatal("filtered grouped bestPlacement found no placement")
 			}
 		}},
 		{"place+unplace", func() {

@@ -229,8 +229,8 @@ func TestEarliestFitReleaseInstants(t *testing.T) {
 // a same-group start that blocks the narrow, long option's window but
 // lies past the wide option's, a placement ending on the wires where
 // another starts at the same instant, equal-time steps of the full
-// staircase, where the narrower width wins, and a bound only the
-// shortest option can meet.
+// staircase, where the narrower width wins, a bound only the shortest
+// option can meet, and two boards where the room filter skips options.
 func TestBestPlacementSharedSweep(t *testing.T) {
 	type rect struct {
 		lo, w      int
@@ -265,6 +265,16 @@ func TestBestPlacementSharedSweep(t *testing.T) {
 			[]wrapper.Point{{Width: 2, Time: 10}, {Width: 4, Time: 5}}, "", false, 8, want{4, 3, 8, 0, true}},
 		{"bound none meets", 8, []rect{{0, 8, 0, 3, ""}},
 			[]wrapper.Point{{Width: 2, Time: 10}, {Width: 4, Time: 5}}, "", false, 7, want{}},
+		// At t = 0 the held wires leave a run of 4, so the room filter
+		// skips the width-6 option, whose window [0, 4) holds the
+		// same-group start at 2; the width-2 option's window holds it
+		// too and ends the walk.
+		{"skipped window holds a group start", 8, []rect{{0, 4, 0, 5, ""}, {4, 2, 2, 8, "g"}},
+			[]wrapper.Point{{Width: 2, Time: 10}, {Width: 6, Time: 4}}, "g", false, math.MaxInt64, want{6, 8, 12, 0, true}},
+		// At t = 0 the held wires leave a run of 2: only the narrowest
+		// option fits, and it beats the wider ones' later ends.
+		{"room admits only the narrowest", 8, []rect{{0, 6, 0, 20, ""}},
+			[]wrapper.Point{{Width: 2, Time: 12}, {Width: 4, Time: 7}, {Width: 8, Time: 3}}, "", false, math.MaxInt64, want{2, 0, 12, 6, true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			jobs := make([]*Job, 0, len(tc.rects)+1)
@@ -560,5 +570,87 @@ func TestLowestFreeRun(t *testing.T) {
 		if got, want := lowestFreeRun(busy, binWidth, w), ref(busy, binWidth, w); got != want {
 			t.Fatalf("random bitset %d (binWidth=%d, w=%d): got %d, want %d", i, binWidth, w, got, want)
 		}
+	}
+}
+
+// TestLongestFreeRun pins the room filter's run length against a
+// wire-by-wire reference on bins of 1–200 wires: empty and full
+// bitsets, runs straddling word boundaries, partial last words, empty
+// and full words between mixed ones, and random bitsets.
+func TestLongestFreeRun(t *testing.T) {
+	ref := func(busy []uint64, binWidth int) int {
+		longest, run := 0, 0
+		for wire := 0; wire < binWidth; wire++ {
+			if busy[wire>>6]&(1<<uint(wire&63)) != 0 {
+				run = 0
+				continue
+			}
+			run++
+			longest = max(longest, run)
+		}
+		return longest
+	}
+	check := func(name string, busy []uint64, binWidth int) {
+		t.Helper()
+		if got, want := longestFreeRun(busy, binWidth), ref(busy, binWidth); got != want {
+			t.Fatalf("%s (binWidth=%d, %x): got %d, want %d", name, binWidth, busy, got, want)
+		}
+	}
+	// busyExcept returns a bitset with every wire busy but [lo, hi).
+	busyExcept := func(binWidth, lo, hi int) []uint64 {
+		busy := make([]uint64, (binWidth+63)/64)
+		for wire := 0; wire < binWidth; wire++ {
+			if wire < lo || wire >= hi {
+				busy[wire>>6] |= 1 << uint(wire&63)
+			}
+		}
+		return busy
+	}
+
+	for binWidth := 1; binWidth <= 200; binWidth++ {
+		words := (binWidth + 63) / 64
+		// Bits past binWidth are never wires, whether set or clear.
+		empty, full := make([]uint64, words), make([]uint64, words)
+		check("empty", empty, binWidth)
+		empty[words-1] = ^uint64(0) << uint(binWidth-(words-1)*64) // 0 on a whole last word
+		check("empty, spare bits set", empty, binWidth)
+		for wi := range full {
+			full[wi] = ^uint64(0)
+		}
+		check("full", full, binWidth)
+		check("full, spare bits clear", busyExcept(binWidth, 0, 0), binWidth)
+		for _, r := range [][2]int{{60, 70}, {0, 64}, {63, 65}, {64, 128}, {120, 140}, {127, 200}, {binWidth - 3, binWidth}} {
+			check("one run", busyExcept(binWidth, max(0, r[0]), min(binWidth, r[1])), binWidth)
+		}
+	}
+	// Runs across an all-free middle word between mixed words, and an
+	// all-busy middle word cutting a run.
+	for _, binWidth := range []int{129, 150, 192, 200} {
+		busy := busyExcept(binWidth, 40, 140)
+		busy[0] |= 1 << 50 // split the first run: 40–49, then 51–139
+		check("free middle word", busy, binWidth)
+		busy = make([]uint64, (binWidth+63)/64)
+		busy[1] = ^uint64(0)
+		check("busy middle word", busy, binWidth)
+	}
+
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 20000; i++ {
+		binWidth := 1 + rng.Intn(200)
+		busy := make([]uint64, (binWidth+63)/64)
+		for wi := range busy {
+			switch rng.Intn(5) {
+			case 0: // mostly busy
+				busy[wi] = rng.Uint64() | rng.Uint64()
+			case 1: // mostly free
+				busy[wi] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+			case 2:
+				busy[wi] = rng.Uint64()
+			case 3:
+				busy[wi] = ^uint64(0)
+			case 4: // all free
+			}
+		}
+		check(fmt.Sprintf("random bitset %d", i), busy, binWidth)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // (the Pareto staircase, or the full staircase under WithFullStaircase)
 // are precomputed once per pack and shared read-only between fitters.
 //
-// Three speedups over the naive rescan live here:
+// Four speedups over the naive rescan live here:
 //
 //   - a query visits only release instants: 0 and the placements' ends,
 //     in the board's end order. A window [t, t+d) overlaps placement p
@@ -36,6 +36,9 @@ import (
 //     at t — one bitset, kept by XOR as starts and ends pass — plus the
 //     bands of the starts ahead in (t, t+d); walking the options
 //     shortest-first only ever extends that set of starts ahead;
+//   - an exact room filter: no option wider than the longest free run
+//     of the held wires (longestFreeRun) is checked, and an instant
+//     where none fits builds no window at all;
 //   - the band search walks the occupancy bitset a word at a time (see
 //     lowestFreeRun), so each candidate check is a few word operations
 //     instead of an O(W) counter scan. A bin of at most 64 wires — every
@@ -257,6 +260,28 @@ func lowestFreeRun(busy []uint64, binWidth, w int) int {
 	return -1
 }
 
+// longestFreeRun returns the length of the longest run of free (zero)
+// bits below binWidth in the bitset bs, walking each word one free/busy
+// transition at a time as lowestFreeRun does; runs may span words.
+func longestFreeRun(bs []uint64, binWidth int) int {
+	longest, run := 0, 0 // run: free run ending just before off
+	for wi := range bs {
+		valid := min(binWidth-wi<<6, 64)
+		free := ^bs[wi] & (^uint64(0) >> uint(64-valid))
+		for off := 0; off < valid; {
+			x := free >> uint(off)
+			if z := bits.TrailingZeros64(x); z > 0 { // busy bits; 64 if the rest is busy
+				run, off = 0, off+z
+				continue
+			}
+			ones := bits.TrailingZeros64(^x) // bits past valid are busy
+			run, off = run+ones, off+ones
+			longest = max(longest, run)
+		}
+	}
+	return longest
+}
+
 // xorBand flips e's wire band in the bitset bs.
 func xorBand(bs []uint64, e *edge) {
 	lo, hi := int(e.lo), int(e.lo)+int(e.w)
@@ -305,7 +330,11 @@ func (f *fitter) bestPlacement(j *Job, maxEnd int64) (Placement, bool) {
 // shortest-first from a copy of held, ORing in the bands of the starts
 // ahead, from the first start > t up to t+d, so each window's occupancy
 // extends the last one's. A same-group start inside a window blocks
-// that option and every longer one.
+// that option and every longer one. busy only adds to held, so an
+// option wider than room, held's longest free run, cannot fit: the walk
+// starts at the widest option no wider than room (the skipped windows
+// nest inside its window, so it meets any same-group start or bound
+// they would have met) and skips the instant when there is none.
 //
 // The bound is the incumbent's end: maxEnd falls to each better
 // answer's end. An option that cannot end by it stops the walk at this
@@ -340,10 +369,17 @@ func (f *fitter) sweep(pts []wrapper.Point, gid int32, maxEnd int64) (Placement,
 			ei++
 		}
 		if groupHeld == 0 {
-			copy(busy, held)
+			room := longestFreeRun(held, f.binWidth)
+			k := len(pts) - 1
+			for k >= 0 && pts[k].Width > room {
+				k--
+			}
+			if k >= 0 {
+				copy(busy, held)
+			}
 			ahead := si // the first start > t
 		walk:
-			for k := len(pts) - 1; k >= 0; k-- {
+			for ; k >= 0; k-- {
 				opt := pts[k]
 				if t > maxEnd-opt.Time {
 					break
