@@ -450,7 +450,8 @@ func packs(m EngineMetrics) uint64 {
 // over two widths with one width cache per session evicts the first
 // width's cache before its cells pack, and concurrent plans of two
 // designs through a one-session engine evict each other's sessions
-// mid-plan. With nothing evicted it equals the live counters, hits
+// mid-plan, and a WarmStart sweep packs into private caches no session
+// holds. With nothing evicted it equals the live counters, hits
 // included.
 func TestScheduleTotalCountsEveryPack(t *testing.T) {
 	ctx := context.Background()
@@ -471,6 +472,16 @@ func TestScheduleTotalCountsEveryPack(t *testing.T) {
 	if m := eng.Metrics(); m.ScheduleTotal.Misses != packs(m) || m.ScheduleTotal.Misses <= m.Schedule.Misses {
 		t.Errorf("width eviction: ScheduleTotal.Misses = %d, packs %d, live misses %d",
 			m.ScheduleTotal.Misses, packs(m), m.Schedule.Misses)
+	}
+
+	// A WarmStart sweep packs into private caches the session never
+	// holds; their packs still count.
+	eng = NewEngine(EngineOptions{Workers: 2})
+	if _, err := eng.Sweep(ctx, warmTestDesign(), []int{24, 32, 40}, []Weights{EqualWeights}, SweepOptions{WarmStart: true}); err != nil {
+		t.Fatal(err)
+	}
+	if m := eng.Metrics(); packs(m) == 0 || m.ScheduleTotal.Misses != packs(m) {
+		t.Errorf("warm start: ScheduleTotal.Misses = %d, packs %d", m.ScheduleTotal.Misses, packs(m))
 	}
 
 	eng = NewEngine(EngineOptions{MaxDesigns: 1, Workers: 2})

@@ -169,7 +169,10 @@ func sweep(ctx context.Context, s *engineSession, widths []int, weights []Weight
 	schedules := make(map[int]*ScheduleCache, len(selWidths))
 	for w := range selWidths {
 		if opt.WarmStart {
+			// Private, but its packs still count in the engine's
+			// lifetime pair, as every session cache's do.
 			schedules[w] = NewScheduleCache()
+			schedules[w].total = &s.engine.schedules
 		} else {
 			schedules[w] = pc.cache(w)
 		}

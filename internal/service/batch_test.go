@@ -276,3 +276,32 @@ func BenchmarkBatchNearDup(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSweepCold measures Server.Sweep in process on a fresh Medium
+// design per iteration over the sweep-cold service workload's grid:
+// widths 16 to 64 in steps of 8 and wT 0.25, 0.5 and 0.75, exhaustive
+// and bounded. Generating and encoding each design stays out of the
+// timing and the allocation counts, so B/op and allocs/op are the sweep
+// path's own.
+func BenchmarkSweepCold(b *testing.B) {
+	s := New(Options{})
+	b.Cleanup(s.Close)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		b.StopTimer()
+		d, err := socgen.Generate(socgen.Options{Seed: int64(i + 1), Class: socgen.Medium, Modules: 16 + i%13, AnalogCores: 3 + i%2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		design, err := core.MarshalDesign(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := SweepRequest{Design: design, Widths: []int{16, 24, 32, 40, 48, 56, 64}, WTs: []float64{0.25, 0.5, 0.75}, Exhaustive: true, Bounded: true}
+		b.StartTimer()
+		if _, err := s.Sweep(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -480,8 +480,8 @@ func TestBestPlacementBounded(t *testing.T) {
 		jobs := randomJobs(int64(trial), 2+rng.Intn(30), binWidth)
 		cfg := config{improvePasses: len(jobs), paretoOnly: true}
 		f := newFitter(newOptionTable(jobs, binWidth, cfg), binWidth, cfg)
-		s, err := packList(jobs, f)
-		if err != nil {
+		s := new(Schedule)
+		if err := packList(jobs, f, s); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range slices.Clone(s.Placements) {

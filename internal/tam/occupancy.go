@@ -14,11 +14,14 @@ import (
 // formulation. One fitter serves one packing goroutine and mirrors that
 // goroutine's schedule on a board: the placements' start and end edges,
 // each array kept sorted by its time key as place and unplace edit the
-// schedule, so a query never sorts. All scratch (the board and two
-// wire bitsets) is sized when the fitter is built, so steady-state
-// placements and queries allocate nothing. The per-job width options
-// (the Pareto staircase, or the full staircase under WithFullStaircase)
-// are precomputed once per pack and shared read-only between fitters.
+// schedule, so a query never sorts. All scratch (the board, two wire
+// bitsets and the polish loops' flags) is sized when the fitter is
+// loaded, so steady-state placements and queries allocate nothing.
+// Fitters live in a pooled workspace (see workspace), so a pack reuses
+// the buffers of earlier packs instead of allocating its own. The
+// per-job width options (the Pareto staircase, or the full staircase
+// under WithFullStaircase) are precomputed once per pack and shared
+// read-only between fitters.
 //
 // Four speedups over the naive rescan live here:
 //
@@ -62,6 +65,8 @@ type fitter struct {
 	// Query scratch.
 	held []uint64 // bit w set iff a placement holds wire w at the instant
 	busy []uint64 // held plus the bands of the starts ahead in the window
+	// The polish loops' per-placement flags (see markMoved).
+	flags []bool
 }
 
 // optionTable is the per-job data every query reads: the job's entry in
@@ -93,44 +98,37 @@ type edge struct {
 // maxBinWidth is the widest bin an edge's uint16 wire band can address.
 const maxBinWidth = 1<<16 - 1
 
-// newOptionTable precomputes the width options the packer will try for
-// every job, so placement loops never re-derive the usable staircase,
-// and numbers the serialization groups: a grouped job's ID is one past
-// the index of the first job in its group.
-func newOptionTable(jobs []*Job, binWidth int, cfg config) optionTable {
-	t := optionTable{idx: make(map[*Job]int32, len(jobs)), jobs: make([]jobOpts, len(jobs))}
+// load rebuilds the table over jobs, reusing its map and entries: it
+// precomputes the width options the packer will try for every job, so
+// placement loops never re-derive the usable staircase, and numbers the
+// serialization groups: a grouped job's ID is one past the index of the
+// first job in its group. The map must be empty and non-nil.
+func (t *optionTable) load(jobs []*Job, binWidth int, cfg config) {
+	t.jobs = grow(t.jobs, len(jobs))
 	for i, j := range jobs {
 		t.idx[j] = int32(i)
-		t.jobs[i].pts = candidateWidths(j, binWidth, cfg)
+		t.jobs[i] = jobOpts{pts: candidateWidths(j, binWidth, cfg)}
 		for k := 0; j.Group != "" && t.jobs[i].gid == 0; k++ {
 			if jobs[k].Group == j.Group {
 				t.jobs[i].gid = int32(k + 1)
 			}
 		}
 	}
-	return t
 }
 
-// newFitter builds a fitter whose scratch is sized for a schedule of
-// every job in the option table, so the board and the sweep never grow
-// a buffer while a pack runs.
-func newFitter(opts optionTable, binWidth int, cfg config) *fitter {
+// load sizes f for a schedule of every job in the option table, reusing
+// its buffers, so the board and the sweep never grow a buffer while a
+// pack runs.
+func (f *fitter) load(opts optionTable, binWidth int, cfg config) {
 	n := len(opts.jobs)
+	f.binWidth, f.cfg, f.opts = binWidth, cfg, opts
+	f.starts = slices.Grow(f.starts[:0], n)
+	f.ends = slices.Grow(f.ends[:0], n)
+	f.flags = grow(f.flags, n)
 	words := (binWidth + 63) / 64
-	return &fitter{
-		binWidth: binWidth,
-		cfg:      cfg,
-		opts:     opts,
-		starts:   make([]edge, 0, n),
-		ends:     make([]edge, 0, n),
-		held:     make([]uint64, words),
-		busy:     make([]uint64, words),
-	}
+	f.held = grow(f.held, words)
+	f.busy = grow(f.busy, words)
 }
-
-// fork returns a fitter sharing the read-only option table but owning
-// a fresh board and scratch, for use by a concurrent packing goroutine.
-func (f *fitter) fork() *fitter { return newFitter(f.opts, f.binWidth, f.cfg) }
 
 // edges returns p's start and end edges.
 func (f *fitter) edges(p *Placement) (start, end edge) {

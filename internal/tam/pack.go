@@ -20,16 +20,22 @@ type config struct {
 	paretoOnly    bool
 	warm          []*Schedule
 	ctx           context.Context
+	// done is ctx.Done(), taken once per pack; nil means never cancelled.
+	done <-chan struct{}
 }
 
 // ctxErr reports the config's context error, treating a nil context as
 // never cancelled. It is the single cancellation probe of the packing
-// loops.
+// loops. It polls the Done channel pack captured rather than calling
+// ctx.Err, which takes the context's lock on every placement of every
+// ordering goroutine.
 func (c *config) ctxErr() error {
-	if c.ctx == nil {
+	select {
+	case <-c.done:
+		return c.ctx.Err()
+	default:
 		return nil
 	}
-	return c.ctx.Err()
 }
 
 // WithFullStaircase makes the packer consider every width from the
@@ -96,15 +102,12 @@ type instance struct {
 	chain []int64
 }
 
-func newInstance(jobs []*Job, width int) *instance {
-	in := &instance{
-		jobs:     jobs,
-		width:    width,
-		target:   packTarget(jobs, width),
-		prefTime: make([]int64, len(jobs)),
-		chain:    make([]int64, len(jobs)),
-	}
-	groupTotal := map[string]int64{}
+// load fills the instance for a pack of the jobs at the given width,
+// reusing its per-job slices. groupTotal is scratch and must be empty.
+func (in *instance) load(jobs []*Job, width int, groupTotal map[string]int64) {
+	in.jobs, in.width, in.target = jobs, width, packTarget(jobs, width)
+	in.prefTime = grow(in.prefTime, len(jobs))
+	in.chain = grow(in.chain, len(jobs))
 	for i, j := range jobs {
 		if j.Group != "" {
 			groupTotal[j.Group] += j.minTime(width)
@@ -117,14 +120,15 @@ func newInstance(jobs []*Job, width int) *instance {
 			in.chain[i] = groupTotal[j.Group]
 		}
 	}
-	return in
 }
 
 // orderBy returns the jobs sorted by descending key (indexed like
 // in.jobs), ties broken by descending preferred time and then ascending
-// ID — a total order, so every backend's ordering is deterministic.
-func orderBy[K cmp.Ordered](in *instance, key []K) []*Job {
-	idx := make([]int32, len(in.jobs))
+// ID — a total order, so every backend's ordering is deterministic. The
+// order is built in l's buffers.
+func orderBy[K cmp.Ordered](in *instance, key []K, l *lane) []*Job {
+	l.idx = grow(l.idx, len(in.jobs))
+	idx := l.idx
 	for i := range idx {
 		idx[i] = int32(i)
 	}
@@ -137,11 +141,11 @@ func orderBy[K cmp.Ordered](in *instance, key []K) []*Job {
 		}
 		return cmp.Compare(in.jobs[a].ID, in.jobs[b].ID)
 	})
-	order := make([]*Job, len(idx))
+	l.order = grow(l.order, len(idx))
 	for i, x := range idx {
-		order[i] = in.jobs[x]
+		l.order[i] = in.jobs[x]
 	}
-	return order
+	return l.order
 }
 
 // pack is the pipeline every backend runs. It parses the options,
@@ -151,34 +155,54 @@ func orderBy[K cmp.Ordered](in *instance, key []K) []*Job {
 // and the result is checked for cancellation and validated. A backend
 // supplies only cold and polish, so both share one warm-start,
 // cancellation and validation contract.
+//
+// All scratch comes from a pooled workspace, given back on every path.
+// cold packs into the workspace's buffers, so its winner is copied into
+// a schedule of its own before the polish, whose unplace and place
+// pairs never grow it: the returned schedule is the pack's one fresh
+// allocation.
 func pack(jobs []*Job, width int, opts []Option,
-	cold func(in *instance, f *fitter) (*Schedule, error),
+	cold func(ws *workspace) (*Schedule, error),
 	polish func(s *Schedule, f *fitter)) (*Schedule, error) {
-	cfg := config{improvePasses: len(jobs), paretoOnly: true}
-	for _, o := range opts {
-		o(&cfg)
-	}
 	if width < 1 || width > maxBinWidth {
 		return nil, fmt.Errorf("tam: bin width %d outside [1, %d]", width, maxBinWidth)
 	}
 	if len(jobs) == 0 {
 		return &Schedule{Width: width}, nil
 	}
-	if err := validateJobs(jobs, width); err != nil {
+	ws := workspaces.Get().(*workspace)
+	defer ws.release()
+	return ws.pack(jobs, width, opts, cold, polish)
+}
+
+// pack runs pack's pipeline for a non-empty job set and a valid width
+// in ws's buffers.
+func (ws *workspace) pack(jobs []*Job, width int, opts []Option,
+	cold func(ws *workspace) (*Schedule, error),
+	polish func(s *Schedule, f *fitter)) (*Schedule, error) {
+	cfg := config{improvePasses: len(jobs), paretoOnly: true}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.ctx != nil {
+		cfg.done = cfg.ctx.Done()
+	}
+	if err := ws.load(jobs, width, cfg); err != nil {
 		return nil, err
 	}
-	in := newInstance(jobs, width)
-	shared := newFitter(newOptionTable(jobs, width, cfg), width, cfg)
+	shared := &ws.fit[0]
 
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
 	}
 	s := warmSeed(jobs, width, cfg.warm, shared)
 	if s == nil {
-		var err error
-		if s, err = cold(in, shared); err != nil {
+		c, err := cold(ws)
+		if err != nil {
 			return nil, err
 		}
+		s = &Schedule{Width: c.Width, Makespan: c.Makespan, Placements: make([]Placement, len(c.Placements))}
+		copy(s.Placements, c.Placements)
 	}
 	shared.prepare(s.Placements)
 	polish(s, shared)
@@ -225,10 +249,13 @@ func warmSeed(jobs []*Job, width int, seeds []*Schedule, f *fitter) *Schedule {
 // ordering on ties), making the result identical to a sequential
 // evaluation. Its polish is repack followed by improve.
 func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
-	return pack(jobs, width, opts, packOrderings, func(s *Schedule, f *fitter) {
-		repack(s, f)
-		improve(s, f)
-	})
+	return pack(jobs, width, opts, packOrderings, repackImprove)
+}
+
+// repackImprove is Optimize's polish: repack, then improve.
+func repackImprove(s *Schedule, f *fitter) {
+	repack(s, f)
+	improve(s, f)
 }
 
 // packOrderings is Optimize's cold step. Greedy list scheduling is
@@ -237,41 +264,53 @@ func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 // smallest makespan, the first ordering winning ties. The polish runs
 // only on the winner: repack re-places every job, so running it per
 // ordering buys little for its cost.
-func packOrderings(in *instance, shared *fitter) (*Schedule, error) {
-	volumes := make([]int64, len(in.jobs))
+//
+// Each ordering packs into its own lane of ws on its own fitter: the
+// first on the calling goroutine and the shared fitter, the others
+// concurrently on forks. The winner is the winning lane's schedule,
+// which the caller copies out before ws goes back to the pool.
+func packOrderings(ws *workspace) (*Schedule, error) {
+	in := &ws.in
+	ws.keys = grow(ws.keys, len(in.jobs))
 	for i, j := range in.jobs {
-		volumes[i] = j.volume(in.width)
+		ws.keys[i] = j.volume(in.width)
 	}
-	orderings := [][]int64{in.chain, in.prefTime, volumes}
-
-	results := make([]*Schedule, len(orderings))
-	errs := make([]error, len(orderings))
+	orderings := [len(ws.lane)][]int64{in.chain, in.prefTime, ws.keys}
 	var wg sync.WaitGroup
-	for oi, key := range orderings {
+	// Should the first ordering panic, the forks still finish before
+	// ws goes back to the pool.
+	defer wg.Wait()
+	for oi := 1; oi < len(orderings); oi++ {
+		key := orderings[oi]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f := shared
-			if oi > 0 {
-				f = shared.fork()
-			}
-			if results[oi], errs[oi] = packList(orderBy(in, key), f); errs[oi] == nil {
-				improve(results[oi], f)
-			}
+			ws.packLane(oi, key, ws.fork(oi))
 		}()
 	}
+	ws.packLane(0, orderings[0], &ws.fit[0])
 	wg.Wait()
 
 	var best *Schedule
-	for oi := range results {
-		if errs[oi] != nil {
-			return nil, errs[oi]
+	for oi := range ws.lane {
+		l := &ws.lane[oi]
+		if l.err != nil {
+			return nil, l.err
 		}
-		if best == nil || results[oi].Makespan < best.Makespan {
-			best = results[oi]
+		if best == nil || l.s.Makespan < best.Makespan {
+			best = &l.s
 		}
 	}
 	return best, nil
+}
+
+// packLane packs the jobs in descending key order into lane oi on f and
+// improves the result, or records the packing's error in the lane.
+func (ws *workspace) packLane(oi int, key []int64, f *fitter) {
+	l := &ws.lane[oi]
+	if l.err = packList(orderBy(&ws.in, key, l), f, &l.s); l.err == nil {
+		improve(&l.s, f)
+	}
 }
 
 // adoptSeed rebuilds a warm-start seed over this pack call's job
@@ -361,22 +400,22 @@ func shrinkSeed(jobs []*Job, width int, seed *Schedule, f *fitter) *Schedule {
 	return s
 }
 
-// packList places the jobs earliest-fit in the given order.
-func packList(order []*Job, f *fitter) (*Schedule, error) {
-	s := &Schedule{Width: f.binWidth}
-	s.Placements = make([]Placement, 0, len(order))
+// packList places the jobs earliest-fit in the given order into s,
+// reusing the capacity of its placements.
+func packList(order []*Job, f *fitter, s *Schedule) error {
+	*s = Schedule{Width: f.binWidth, Placements: slices.Grow(s.Placements[:0], len(order))}
 	f.prepare(nil)
 	for _, j := range order {
 		if err := f.cfg.ctxErr(); err != nil {
-			return nil, err
+			return err
 		}
 		p, ok := f.bestPlacement(j, math.MaxInt64)
 		if !ok {
-			return nil, fmt.Errorf("tam: could not place job %s", j.ID)
+			return fmt.Errorf("tam: could not place job %s", j.ID)
 		}
 		f.place(s, p)
 	}
-	return s, nil
+	return nil
 }
 
 // repack removes and re-places every job once, always picking the
@@ -388,7 +427,8 @@ func packList(order []*Job, f *fitter) (*Schedule, error) {
 // the job's end nor the makespan ever increases. f's board must mirror
 // s, and does again on return.
 func repack(s *Schedule, f *fitter) {
-	done := make([]bool, len(s.Placements)) // by placement, see markMoved
+	done := f.flags[:len(s.Placements)] // by placement, see markMoved
+	clear(done)
 	for {
 		// On cancellation the schedule is abandoned by pack, so
 		// bailing between steps (possibly leaving Makespan un-tightened)
@@ -471,7 +511,7 @@ func candidateWidths(j *Job, binWidth int, cfg config) []wrapper.Point {
 // stops once a whole pass leaves every makespan-defining job in place.
 // f's board must mirror s, and does again on return.
 func improve(s *Schedule, f *fitter) {
-	tried := make([]bool, len(s.Placements)) // by placement, see markMoved
+	tried := f.flags[:len(s.Placements)] // by placement, see markMoved
 	for pass := 0; pass < f.cfg.improvePasses; pass++ {
 		clear(tried)
 		moved := false

@@ -168,7 +168,11 @@ func TestPolishNeverWorseThanGreedy(t *testing.T) {
 	// The raw greedy result: Optimize's three cold orderings with the
 	// improvement loop disabled and no repack.
 	cfg := config{improvePasses: 0, paretoOnly: true}
-	raw, err := packOrderings(newInstance(jobs, 48), newFitter(newOptionTable(jobs, 48, cfg), 48, cfg))
+	ws := new(workspace)
+	if err := ws.load(jobs, 48, cfg); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := packOrderings(ws)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,9 +80,8 @@ func Lookup(name string) (Packer, error) {
 
 // validateJobs runs the shared pre-pack checks every backend performs:
 // each job must validate against the bin width and job IDs must be
-// unique.
-func validateJobs(jobs []*Job, width int) error {
-	seen := make(map[string]bool, len(jobs))
+// unique. seen must be empty; it collects the job IDs.
+func validateJobs(jobs []*Job, width int, seen map[string]bool) error {
 	for _, j := range jobs {
 		if err := j.Validate(width); err != nil {
 			return err

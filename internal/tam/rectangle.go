@@ -29,8 +29,10 @@ func PackRectangle(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 }
 
 // packDiagonal is PackRectangle's cold step: one earliest-fit pass in
-// descending order of each job's squared normalized diagonal.
-func packDiagonal(in *instance, f *fitter) (*Schedule, error) {
+// descending order of each job's squared normalized diagonal, into the
+// workspace's first lane on the shared fitter.
+func packDiagonal(ws *workspace) (*Schedule, error) {
+	in := &ws.in
 	var maxChain int64 = 1 // avoid division by zero on all-zero times
 	for _, c := range in.chain {
 		maxChain = max(maxChain, c)
@@ -39,7 +41,8 @@ func packDiagonal(in *instance, f *fitter) (*Schedule, error) {
 	// rectangle. The squares and the sum are kept in separate
 	// statements so no fused multiply-add can perturb the comparison
 	// order across architectures.
-	diag := make([]float64, len(in.jobs))
+	ws.diag = grow(ws.diag, len(in.jobs))
+	diag := ws.diag
 	for i, j := range in.jobs {
 		x := float64(preferredWidth(j, in.width, in.target)) / float64(in.width)
 		y := float64(in.chain[i]) / float64(maxChain)
@@ -47,5 +50,9 @@ func packDiagonal(in *instance, f *fitter) (*Schedule, error) {
 		yy := y * y
 		diag[i] = xx + yy
 	}
-	return packList(orderBy(in, diag), f)
+	l := &ws.lane[0]
+	if err := packList(orderBy(in, diag, l), &ws.fit[0], &l.s); err != nil {
+		return nil, err
+	}
+	return &l.s, nil
 }
