@@ -1,7 +1,9 @@
 package mixsoc
 
 // One benchmark per table and figure of the paper's evaluation, plus
-// ablation benches for the design choices called out in DESIGN.md §3.
+// ablation benches for the design choices called out in DESIGN.md §3
+// (the packer's own ablations, fixed bus and Pareto pruning, live in
+// internal/tam).
 // Each benchmark regenerates the corresponding experiment through
 // internal/experiments (the same code path as cmd/msoc-tables) and
 // reports the experiment's headline numbers as custom metrics, so
@@ -116,7 +118,7 @@ func BenchmarkAblationSerialConstraint(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := tam.Optimize(jobs, 64)
+		s, err := tam.OccupancyPacker{}.Pack(jobs, 64)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +131,7 @@ func BenchmarkAblationSerialConstraint(b *testing.B) {
 		for _, j := range free {
 			j.Group = ""
 		}
-		s, err = tam.Optimize(free, 64)
+		s, err = tam.OccupancyPacker{}.Pack(free, 64)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,66 +140,6 @@ func BenchmarkAblationSerialConstraint(b *testing.B) {
 	b.ReportMetric(float64(with), "cyclesSerialized")
 	b.ReportMetric(float64(without), "cyclesFree")
 	b.ReportMetric(100*float64(with-without)/float64(without), "serialPenalty%")
-}
-
-// BenchmarkAblationFixedBus compares the paper's flexible-width
-// rectangle packing against the fixed-width multi-bus baseline of its
-// predecessor [5]: the architectural claim of Section 4 ("the analog
-// cores do not use all the TAM wires ... the overall time taken to test
-// the SOC is not optimized").
-func BenchmarkAblationFixedBus(b *testing.B) {
-	d := P93791M()
-	jobs, err := core.BuildJobs(d, d.AllShare(), 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("flexible", func(b *testing.B) {
-		var makespan int64
-		for i := 0; i < b.N; i++ {
-			s, err := tam.Optimize(jobs, 32)
-			if err != nil {
-				b.Fatal(err)
-			}
-			makespan = s.Makespan
-		}
-		b.ReportMetric(float64(makespan), "cycles")
-	})
-	b.Run("fixed-bus", func(b *testing.B) {
-		var makespan int64
-		for i := 0; i < b.N; i++ {
-			s, err := tam.OptimizeFixedBus(jobs, 32, 6)
-			if err != nil {
-				b.Fatal(err)
-			}
-			makespan = s.Makespan
-		}
-		b.ReportMetric(float64(makespan), "cycles")
-	})
-}
-
-// BenchmarkAblationParetoPruning compares packing with the Pareto
-// staircase against packing over the full width range; the result
-// quality is identical while the Pareto variant does far less work.
-func BenchmarkAblationParetoPruning(b *testing.B) {
-	d := P93791M()
-	jobs, err := core.BuildJobs(d, d.NoShare(), 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("pareto", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := tam.Optimize(jobs, 64); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full-staircase", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := tam.Optimize(jobs, 64, tam.WithFullStaircase()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationEpsilon sweeps the group-elimination threshold ε of

@@ -76,12 +76,6 @@ func (t *Test) Validate() error {
 	return nil
 }
 
-// Undersampled reports whether the stimulus band exceeds the Nyquist
-// rate of the converters. Such tests rely on coherent undersampling, a
-// standard mixed-signal technique; several Table 2 tests (e.g. core D's
-// gain test at 26 MHz sampled at 26 MHz) are of this kind.
-func (t *Test) Undersampled() bool { return Hertz(2)*t.FinHigh > t.Fsample }
-
 // Core is an embedded analog core with its test set.
 type Core struct {
 	Name  string // short label, e.g. "A"
@@ -115,39 +109,6 @@ func (c *Core) TotalCycles() int64 {
 	return total
 }
 
-// MaxTAMWidth is the widest TAM interface any test of the core needs.
-func (c *Core) MaxTAMWidth() int {
-	w := 0
-	for i := range c.Tests {
-		if c.Tests[i].TAMWidth > w {
-			w = c.Tests[i].TAMWidth
-		}
-	}
-	return w
-}
-
-// MaxFsample is the fastest sampling rate any test of the core needs.
-func (c *Core) MaxFsample() Hertz {
-	var f Hertz
-	for i := range c.Tests {
-		if c.Tests[i].Fsample > f {
-			f = c.Tests[i].Fsample
-		}
-	}
-	return f
-}
-
-// MaxResolution is the highest converter resolution any test needs.
-func (c *Core) MaxResolution() int {
-	r := 0
-	for i := range c.Tests {
-		if c.Tests[i].Resolution > r {
-			r = c.Tests[i].Resolution
-		}
-	}
-	return r
-}
-
 // Requirements are the data-converter and interface needs a wrapper must
 // satisfy; a shared wrapper satisfies the union of its cores' needs.
 type Requirements struct {
@@ -156,32 +117,31 @@ type Requirements struct {
 	TAMWidth   int   // widest TAM interface
 }
 
-// Requirements returns the core's own wrapper requirements.
+// Requirements returns the core's own wrapper requirements: the
+// highest resolution, fastest sampling rate and widest TAM interface
+// any of its tests needs.
 func (c *Core) Requirements() Requirements {
-	return Requirements{
-		Resolution: c.MaxResolution(),
-		Fsample:    c.MaxFsample(),
-		TAMWidth:   c.MaxTAMWidth(),
+	var r Requirements
+	for i := range c.Tests {
+		t := &c.Tests[i]
+		r.Resolution = max(r.Resolution, t.Resolution)
+		r.Fsample = max(r.Fsample, t.Fsample)
+		r.TAMWidth = max(r.TAMWidth, t.TAMWidth)
 	}
+	return r
 }
 
-// Merge returns the union of the cores' requirements: the sizing rule of
+// merge returns the union of the cores' requirements: the sizing rule of
 // Section 3 ("the resolution ... is selected to be the maximum of the
 // ADC-DAC resolution requirements of all the analog cores sharing the
 // wrapper", and likewise encoder/decoder for the largest TAM width).
-func Merge(cores []*Core) Requirements {
+func merge(cores []*Core) Requirements {
 	var req Requirements
 	for _, c := range cores {
 		r := c.Requirements()
-		if r.Resolution > req.Resolution {
-			req.Resolution = r.Resolution
-		}
-		if r.Fsample > req.Fsample {
-			req.Fsample = r.Fsample
-		}
-		if r.TAMWidth > req.TAMWidth {
-			req.TAMWidth = r.TAMWidth
-		}
+		req.Resolution = max(req.Resolution, r.Resolution)
+		req.Fsample = max(req.Fsample, r.Fsample)
+		req.TAMWidth = max(req.TAMWidth, r.TAMWidth)
 	}
 	return req
 }

@@ -2,6 +2,7 @@ package analog
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -56,18 +57,24 @@ func TestPaperRequirements(t *testing.T) {
 				cores[tc.idx].Name, r, tc.width, tc.fs, tc.res)
 		}
 	}
-	merged := Merge(cores)
+	merged := merge(cores)
 	if merged.TAMWidth != 10 || merged.Fsample != 78*MHz || merged.Resolution != 12 {
 		t.Errorf("merged requirements = %+v", merged)
 	}
 }
+
+// undersampled reports whether the stimulus band exceeds the Nyquist
+// rate of the converters. Such tests rely on coherent undersampling, a
+// standard mixed-signal technique; several Table 2 tests (e.g. core D's
+// gain test at 26 MHz sampled at 26 MHz) are of this kind.
+func undersampled(t *Test) bool { return Hertz(2)*t.FinHigh > t.Fsample }
 
 func TestUndersampledTests(t *testing.T) {
 	cores := PaperCores()
 	d := cores[3]
 	var under int
 	for i := range d.Tests {
-		if d.Tests[i].Undersampled() {
+		if undersampled(&d.Tests[i]) {
 			under++
 		}
 	}
@@ -202,7 +209,7 @@ func TestPaperCostModelMatchesTable1CA(t *testing.T) {
 func TestLowerBoundCycles(t *testing.T) {
 	cores := PaperCores()
 	p := combosByName(t, "AC")
-	lb, err := LowerBoundCycles(cores, p)
+	lb, err := lowerBoundCycles(cores, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +217,7 @@ func TestLowerBoundCycles(t *testing.T) {
 		t.Errorf("LTB cycles = %d, want %d", lb, want)
 	}
 	// No sharing: no serialization pressure at all (see Table 1 note).
-	lb, err = LowerBoundCycles(cores, combosByName(t, ""))
+	lb, err = lowerBoundCycles(cores, combosByName(t, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,15 +292,40 @@ func TestPartitionValidation(t *testing.T) {
 		if _, err := cm.AreaOverheadPercent(cores, p); err == nil {
 			t.Errorf("accepted bad partition %v", p)
 		}
-		if _, err := LowerBoundCycles(cores, p); err == nil {
-			t.Errorf("LowerBoundCycles accepted bad partition %v", p)
+		if _, err := lowerBoundCycles(cores, p); err == nil {
+			t.Errorf("lowerBoundCycles accepted bad partition %v", p)
 		}
+	}
+}
+
+// speedResolutionRule returns a feasibility predicate implementing the
+// paper's caveat that "a module that requires high-speed and
+// low-resolution data converters cannot share its wrapper with a module
+// that requires high-resolution and low-speed data converters": a group
+// is rejected when the merged requirements simultaneously exceed both
+// thresholds while no single member does. It exercises the
+// CostModel.Feasible hook.
+func speedResolutionRule(maxFs Hertz, maxRes int) func([]*Core) error {
+	return func(cores []*Core) error {
+		merged := merge(cores)
+		if merged.Fsample <= maxFs || merged.Resolution <= maxRes {
+			return nil
+		}
+		for _, c := range cores {
+			r := c.Requirements()
+			if r.Fsample > maxFs && r.Resolution > maxRes {
+				// One member alone already needs both; the group adds
+				// nothing infeasible.
+				return nil
+			}
+		}
+		return fmt.Errorf("merged wrapper needs %d bits at %v: high-speed and high-resolution cores cannot share", merged.Resolution, merged.Fsample)
 	}
 }
 
 func TestSpeedResolutionRule(t *testing.T) {
 	cores := PaperCores()
-	rule := SpeedResolutionRule(20*MHz, 10)
+	rule := speedResolutionRule(20*MHz, 10)
 	// C (12-bit, slow) with D (fast, 8-bit) merges into a >10-bit,
 	// >20 MHz wrapper: infeasible.
 	if err := rule([]*Core{cores[2], cores[3]}); err == nil {
@@ -336,7 +368,7 @@ func mergeTwoGroups(p partition.Partition, ga, gb int) partition.Partition {
 func TestLTBMonotoneUnderCoarsening(t *testing.T) {
 	cores := PaperCores()
 	f := func(seed uint16) bool {
-		parts := partition.All(5)
+		parts := partition.Enumerate(5, nil, nil)
 		p := parts[int(seed)%len(parts)]
 		if len(p) < 2 {
 			return true
@@ -346,11 +378,11 @@ func TestLTBMonotoneUnderCoarsening(t *testing.T) {
 		if ga == gb {
 			return true
 		}
-		before, err := LowerBoundCycles(cores, p)
+		before, err := lowerBoundCycles(cores, p)
 		if err != nil {
 			return false
 		}
-		after, err := LowerBoundCycles(cores, mergeTwoGroups(p, ga, gb))
+		after, err := lowerBoundCycles(cores, mergeTwoGroups(p, ga, gb))
 		if err != nil {
 			return false
 		}
@@ -369,7 +401,7 @@ func TestCAMonotoneWithoutRouting(t *testing.T) {
 	cm.RoutingFactor = 0
 	cm.AllShareRoutingFactor = 0
 	f := func(seed uint16) bool {
-		parts := partition.All(5)
+		parts := partition.Enumerate(5, nil, nil)
 		p := parts[int(seed)%len(parts)]
 		if len(p) < 2 {
 			return true
@@ -400,7 +432,7 @@ func TestFeasibilityMethod(t *testing.T) {
 	if err := cm.Feasibility(cores, combosByName(t, "CD")); err != nil {
 		t.Errorf("no rule set but Feasibility failed: %v", err)
 	}
-	cm.Feasible = SpeedResolutionRule(20*MHz, 10)
+	cm.Feasible = speedResolutionRule(20*MHz, 10)
 	err := cm.Feasibility(cores, combosByName(t, "CD"))
 	if err == nil {
 		t.Fatal("C+D should be infeasible")
@@ -465,26 +497,6 @@ func TestPhysicalModelMonotone(t *testing.T) {
 		if a := pm.WrapperArea(bigger); a <= a0 {
 			t.Errorf("area not monotone: %+v -> %v vs base %v", bigger, a, a0)
 		}
-	}
-}
-
-func TestAreaTableLookup(t *testing.T) {
-	table := AreaTable{Entries: []AreaEntry{
-		{Req: Requirements{Resolution: 8, Fsample: 20 * MHz, TAMWidth: 4}, Area: 10},
-		{Req: Requirements{Resolution: 12, Fsample: 80 * MHz, TAMWidth: 10}, Area: 40},
-	}}
-	got := table.WrapperArea(Requirements{Resolution: 8, Fsample: 10 * MHz, TAMWidth: 2})
-	if got != 10 {
-		t.Errorf("lookup = %v, want 10 (cheapest covering entry)", got)
-	}
-	got = table.WrapperArea(Requirements{Resolution: 10, Fsample: 10 * MHz, TAMWidth: 2})
-	if got != 40 {
-		t.Errorf("lookup = %v, want 40", got)
-	}
-	// No covering entry: falls back to the physical model (non-zero).
-	got = table.WrapperArea(Requirements{Resolution: 16, Fsample: 200 * MHz, TAMWidth: 32})
-	if got <= 0 {
-		t.Errorf("fallback = %v, want > 0", got)
 	}
 }
 

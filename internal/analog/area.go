@@ -91,49 +91,15 @@ func (pm PhysicalModel) WrapperArea(req Requirements) float64 {
 	return (converters + registers + encdec) * speed
 }
 
-// UnitAreaModel prices every wrapper at 1.0 regardless of requirements.
+// unitAreaModel prices every wrapper at 1.0 regardless of requirements.
 // Combined with the MaxMemberArea rule and routing factor δ = 0.15, it
 // reproduces the paper's published Table 1 C_A values exactly (e.g.
 // {A,C} → (1.15+3)/5 = 83.0, {A,B,C} → (1.3+2)/5 = 66.0,
 // {A,B,C,E} → (1.45+1)/5 = 49.0); see analog.PaperCostModel.
-type UnitAreaModel struct{}
+type unitAreaModel struct{}
 
 // WrapperArea implements AreaModel.
-func (UnitAreaModel) WrapperArea(Requirements) float64 { return 1 }
-
-// AreaTable is an AreaModel defined by interpolation-free lookup: the
-// area of a wrapper is taken from the entry with the same resolution and
-// at least the required width/speed; entries are expected to come from a
-// calibration source (e.g. layout of a test chip). Missing entries fall
-// back to the physical model so the planner never fails mid-search.
-type AreaTable struct {
-	Entries  []AreaEntry
-	Fallback AreaModel
-}
-
-// AreaEntry prices one wrapper configuration.
-type AreaEntry struct {
-	Req  Requirements
-	Area float64
-}
-
-// WrapperArea implements AreaModel: the cheapest entry that covers the
-// requirements, else the fallback.
-func (t AreaTable) WrapperArea(req Requirements) float64 {
-	best := math.Inf(1)
-	for _, e := range t.Entries {
-		if e.Req.Resolution >= req.Resolution && e.Req.Fsample >= req.Fsample && e.Req.TAMWidth >= req.TAMWidth && e.Area < best {
-			best = e.Area
-		}
-	}
-	if !math.IsInf(best, 1) {
-		return best
-	}
-	if t.Fallback != nil {
-		return t.Fallback.WrapperArea(req)
-	}
-	return DefaultPhysicalModel().WrapperArea(req)
-}
+func (unitAreaModel) WrapperArea(Requirements) float64 { return 1 }
 
 // SharedAreaRule selects how the area of a wrapper shared by several
 // cores is determined.

@@ -43,42 +43,31 @@ func ParseCores(r io.Reader) ([]*Core, error) {
 	return cores, nil
 }
 
-// ParseCoresString is ParseCores on a string.
-func ParseCoresString(s string) ([]*Core, error) { return ParseCores(strings.NewReader(s)) }
-
-// WriteCores renders cores in the package text format; the output
+// FormatCores renders cores in the package text format; the output
 // parses back to equal cores.
-func WriteCores(w io.Writer, cores []*Core) error {
-	bw := bufio.NewWriter(w)
+func FormatCores(cores []*Core) string {
+	var bw strings.Builder
 	for i, c := range cores {
 		if i > 0 {
-			fmt.Fprintln(bw)
+			fmt.Fprintln(&bw)
 		}
-		fmt.Fprintf(bw, "AnalogCore %s\n", c.Name)
+		fmt.Fprintf(&bw, "AnalogCore %s\n", c.Name)
 		if c.Kind != "" {
-			fmt.Fprintf(bw, "  Kind %s\n", c.Kind)
+			fmt.Fprintf(&bw, "  Kind %s\n", c.Kind)
 		}
 		for j := range c.Tests {
 			t := &c.Tests[j]
-			fmt.Fprintf(bw, "  Test %s\n", t.Name)
-			fmt.Fprintf(bw, "    Band %s %s\n", formatHertz(t.FinLow), formatHertz(t.FinHigh))
-			fmt.Fprintf(bw, "    Fsample %s\n", formatHertz(t.Fsample))
-			fmt.Fprintf(bw, "    Cycles %d\n", t.Cycles)
-			fmt.Fprintf(bw, "    TamWidth %d\n", t.TAMWidth)
-			fmt.Fprintf(bw, "    Resolution %d\n", t.Resolution)
-			fmt.Fprintf(bw, "  EndTest\n")
+			fmt.Fprintf(&bw, "  Test %s\n", t.Name)
+			fmt.Fprintf(&bw, "    Band %s %s\n", formatHertz(t.FinLow), formatHertz(t.FinHigh))
+			fmt.Fprintf(&bw, "    Fsample %s\n", formatHertz(t.Fsample))
+			fmt.Fprintf(&bw, "    Cycles %d\n", t.Cycles)
+			fmt.Fprintf(&bw, "    TamWidth %d\n", t.TAMWidth)
+			fmt.Fprintf(&bw, "    Resolution %d\n", t.Resolution)
+			fmt.Fprintf(&bw, "  EndTest\n")
 		}
-		fmt.Fprintf(bw, "EndAnalogCore\n")
+		fmt.Fprintf(&bw, "EndAnalogCore\n")
 	}
-	return bw.Flush()
-}
-
-// FormatCores renders cores to a string.
-func FormatCores(cores []*Core) string {
-	var sb strings.Builder
-	// strings.Builder never errors.
-	_ = WriteCores(&sb, cores)
-	return sb.String()
+	return bw.String()
 }
 
 // formatHertz renders a frequency losslessly for the format (plain Hz
@@ -99,9 +88,9 @@ func formatHertz(f Hertz) string {
 	return strconv.FormatFloat(float64(f), 'g', -1, 64) + "Hz"
 }
 
-// ParseHertz parses "DC", "700Hz", "50kHz", "1.5MHz" (suffix
+// parseHertz parses "DC", "700Hz", "50kHz", "1.5MHz" (suffix
 // case-insensitive; bare numbers are Hz).
-func ParseHertz(s string) (Hertz, error) {
+func parseHertz(s string) (Hertz, error) {
 	if strings.EqualFold(s, "DC") {
 		return 0, nil
 	}
@@ -216,11 +205,11 @@ func (p *coreParser) parseTest(name string) (Test, error) {
 			if len(fields) != 3 {
 				return t, p.errf("Band wants two frequencies")
 			}
-			lo, err := ParseHertz(fields[1])
+			lo, err := parseHertz(fields[1])
 			if err != nil {
 				return t, p.errf("%v", err)
 			}
-			hi, err := ParseHertz(fields[2])
+			hi, err := parseHertz(fields[2])
 			if err != nil {
 				return t, p.errf("%v", err)
 			}
@@ -229,7 +218,7 @@ func (p *coreParser) parseTest(name string) (Test, error) {
 			if len(fields) != 2 {
 				return t, p.errf("Fsample wants one frequency")
 			}
-			fs, err := ParseHertz(fields[1])
+			fs, err := parseHertz(fields[1])
 			if err != nil {
 				return t, p.errf("%v", err)
 			}

@@ -17,18 +17,18 @@ func TestParseHertz(t *testing.T) {
 		{"2.46MHz", 2.46e6},
 	}
 	for _, tc := range cases {
-		got, err := ParseHertz(tc.in)
+		got, err := parseHertz(tc.in)
 		if err != nil {
-			t.Errorf("ParseHertz(%q): %v", tc.in, err)
+			t.Errorf("parseHertz(%q): %v", tc.in, err)
 			continue
 		}
 		if got != tc.want {
-			t.Errorf("ParseHertz(%q) = %v, want %v", tc.in, float64(got), float64(tc.want))
+			t.Errorf("parseHertz(%q) = %v, want %v", tc.in, float64(got), float64(tc.want))
 		}
 	}
 	for _, bad := range []string{"", "fast", "-3kHz", "1.2.3MHz"} {
-		if _, err := ParseHertz(bad); err == nil {
-			t.Errorf("ParseHertz(%q) accepted", bad)
+		if _, err := parseHertz(bad); err == nil {
+			t.Errorf("parseHertz(%q) accepted", bad)
 		}
 	}
 }
@@ -36,7 +36,7 @@ func TestParseHertz(t *testing.T) {
 func TestCoreFormatRoundTrip(t *testing.T) {
 	orig := PaperCores()
 	text := FormatCores(orig)
-	back, err := ParseCoresString(text)
+	back, err := ParseCores(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, text)
 	}
@@ -78,7 +78,7 @@ func TestParseCoresErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseCoresString(tc.in)
+			_, err := ParseCores(strings.NewReader(tc.in))
 			if err == nil {
 				t.Fatal("accepted bad input")
 			}
@@ -103,7 +103,7 @@ AnalogCore X  # no trailing comment support on the name itself is needed
   EndTest
 EndAnalogCore
 `
-	cores, err := ParseCoresString(in)
+	cores, err := ParseCores(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestFormatHertzLossless(t *testing.T) {
 	// Values that would round under %.4g must render losslessly.
 	for _, f := range []Hertz{0, 700, 136533, 2.46 * MHz, 1.7 * MHz, 50 * KHz, 78 * MHz, 12345} {
 		s := formatHertz(f)
-		back, err := ParseHertz(s)
+		back, err := parseHertz(s)
 		if err != nil {
 			t.Fatalf("%v -> %q: %v", float64(f), s, err)
 		}

@@ -1,6 +1,9 @@
 package analog
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParseCores checks the analog-core parser never panics and that
 // accepted inputs are valid and round-trip stable.
@@ -12,7 +15,7 @@ func FuzzParseCores(f *testing.F) {
 	f.Add("AnalogCore A\n Kind x y z\n Test q\n  Band DC 1MHz\n  Fsample 8MHz\n  Cycles 9\n  TamWidth 2\n  Resolution 12\n EndTest\nEndAnalogCore\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
-		cores, err := ParseCoresString(input)
+		cores, err := ParseCores(strings.NewReader(input))
 		if err != nil {
 			return
 		}
@@ -22,7 +25,7 @@ func FuzzParseCores(f *testing.F) {
 			}
 		}
 		text := FormatCores(cores)
-		back, err := ParseCoresString(text)
+		back, err := ParseCores(strings.NewReader(text))
 		if err != nil {
 			t.Fatalf("rendered cores do not reparse: %v\n%s", err, text)
 		}

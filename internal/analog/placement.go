@@ -13,25 +13,11 @@ import (
 // other", then uses a representative constant "without loss of
 // generality"; its future work is "refining the cost measure based on
 // the knowledge of core placement". PlacementRouting implements that
-// refinement; UniformRouting is the representative-constant model.
+// refinement; CostModel.RoutingFactor is the representative constant.
 type RoutingModel interface {
 	// Overhead returns r for a wrapper serving the given cores; it must
 	// return 0 for single-core wrappers.
 	Overhead(cores []*Core) float64
-}
-
-// UniformRouting is the paper's representative model: r = (n−1)·Delta,
-// with an optional whole-SOC override (see CostModel).
-type UniformRouting struct {
-	Delta float64
-}
-
-// Overhead implements RoutingModel.
-func (u UniformRouting) Overhead(cores []*Core) float64 {
-	if len(cores) <= 1 {
-		return 0
-	}
-	return float64(len(cores)-1) * u.Delta
 }
 
 // Point is a core location on the floorplan, in arbitrary consistent

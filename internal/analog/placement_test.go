@@ -20,6 +20,20 @@ func paperPlacement() PlacementRouting {
 	}
 }
 
+// UniformRouting is the paper's representative model: r = (n−1)·Delta,
+// the RoutingModel form of CostModel.RoutingFactor.
+type UniformRouting struct {
+	Delta float64
+}
+
+// Overhead implements RoutingModel.
+func (u UniformRouting) Overhead(cores []*Core) float64 {
+	if len(cores) <= 1 {
+		return 0
+	}
+	return float64(len(cores)-1) * u.Delta
+}
+
 func TestUniformRouting(t *testing.T) {
 	u := UniformRouting{Delta: 0.15}
 	cores := PaperCores()

@@ -8,7 +8,7 @@ import (
 )
 
 // ErrInfeasible marks sharing configurations rejected by a CostModel's
-// feasibility rule (e.g. SpeedResolutionRule). Planners treat such
+// feasibility rule (CostModel.Feasible). Planners treat such
 // configurations as non-candidates rather than as failures; test with
 // errors.Is.
 var ErrInfeasible = errors.New("analog: infeasible wrapper sharing")
@@ -43,7 +43,7 @@ type CostModel struct {
 
 // DefaultRoutingFactor is the representative δ. The value 0.15 is
 // reverse-engineered from the paper's published C_A values, which it
-// reproduces exactly under PaperCostModel (see UnitAreaModel).
+// reproduces exactly under PaperCostModel (see unitAreaModel).
 const DefaultRoutingFactor = 0.15
 
 // DefaultCostModel is the physically detailed configuration: component
@@ -71,13 +71,13 @@ func PaperCostModel() CostModel {
 	return CostModel{
 		RoutingFactor:         DefaultRoutingFactor,
 		AllShareRoutingFactor: 1.0,
-		Area:                  UnitAreaModel{},
+		Area:                  unitAreaModel{},
 		Rule:                  MaxMemberArea,
 	}
 }
 
-// RoutingOverhead returns r for a wrapper serving n cores.
-func (cm CostModel) RoutingOverhead(n int) float64 {
+// routingOverhead returns r for a wrapper serving n cores.
+func (cm CostModel) routingOverhead(n int) float64 {
 	if n <= 1 {
 		return 0
 	}
@@ -96,7 +96,7 @@ func (cm CostModel) groupArea(cores []*Core) float64 {
 		}
 		return maxA
 	default: // MergedRequirements
-		return cm.Area.WrapperArea(Merge(cores))
+		return cm.Area.WrapperArea(merge(cores))
 	}
 }
 
@@ -128,7 +128,7 @@ func (cm CostModel) AreaOverheadPercent(cores []*Core, p partition.Partition) (f
 		if cm.Routing != nil {
 			routing = cm.Routing.Overhead(members)
 		} else {
-			routing = cm.RoutingOverhead(len(g))
+			routing = cm.routingOverhead(len(g))
 			if len(g) == len(cores) && len(g) > 1 && cm.AllShareRoutingFactor > 0 {
 				routing = float64(len(g)-1) * cm.AllShareRoutingFactor
 			}
@@ -158,7 +158,7 @@ func (cm CostModel) Feasibility(cores []*Core, p partition.Partition) error {
 	return nil
 }
 
-// LowerBoundCycles returns LTB: the sharing-induced lower bound on the
+// lowerBoundCycles returns LTB: the sharing-induced lower bound on the
 // time to finish the analog cores under configuration p. Cores sharing a
 // wrapper are serialized, so each shared wrapper is busy for the sum of
 // its cores' test times; the bound is the busiest shared wrapper.
@@ -168,7 +168,7 @@ func (cm CostModel) Feasibility(cores []*Core, p partition.Partition) error {
 // an unshared core adds no sharing-induced constraint — the TAM
 // scheduler may overlap it freely with everything else.
 // The no-sharing configuration therefore scores 0.
-func LowerBoundCycles(cores []*Core, p partition.Partition) (int64, error) {
+func lowerBoundCycles(cores []*Core, p partition.Partition) (int64, error) {
 	if err := checkPartition(cores, p); err != nil {
 		return 0, err
 	}
@@ -192,7 +192,7 @@ func LowerBoundCycles(cores []*Core, p partition.Partition) (int64, error) {
 // (whose bound is the sum of every core's test time), the normalization
 // of Table 1.
 func NormalizedLTB(cores []*Core, p partition.Partition) (float64, error) {
-	lb, err := LowerBoundCycles(cores, p)
+	lb, err := lowerBoundCycles(cores, p)
 	if err != nil {
 		return 0, err
 	}
@@ -204,30 +204,6 @@ func NormalizedLTB(cores []*Core, p partition.Partition) (float64, error) {
 		return 0, fmt.Errorf("analog: cores have zero total test time")
 	}
 	return 100 * float64(lb) / float64(total), nil
-}
-
-// SpeedResolutionRule returns a feasibility predicate implementing the
-// paper's caveat that "a module that requires high-speed and
-// low-resolution data converters cannot share its wrapper with a module
-// that requires high-resolution and low-speed data converters": a group
-// is rejected when the merged requirements simultaneously exceed both
-// thresholds while no single member does.
-func SpeedResolutionRule(maxFs Hertz, maxRes int) func([]*Core) error {
-	return func(cores []*Core) error {
-		merged := Merge(cores)
-		if merged.Fsample <= maxFs || merged.Resolution <= maxRes {
-			return nil
-		}
-		for _, c := range cores {
-			r := c.Requirements()
-			if r.Fsample > maxFs && r.Resolution > maxRes {
-				// One member alone already needs both; the group adds
-				// nothing infeasible.
-				return nil
-			}
-		}
-		return fmt.Errorf("merged wrapper needs %d bits at %v: high-speed and high-resolution cores cannot share", merged.Resolution, merged.Fsample)
-	}
 }
 
 func checkPartition(cores []*Core, p partition.Partition) error {

@@ -1,7 +1,6 @@
 // Package asim provides small behavioural models of analog signal paths:
-// multi-tone sources, Butterworth low-pass filters (biquad cascades via
-// the bilinear transform), and amplifier nonidealities (gain, offset,
-// slew-rate limiting, cubic nonlinearity, clipping).
+// multi-tone sources and Butterworth low-pass filters (biquad cascades
+// via the bilinear transform).
 //
 // The paper demonstrates its analog test wrapper with HSPICE
 // transistor-level simulations of a low-pass core (Section 5); this
@@ -153,85 +152,4 @@ func ButterworthLowpass(order int, fc, fs float64) (*Filter, error) {
 		})
 	}
 	return f, nil
-}
-
-// Amplifier is a behavioural amplifier stage with the nonidealities that
-// the Table 2 tests probe: finite gain, DC offset, third-order
-// nonlinearity (IIP3), supply clipping, and slew-rate limiting (SR).
-// The zero value is a unity-gain ideal buffer once Gain is set to 1.
-type Amplifier struct {
-	Gain      float64 // linear gain
-	Offset    float64 // output-referred DC offset, volts
-	HD3       float64 // cubic coefficient: out += HD3·in³
-	ClipLevel float64 // symmetric clipping; 0 disables
-	SlewRate  float64 // volts/second; 0 disables
-
-	prev    float64
-	started bool
-}
-
-// Process amplifies one sample taken at sample rate fs.
-func (a *Amplifier) Process(x, fs float64) float64 {
-	y := a.Gain*x + a.HD3*x*x*x + a.Offset
-	if a.ClipLevel > 0 {
-		if y > a.ClipLevel {
-			y = a.ClipLevel
-		} else if y < -a.ClipLevel {
-			y = -a.ClipLevel
-		}
-	}
-	if a.SlewRate > 0 && fs > 0 {
-		maxStep := a.SlewRate / fs
-		if a.started {
-			if y > a.prev+maxStep {
-				y = a.prev + maxStep
-			} else if y < a.prev-maxStep {
-				y = a.prev - maxStep
-			}
-		}
-	}
-	a.prev = y
-	a.started = true
-	return y
-}
-
-// ProcessAll amplifies a whole signal (state is reset first).
-func (a *Amplifier) ProcessAll(x []float64, fs float64) []float64 {
-	a.Reset()
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = a.Process(v, fs)
-	}
-	return out
-}
-
-// Reset clears the slew-limiter state.
-func (a *Amplifier) Reset() { a.prev, a.started = 0, false }
-
-// Noise is a deterministic white-noise source (xorshift64), for adding
-// controlled converter/reference noise in simulations without pulling in
-// global random state.
-type Noise struct {
-	state uint64
-	Amp   float64 // peak amplitude of the uniform noise
-}
-
-// NewNoise returns a noise source with the given seed and amplitude.
-func NewNoise(seed uint64, amp float64) *Noise {
-	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15
-	}
-	return &Noise{state: seed, Amp: amp}
-}
-
-// Next returns the next noise sample, uniform in [-Amp, Amp].
-func (n *Noise) Next() float64 {
-	x := n.state
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	n.state = x
-	// Map to [-1, 1).
-	u := float64(x>>11) / float64(1<<53)
-	return n.Amp * (2*u - 1)
 }

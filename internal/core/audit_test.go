@@ -23,7 +23,7 @@ func TestPlanAllAnalogSOC(t *testing.T) {
 	// Digital half is just the SOC module itself — no digital cores at
 	// all. The planner must still partition and schedule the analog
 	// tests.
-	d := &Design{Name: "allanalog", Digital: itc02.NewSOC("allanalog"), Analog: analogPair()}
+	d := &Design{Name: "allanalog", Digital: &itc02.SOC{Name: "allanalog"}, Analog: analogPair()}
 	if err := d.Validate(); err != nil {
 		t.Fatalf("all-analog design invalid: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestPlanAllAnalogSOC(t *testing.T) {
 }
 
 func TestPlanSingleDigitalModule(t *testing.T) {
-	soc := itc02.NewSOC("one")
+	soc := &itc02.SOC{Name: "one"}
 	soc.Modules = append(soc.Modules, &itc02.Module{
 		ID: 1, Name: "solo", Inputs: 8, Outputs: 8,
 		Scan:  []int{40, 40},
@@ -76,7 +76,7 @@ func TestZeroTimeModuleSkipped(t *testing.T) {
 	// scan load, no outputs) would become the degenerate staircase
 	// {1, 0} that tam.Job.Validate rejects. DigitalJobsWith must skip
 	// it: a zero-cycle test occupies no TAM time.
-	soc := itc02.NewSOC("ghosts")
+	soc := &itc02.SOC{Name: "ghosts"}
 	soc.Modules = append(soc.Modules,
 		&itc02.Module{
 			ID: 1, Name: "real", Inputs: 8, Outputs: 8,

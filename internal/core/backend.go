@@ -30,7 +30,7 @@ func Backends() []string {
 // backends; the serving layer maps it to a 400.
 func PackerFor(name string) (tam.Packer, error) {
 	if name == BackendTournament {
-		return NewTournamentPacker(), nil
+		return newTournamentPacker(func(p tam.Packer) tam.Packer { return p }), nil
 	}
 	p, err := tam.Lookup(name)
 	if err != nil {
@@ -39,21 +39,20 @@ func PackerFor(name string) (tam.Packer, error) {
 	return p, nil
 }
 
-// NewTournamentPacker returns a Packer running every registered tam
-// backend on each job set and keeping the best validated makespan; see
-// BackendTournament for the tie rule. The engine wires its own
-// instrumented variant; this constructor serves direct Planner use and
-// the differential tests.
-func NewTournamentPacker() tam.Packer {
-	backends := make([]tam.Packer, 0, 2)
-	for _, name := range tam.Backends() {
+// newTournamentPacker returns a tournament over every registered tam
+// backend, each passed through wrap; see BackendTournament for the tie
+// rule.
+func newTournamentPacker(wrap func(tam.Packer) tam.Packer) *tournamentPacker {
+	names := tam.Backends()
+	backends := make([]tam.Packer, len(names))
+	for i, name := range names {
 		p, err := tam.Lookup(name)
 		if err != nil {
 			// The registry lists only names it resolves; reaching here
 			// would be a registry bug, not a caller error.
 			panic(err)
 		}
-		backends = append(backends, p)
+		backends[i] = wrap(p)
 	}
 	return &tournamentPacker{backends: backends}
 }

@@ -4,8 +4,8 @@ package core
 // admissible per-candidate cost lower bound derived from the wrapper
 // staircases, cheap enough to evaluate without running the TAM packer.
 //
-// The bound on the makespan side is tam.AdmissibleLowerBound over the
-// exact job set the packer would receive — the width-capacity floor
+// The bound on the makespan side is tam.AdmissibleFloor's makespan
+// over the exact job set the packer would receive — the width-capacity floor
 // (each job's cheapest usable wire-cycle area, summed and divided by
 // the TAM width W), the longest single job, and the serialization
 // floor of each analog wrapper group (every test behind one shared
@@ -36,39 +36,15 @@ package core
 // and runs at least one cycle, so serial(p) also covers the longest
 // single analog test. The evaluator computes the first two parts once,
 // on its first probe (evaluator.boundFloor), and the candidate table
-// stores serial(p) (costed.serial). LowerBound keeps the BuildJobs
-// formulation as the reference the probe is pinned against.
+// stores serial(p) (costed.serial). The tests keep the BuildJobs
+// formulation (Planner.LowerBound) as the reference the probe is pinned
+// against.
 
-import (
-	"mixsoc/internal/partition"
-	"mixsoc/internal/tam"
-)
-
-// LowerBound returns the admissible cost lower bound Bounded mode
-// prunes candidate p with, given the all-share normalization time: it
-// never exceeds the cost a full TAM evaluation of p reports. Exported
-// for the property suite that pins that admissibility across seeded
-// designs; planning calls use the O(1) probe, bound, which equals it
-// bit for bit.
-func (pl *Planner) LowerBound(p partition.Partition, allShare int64) (float64, error) {
-	cm, _, err := pl.defaults()
-	if err != nil {
-		return 0, err
-	}
-	ca, _, err := costParts(pl.Design, cm, p)
-	if err != nil {
-		return 0, err
-	}
-	jobs, err := BuildJobs(pl.Design, p, pl.Width)
-	if err != nil {
-		return 0, err
-	}
-	return pl.boundCost(tam.AdmissibleLowerBound(jobs, pl.Width), ca, allShare), nil
-}
-
-// bound is LowerBound on the planner's hot path: the evaluator's
-// width part of the floor, raised to the candidate's serialization
-// floor.
+// bound is the admissible cost lower bound Bounded mode prunes
+// candidate c with, given the all-share normalization time: the
+// evaluator's width part of the floor, raised to the candidate's
+// serialization floor. It never exceeds the cost a full TAM evaluation
+// of c reports.
 func (pl *Planner) bound(e *evaluator, c *costed, allShare int64) (float64, error) {
 	fl, err := e.boundFloor()
 	if err != nil {

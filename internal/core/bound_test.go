@@ -3,7 +3,31 @@ package core
 import (
 	"math"
 	"testing"
+
+	"mixsoc/internal/partition"
+	"mixsoc/internal/tam"
 )
+
+// LowerBound returns the admissible cost lower bound Bounded mode
+// prunes candidate p with, given the all-share normalization time: it
+// never exceeds the cost a full TAM evaluation of p reports. It is the
+// BuildJobs formulation the planner's O(1) probe, bound, must equal bit
+// for bit.
+func (pl *Planner) LowerBound(p partition.Partition, allShare int64) (float64, error) {
+	cm, _, err := pl.defaults()
+	if err != nil {
+		return 0, err
+	}
+	ca, _, err := costParts(pl.Design, cm, p)
+	if err != nil {
+		return 0, err
+	}
+	jobs, err := BuildJobs(pl.Design, p, pl.Width)
+	if err != nil {
+		return 0, err
+	}
+	return pl.boundCost(tam.AdmissibleFloor(jobs, pl.Width).Makespan(pl.Width), ca, allShare), nil
+}
 
 // TestBoundedMatchesUnbounded pins the branch-and-bound contract on the
 // paper design: for both solvers, across widths and weights, a Bounded

@@ -63,7 +63,7 @@ func TestLowerBoundMatchesBuildJobs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if lb := tam.AdmissibleLowerBound(jobs, width); lb <= 0 {
+				if lb := tam.AdmissibleFloor(jobs, width).Makespan(width); lb <= 0 {
 					t.Errorf("%s W=%d %s: degenerate makespan bound %d", name, width, p.Key(nil), lb)
 				}
 			}

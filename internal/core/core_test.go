@@ -2,17 +2,26 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
-
-	"fmt"
 
 	"mixsoc/internal/analog"
 	"mixsoc/internal/itc02"
 	"mixsoc/internal/partition"
 	"mixsoc/internal/tam"
 )
+
+// NoShare returns the partition with one wrapper per analog core.
+func (d *Design) NoShare() partition.Partition {
+	p := make(partition.Partition, len(d.Analog))
+	for i := range p {
+		p[i] = []int{i}
+	}
+	return p
+}
 
 // paperDesign builds p93791m: the embedded digital benchmark plus the
 // five analog cores of Table 2.
@@ -46,10 +55,10 @@ func TestAllShareNoShare(t *testing.T) {
 		t.Errorf("AllShare = %v", as)
 	}
 	ns := d.NoShare()
-	if ns.Wrappers() != 5 || len(ns.SharedGroups()) != 0 {
+	if ns.Wrappers() != 5 || ns.N() != 5 {
 		t.Errorf("NoShare = %v", ns)
 	}
-	empty := &Design{Digital: itc02.NewSOC("x")}
+	empty := &Design{Digital: &itc02.SOC{Name: "x"}}
 	if empty.AllShare() != nil {
 		t.Error("AllShare of analog-free design should be nil")
 	}
@@ -279,9 +288,18 @@ func TestEpsilonRelaxation(t *testing.T) {
 func TestPlannerSkipsInfeasibleCandidates(t *testing.T) {
 	d := paperDesign()
 	cm := analog.DefaultCostModel()
-	// C (12-bit) cannot share with anything fast: groups whose merged
-	// requirements exceed 10 bits AND 20 MHz are out.
-	cm.Feasible = analog.SpeedResolutionRule(20*analog.MHz, 10)
+	// C (12-bit) cannot share with anything faster than 20 MHz.
+	cm.Feasible = func(cores []*analog.Core) error {
+		var hasC, hasFast bool
+		for _, c := range cores {
+			hasC = hasC || c.Name == "C"
+			hasFast = hasFast || c.Requirements().Fsample > 20*analog.MHz
+		}
+		if hasC && hasFast {
+			return errors.New("C cannot share with a fast core")
+		}
+		return nil
+	}
 
 	for _, solve := range []struct {
 		name string
@@ -301,14 +319,14 @@ func TestPlannerSkipsInfeasibleCandidates(t *testing.T) {
 				t.Error("no candidates marked infeasible")
 			}
 			// The winner must not pair C with a fast core.
-			for _, g := range res.Best.Partition.SharedGroups() {
+			for _, g := range res.Best.Partition {
 				hasC, hasFast := false, false
 				for _, ci := range g {
 					switch d.Analog[ci].Name {
 					case "C":
 						hasC = true
 					case "D", "E", "A", "B":
-						if d.Analog[ci].MaxFsample() > 20*analog.MHz {
+						if d.Analog[ci].Requirements().Fsample > 20*analog.MHz {
 							hasFast = true
 						}
 					}

@@ -99,15 +99,6 @@ func (d *Design) AllShare() partition.Partition {
 	return partition.Partition{g}
 }
 
-// NoShare returns the partition with one wrapper per analog core.
-func (d *Design) NoShare() partition.Partition {
-	p := make(partition.Partition, len(d.Analog))
-	for i := range p {
-		p[i] = []int{i}
-	}
-	return p
-}
-
 // Candidates enumerates the sharing configurations the planner will
 // consider: partitions of the analog cores deduplicated for identical
 // cores and filtered by the policy (nil defaults to the paper's policy).

@@ -35,12 +35,6 @@ type EngineOptions struct {
 	// the pool's idle slots on top of it, one cell at a time. Single
 	// plans never borrow.
 	Workers int
-	// MaxModuleStairs bounds the cross-design staircase store: one entry
-	// per distinct module content hash. Default 4096.
-	MaxModuleStairs int
-	// MaxDigitalJobs bounds the cross-design digital-jobs cache: one
-	// entry per distinct (digital SOC, width) pair. Default 128.
-	MaxDigitalJobs int
 }
 
 // Engine is a long-lived planning handle: it owns a staircase cache and
@@ -124,6 +118,16 @@ type widthCache struct {
 	lastUse uint64
 }
 
+// The bounds of an engine's cross-design caches.
+const (
+	// maxModuleStairs bounds the staircase store: one entry per
+	// distinct module content hash.
+	maxModuleStairs = 4096
+	// maxDigitalJobs bounds the digital-jobs cache: one entry per
+	// distinct (digital SOC, width) pair.
+	maxDigitalJobs = 128
+)
+
 // NewEngine returns an engine with the given options.
 func NewEngine(opts EngineOptions) *Engine {
 	if opts.MaxDesigns < 1 {
@@ -135,18 +139,12 @@ func NewEngine(opts EngineOptions) *Engine {
 	if opts.MaxWidthCaches < 1 {
 		opts.MaxWidthCaches = 32
 	}
-	if opts.MaxModuleStairs < 1 {
-		opts.MaxModuleStairs = 4096
-	}
-	if opts.MaxDigitalJobs < 1 {
-		opts.MaxDigitalJobs = 128
-	}
 	e := &Engine{opts: opts, sessions: map[string]*engineSession{}, backends: map[string]*backendCounters{}}
 	for _, name := range tam.Backends() {
 		e.backends[name] = &backendCounters{}
 	}
-	e.moduleStairs = wrapper.NewModuleStairStore(opts.MaxWidth, opts.MaxModuleStairs)
-	e.digitalJobs = NewDigitalJobsCache(opts.MaxDigitalJobs)
+	e.moduleStairs = wrapper.NewModuleStairStore(opts.MaxWidth, maxModuleStairs)
+	e.digitalJobs = NewDigitalJobsCache(maxDigitalJobs)
 	return e
 }
 
@@ -162,17 +160,9 @@ func (e *Engine) workers() int {
 // wrapped so every pack lands in the engine's per-backend counters, and
 // a tournament additionally feeds the win counter of each pack's winner.
 func (e *Engine) packerFor(name string) (tam.Packer, error) {
-	switch name {
-	case BackendTournament:
-		backends := make([]tam.Packer, 0, len(e.backends))
-		for _, n := range tam.Backends() {
-			p, err := tam.Lookup(n)
-			if err != nil {
-				return nil, err
-			}
-			backends = append(backends, countingPacker{Packer: p, c: e.backends[n]})
-		}
-		t := &tournamentPacker{backends: backends}
+	count := func(p tam.Packer) tam.Packer { return countingPacker{Packer: p, c: e.backends[p.Name()]} }
+	if name == BackendTournament {
+		t := newTournamentPacker(count)
 		t.onWin = func(n string) {
 			if c := e.backends[n]; c != nil {
 				c.wins.Add(1)
@@ -184,7 +174,7 @@ func (e *Engine) packerFor(name string) (tam.Packer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return countingPacker{Packer: p, c: e.backends[p.Name()]}, nil
+	return count(p), nil
 }
 
 // session returns the cache session for the design's content hash,

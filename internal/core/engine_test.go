@@ -300,7 +300,7 @@ func TestWaiterHonorsOwnContext(t *testing.T) {
 	if err != nil || s == nil {
 		t.Fatalf("post-completion schedule = (%v, %v)", s, err)
 	}
-	if cache.Peek(key) != s {
+	if cache.peek(key) != s {
 		t.Error("completed entry not served from the cache")
 	}
 }

@@ -82,12 +82,12 @@ func (c *ScheduleCache) entry(key string) (e *cacheEntry, owner bool) {
 	return e, false
 }
 
-// Peek returns the already-computed schedule for key, or nil if the key
+// peek returns the already-computed schedule for key, or nil if the key
 // has never been computed (or failed). It never blocks on an in-flight
 // computation and never triggers one: warm-start chaining uses it to
 // ask "did the previous width pack this configuration?" without
 // perturbing the previous width's cache.
-func (c *ScheduleCache) Peek(key string) *tam.Schedule {
+func (c *ScheduleCache) peek(key string) *tam.Schedule {
 	if c == nil {
 		return nil
 	}
@@ -288,7 +288,7 @@ func (e *evaluator) fill(ctx context.Context, p partition.Partition, key string,
 	}
 	var opts []tam.Option
 	for _, warm := range e.pl.Warm {
-		if seed := warm.Peek(key); seed != nil {
+		if seed := warm.peek(key); seed != nil {
 			opts = append(opts, tam.WithWarmStart(seed))
 		}
 	}

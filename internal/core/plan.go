@@ -41,7 +41,7 @@ type Planner struct {
 	// paper's results table shows (optimal "in all but one case").
 	PrunePrelim bool
 	// Bounded enables branch-and-bound pruning: candidates whose
-	// admissible cost lower bound (see Planner.LowerBound) cannot
+	// admissible cost lower bound (see bound.go) cannot
 	// strictly beat the incumbent are skipped without a TAM run. The
 	// best cost and selected configuration are bit-identical to an
 	// unbounded solve — the bound never exceeds the true cost, and the
@@ -71,7 +71,7 @@ type Planner struct {
 	DigitalKey string
 	// Warm lists the completed schedule caches of adjacent widths,
 	// nearest first, whose packings seed this planner's TAM runs
-	// (tam.WithWarmStart, best adoption wins). Peek never blocks, so
+	// (tam.WithWarmStart, best adoption wins). peek never blocks, so
 	// only a driver whose source widths are complete may set it.
 	// Warm-started packing is not guaranteed to reproduce cold makespans
 	// bit-for-bit; leave it empty where exact reproduction matters.

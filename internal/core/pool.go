@@ -39,7 +39,7 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 // own workers — the calling goroutine plus workers-1 more — claim the
 // indices in order. With a non-nil slots pool it is work-conserving:
 // before each claim an own worker borrows every idle slot it can take
-// (TryAcquire), starting one borrowed worker per slot while at least
+// (tryAcquire), starting one borrowed worker per slot while at least
 // two indices are left, and a borrowed worker runs one index per
 // borrowed slot (see fanout.borrower). With no idle slot, or a nil
 // pool, it is the plain fan-out: workers <= 1 runs a sequential loop
@@ -57,7 +57,7 @@ func forEach(ctx context.Context, n, workers int, slots *Slots, fn func(i int)) 
 		if ctx != nil && ctx.Err() != nil {
 			return
 		}
-		if i < n-1 && slots.TryAcquire() {
+		if i < n-1 && slots.tryAcquire() {
 			// A slot is idle: index i goes to a borrowed worker and this
 			// goroutine carries on as the one own worker.
 			f := &fanout{ctx: ctx, n: n, slots: slots, fn: fn}
@@ -114,10 +114,10 @@ func (f *fanout) claim() int {
 // index of its own, then runs the index it claimed itself.
 func (f *fanout) own() {
 	for {
-		for f.n-int(f.next.Load()) > 1 && f.slots.TryAcquire() {
+		for f.n-int(f.next.Load()) > 1 && f.slots.tryAcquire() {
 			i := f.claim()
 			if i < 0 {
-				f.slots.ReleaseBorrowed()
+				f.slots.releaseBorrowed()
 				break
 			}
 			f.wg.Add(1)
@@ -139,12 +139,12 @@ func (f *fanout) borrower(i int) {
 	defer f.wg.Done()
 	for {
 		f.fn(i)
-		f.slots.ReleaseBorrowed()
-		if f.n-int(f.next.Load()) < 1 || !f.slots.TryAcquire() {
+		f.slots.releaseBorrowed()
+		if f.n-int(f.next.Load()) < 1 || !f.slots.tryAcquire() {
 			return
 		}
 		if i = f.claim(); i < 0 {
-			f.slots.ReleaseBorrowed()
+			f.slots.releaseBorrowed()
 			return
 		}
 	}
@@ -153,18 +153,18 @@ func (f *fanout) borrower(i int) {
 // Slots is a counting pool of worker slots — a server's bound on the
 // requests planning at once — with two kinds of holder. A request takes
 // a slot with Acquire, waiting its turn, and gives it back with
-// Release. A sweep borrows an idle slot with TryAcquire, which never
+// Release. A sweep borrows an idle slot with tryAcquire, which never
 // waits, runs one grid cell on it and gives it back with
-// ReleaseBorrowed. A freed slot goes to the oldest blocked Acquire
-// first, so TryAcquire never overtakes a waiting request: a queued
+// releaseBorrowed. A freed slot goes to the oldest blocked Acquire
+// first, so tryAcquire never overtakes a waiting request: a queued
 // request waits at most one grid cell for a borrowed slot. A nil *Slots
 // has no idle slot to lend. All methods are safe for concurrent use.
 type Slots struct {
 	mu       sync.Mutex
 	cap      int
 	request  int             // slots held via Acquire
-	borrowed int             // slots held via TryAcquire
-	borrows  uint64          // successful TryAcquire calls
+	borrowed int             // slots held via tryAcquire
+	borrows  uint64          // successful tryAcquire calls
 	waiters  []chan struct{} // blocked Acquire calls, oldest first
 	spare    []chan struct{} // drained waiter channels, reused so waiting allocates nothing
 }
@@ -230,9 +230,9 @@ func (p *Slots) Acquire(ctx context.Context) error {
 	return nil
 }
 
-// TryAcquire borrows an idle slot without waiting and reports whether
-// it got one. It fails on a nil pool. Pair with ReleaseBorrowed.
-func (p *Slots) TryAcquire() bool {
+// tryAcquire borrows an idle slot without waiting and reports whether
+// it got one. It fails on a nil pool. Pair with releaseBorrowed.
+func (p *Slots) tryAcquire() bool {
 	if p == nil {
 		return false
 	}
@@ -254,8 +254,8 @@ func (p *Slots) Release() {
 	p.mu.Unlock()
 }
 
-// ReleaseBorrowed gives back a slot taken with TryAcquire.
-func (p *Slots) ReleaseBorrowed() {
+// releaseBorrowed gives back a slot taken with tryAcquire.
+func (p *Slots) releaseBorrowed() {
 	p.mu.Lock()
 	p.borrowed--
 	p.handOff()

@@ -115,7 +115,7 @@ func waitBlocked(t *testing.T, p *Slots, n int) {
 }
 
 // A freed slot goes to the oldest blocked Acquire, never to a
-// TryAcquire that races it, and a cancelled Acquire leaves holding
+// tryAcquire that races it, and a cancelled Acquire leaves holding
 // nothing.
 func TestSlotsReleaseHandsOffToBlockedAcquire(t *testing.T) {
 	p := NewSlots(1)
@@ -125,12 +125,12 @@ func TestSlotsReleaseHandsOffToBlockedAcquire(t *testing.T) {
 	got := make(chan error, 1)
 	go func() { got <- p.Acquire(context.Background()) }()
 	waitBlocked(t, p, 1)
-	if p.TryAcquire() {
-		t.Fatal("TryAcquire borrowed from a saturated pool")
+	if p.tryAcquire() {
+		t.Fatal("tryAcquire borrowed from a saturated pool")
 	}
 	p.Release()
-	if p.TryAcquire() {
-		t.Fatal("TryAcquire overtook a blocked Acquire after Release")
+	if p.tryAcquire() {
+		t.Fatal("tryAcquire overtook a blocked Acquire after Release")
 	}
 	if err := <-got; err != nil {
 		t.Fatalf("blocked Acquire: %v", err)
@@ -141,14 +141,14 @@ func TestSlotsReleaseHandsOffToBlockedAcquire(t *testing.T) {
 
 	// A borrowed slot hands off the same way.
 	p.Release()
-	if !p.TryAcquire() {
-		t.Fatal("TryAcquire failed on an idle pool")
+	if !p.tryAcquire() {
+		t.Fatal("tryAcquire failed on an idle pool")
 	}
 	go func() { got <- p.Acquire(context.Background()) }()
 	waitBlocked(t, p, 1)
-	p.ReleaseBorrowed()
-	if p.TryAcquire() {
-		t.Fatal("TryAcquire overtook a blocked Acquire after ReleaseBorrowed")
+	p.releaseBorrowed()
+	if p.tryAcquire() {
+		t.Fatal("tryAcquire overtook a blocked Acquire after releaseBorrowed")
 	}
 	if err := <-got; err != nil {
 		t.Fatalf("blocked Acquire: %v", err)
@@ -267,9 +267,9 @@ func TestSlotsHammerNeverOversubscribes(t *testing.T) {
 					}
 					cancel()
 				case 2:
-					if p.TryAcquire() {
+					if p.tryAcquire() {
 						hold()
-						p.ReleaseBorrowed()
+						p.releaseBorrowed()
 					}
 				case 3:
 					if err := p.Acquire(context.Background()); err != nil {

@@ -56,7 +56,7 @@ type SweepOptions struct {
 	// Slots, when non-nil, is a worker pool whose idle slots the sweep
 	// borrows on top of Workers: each grid fan-out (the cold grid, and
 	// each width's weights in a WarmStart chain) starts one more cell
-	// worker per slot it can take with Slots.TryAcquire, and a borrowed
+	// worker per slot it can take with Slots.tryAcquire, and a borrowed
 	// slot is held for exactly one cell and given back before the next
 	// cell is claimed, so a request waiting in Slots.Acquire waits at
 	// most one cell. The pool changes wall-clock only: every point,
@@ -216,7 +216,7 @@ func sweep(ctx context.Context, s *engineSession, widths []int, weights []Weight
 	} else {
 		// Selected widths in the caller's first-appearance order; each
 		// width's caches complete before the next width starts, so every
-		// Peek is deterministic, and every seed comes from a width that
+		// peek is deterministic, and every seed comes from a width that
 		// actually packed. The seeds for a width are the caches of the
 		// nearest completed width below and above it, nearest first
 		// (narrower on an exact distance tie).

@@ -21,19 +21,19 @@ func TestScheduleCachePeek(t *testing.T) {
 	p := d.AllShare()
 	key := p.Key(nil)
 
-	if got := cache.Peek(key); got != nil {
+	if got := cache.peek(key); got != nil {
 		t.Fatal("Peek returned a schedule before any computation")
 	}
 	s, err := ev.schedule(context.Background(), p, p.Key(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cache.Peek(key); got != s {
+	if got := cache.peek(key); got != s {
 		t.Fatal("Peek did not return the computed schedule")
 	}
 	// A nil cache peeks nil rather than panicking (warm-start off).
 	var nilCache *ScheduleCache
-	if nilCache.Peek(key) != nil {
+	if nilCache.peek(key) != nil {
 		t.Fatal("nil cache not inert")
 	}
 }

@@ -96,10 +96,3 @@ func EstimateCutoff(points []GainPoint, order int) (float64, error) {
 	}
 	return (a + b) / 2, nil
 }
-
-// GainAt evaluates the order-n Butterworth magnitude model at f for a
-// cutoff fc, with unit passband gain. It is the model EstimateCutoff
-// fits and is exported for tests and examples.
-func GainAt(f, fc float64, order int) float64 {
-	return 1 / math.Sqrt(1+math.Pow(f/fc, float64(2*order)))
-}

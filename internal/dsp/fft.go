@@ -2,7 +2,7 @@
 // wrapper experiments: discrete Fourier transforms (radix-2 and
 // Bluestein, so any length works, including the paper's 4551 samples),
 // window functions, magnitude spectra in dB, single-tone measurement via
-// the Goertzel algorithm, THD, and low-pass cutoff-frequency
+// the Goertzel algorithm, and low-pass cutoff-frequency
 // extrapolation from multi-tone gain measurements (Section 5, Figure 5).
 //
 // Everything is stdlib-only and deterministic.
@@ -14,34 +14,11 @@ import (
 	"math/cmplx"
 )
 
-// FFT returns the discrete Fourier transform of x. The input is not
-// modified. Power-of-two lengths use an iterative radix-2 kernel; other
-// lengths use Bluestein's chirp-z algorithm, which reduces to three
-// power-of-two FFTs. Lengths 0 and 1 are returned as copies.
-func FFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	fftInPlace(out, false)
-	return out
-}
-
-// IFFT returns the inverse DFT of x, scaled by 1/n so that
-// IFFT(FFT(x)) == x.
-func IFFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	fftInPlace(out, true)
-	n := float64(len(out))
-	if n > 0 {
-		for i := range out {
-			out[i] /= complex(n, 0)
-		}
-	}
-	return out
-}
-
-// FFTReal transforms a real signal.
-func FFTReal(x []float64) []complex128 {
+// fftReal returns the discrete Fourier transform of a real signal.
+// Power-of-two lengths use an iterative radix-2 kernel; other lengths
+// use Bluestein's chirp-z algorithm, which reduces to three
+// power-of-two FFTs. Lengths 0 and 1 are returned as is.
+func fftReal(x []float64) []complex128 {
 	c := make([]complex128, len(x))
 	for i, v := range x {
 		c[i] = complex(v, 0)
@@ -138,13 +115,13 @@ func bluestein(x []complex128, inverse bool) {
 	}
 }
 
-// Goertzel measures the DFT coefficient of x at an arbitrary frequency
+// goertzel measures the DFT coefficient of x at an arbitrary frequency
 // (in Hz, given the sample rate fs) without computing the whole
 // transform. It returns the complex amplitude normalized so that a pure
 // cosine of amplitude A at exactly that frequency yields magnitude ≈ A/2
 // times n... more precisely the raw DFT value; use ToneMagnitude for an
 // amplitude estimate.
-func Goertzel(x []float64, freq, fs float64) (complex128, error) {
+func goertzel(x []float64, freq, fs float64) (complex128, error) {
 	if fs <= 0 {
 		return 0, fmt.Errorf("dsp: sample rate %v <= 0", fs)
 	}
@@ -172,7 +149,7 @@ func Goertzel(x []float64, freq, fs float64) (complex128, error) {
 // Goertzel magnitude scaled by 2/n (exact for integer-bin tones, a close
 // estimate otherwise).
 func ToneMagnitude(x []float64, freq, fs float64) (float64, error) {
-	g, err := Goertzel(x, freq, fs)
+	g, err := goertzel(x, freq, fs)
 	if err != nil {
 		return 0, err
 	}

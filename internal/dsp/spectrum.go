@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
 )
 
 // Window is a window function identified by name.
@@ -32,8 +31,8 @@ func (w Window) String() string {
 	return fmt.Sprintf("Window(%d)", int(w))
 }
 
-// Coefficients returns the n window coefficients.
-func (w Window) Coefficients(n int) []float64 {
+// coefficients returns the n window coefficients.
+func (w Window) coefficients(n int) []float64 {
 	out := make([]float64, n)
 	if n == 1 {
 		out[0] = 1
@@ -82,13 +81,13 @@ func NewSpectrum(x []float64, fs float64, w Window) (*Spectrum, error) {
 		return nil, fmt.Errorf("dsp: sample rate %v <= 0", fs)
 	}
 	n := len(x)
-	coeffs := w.Coefficients(n)
+	coeffs := w.coefficients(n)
 	cg := coherentGain(coeffs)
 	windowed := make([]float64, n)
 	for i, v := range x {
 		windowed[i] = v * coeffs[i]
 	}
-	bins := FFTReal(windowed)
+	bins := fftReal(windowed)
 	half := n/2 + 1
 	s := &Spectrum{Fs: fs, Freq: make([]float64, half), Mag: make([]float64, half)}
 	for k := 0; k < half; k++ {
@@ -104,100 +103,12 @@ func NewSpectrum(x []float64, fs float64, w Window) (*Spectrum, error) {
 
 // MagDB returns the magnitude of bin k in dB relative to unit amplitude,
 // flooring at -200 dB.
-func (s *Spectrum) MagDB(k int) float64 { return AmplitudeDB(s.Mag[k]) }
+func (s *Spectrum) MagDB(k int) float64 { return amplitudeDB(s.Mag[k]) }
 
-// AmplitudeDB converts a linear amplitude to dB with a -200 dB floor.
-func AmplitudeDB(a float64) float64 {
+// amplitudeDB converts a linear amplitude to dB with a -200 dB floor.
+func amplitudeDB(a float64) float64 {
 	if a <= 1e-10 {
 		return -200
 	}
 	return 20 * math.Log10(a)
-}
-
-// BinAt returns the index of the bin whose center is closest to freq.
-func (s *Spectrum) BinAt(freq float64) int {
-	if len(s.Freq) == 0 {
-		return 0
-	}
-	step := s.Fs / float64(2*(len(s.Freq)-1))
-	if step <= 0 {
-		return 0
-	}
-	k := int(freq/step + 0.5)
-	if k < 0 {
-		k = 0
-	}
-	if k >= len(s.Freq) {
-		k = len(s.Freq) - 1
-	}
-	return k
-}
-
-// Peak is a local spectral maximum.
-type Peak struct {
-	Freq float64
-	Mag  float64
-}
-
-// Peaks returns the count highest local maxima above the given linear
-// magnitude floor, sorted by descending magnitude.
-func (s *Spectrum) Peaks(count int, floor float64) []Peak {
-	var peaks []Peak
-	for k := 1; k < len(s.Mag)-1; k++ {
-		if s.Mag[k] >= floor && s.Mag[k] >= s.Mag[k-1] && s.Mag[k] > s.Mag[k+1] {
-			peaks = append(peaks, Peak{Freq: s.Freq[k], Mag: s.Mag[k]})
-		}
-	}
-	sort.Slice(peaks, func(a, b int) bool {
-		if peaks[a].Mag != peaks[b].Mag {
-			return peaks[a].Mag > peaks[b].Mag
-		}
-		return peaks[a].Freq < peaks[b].Freq
-	})
-	if len(peaks) > count {
-		peaks = peaks[:count]
-	}
-	return peaks
-}
-
-// THD computes total harmonic distortion of a signal dominated by a tone
-// at f0: the ratio (in dB, negative for clean signals) of the RMS of
-// harmonics 2..maxHarmonic to the fundamental, each measured by
-// Goertzel. Harmonics beyond fs/2 are ignored.
-func THD(x []float64, f0, fs float64, maxHarmonic int) (float64, error) {
-	if f0 <= 0 {
-		return 0, fmt.Errorf("dsp: fundamental %v <= 0", f0)
-	}
-	fund, err := ToneMagnitude(x, f0, fs)
-	if err != nil {
-		return 0, err
-	}
-	if fund == 0 {
-		return 0, fmt.Errorf("dsp: no fundamental at %v Hz", f0)
-	}
-	var sum float64
-	for h := 2; h <= maxHarmonic; h++ {
-		f := f0 * float64(h)
-		if f > fs/2 {
-			break
-		}
-		m, err := ToneMagnitude(x, f, fs)
-		if err != nil {
-			return 0, err
-		}
-		sum += m * m
-	}
-	return AmplitudeDB(math.Sqrt(sum) / fund), nil
-}
-
-// RMS returns the root-mean-square value of x.
-func RMS(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s / float64(len(x)))
 }

@@ -211,11 +211,11 @@ func TestRenderSpectrumEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tiny plot dimensions are clamped, not broken.
-	out := RenderSpectrum(res.StimulusSpectrum, 250e3, 2, 1)
+	out := renderSpectrum(res.StimulusSpectrum, 250e3, 2, 1)
 	if !strings.Contains(out, "kHz") {
 		t.Error("clamped rendering broken")
 	}
 	// maxFreq below the first bin yields the empty-data message or a
 	// plot with only DC; either way it must not panic.
-	_ = RenderSpectrum(res.StimulusSpectrum, 1, 20, 5)
+	_ = renderSpectrum(res.StimulusSpectrum, 1, 20, 5)
 }

@@ -24,11 +24,11 @@ func RenderFigure5(res *wrapsim.CutoffResult) string {
 		res.SampleRate/1e6, res.TestCycles, res.TrueFc/1e3)
 
 	sb.WriteString("(a) applied analog test |LPF i/p|\n")
-	sb.WriteString(RenderSpectrum(res.StimulusSpectrum, 250e3, 64, 12))
+	sb.WriteString(renderSpectrum(res.StimulusSpectrum, 250e3, 64, 12))
 	sb.WriteString("\n(b) analog response |LPF o/p|\n")
-	sb.WriteString(RenderSpectrum(res.DirectSpectrum, 250e3, 64, 12))
+	sb.WriteString(renderSpectrum(res.DirectSpectrum, 250e3, 64, 12))
 	sb.WriteString("\n(c) wrapped response |Wrapper o/p|\n")
-	sb.WriteString(RenderSpectrum(res.WrappedSpectrum, 250e3, 64, 12))
+	sb.WriteString(renderSpectrum(res.WrappedSpectrum, 250e3, 64, 12))
 
 	sb.WriteString("\nper-tone gains (direct vs wrapped):\n")
 	for i := range res.DirectGains {
@@ -42,11 +42,11 @@ func RenderFigure5(res *wrapsim.CutoffResult) string {
 	return sb.String()
 }
 
-// RenderSpectrum draws a single-sided spectrum as an ASCII plot up to
+// renderSpectrum draws a single-sided spectrum as an ASCII plot up to
 // maxFreq, with the given plot width and height. The vertical axis is
 // amplitude in dB (auto-scaled to the data, floored 70 dB below the
 // peak).
-func RenderSpectrum(s *dsp.Spectrum, maxFreq float64, width, height int) string {
+func renderSpectrum(s *dsp.Spectrum, maxFreq float64, width, height int) string {
 	if width < 16 {
 		width = 16
 	}

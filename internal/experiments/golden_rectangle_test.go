@@ -39,6 +39,16 @@ type goldenRectangle struct {
 // run gets fresh schedule caches — cached schedules are packer-specific
 // — while the wrapper staircase cache, which is packer-independent, is
 // deliberately shared by the cross-check below.
+// rectanglePacker resolves the rectangle backend from the registry.
+func rectanglePacker(t *testing.T) tam.Packer {
+	t.Helper()
+	p, err := tam.Lookup(tam.BackendRectangle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func gridCells(t *testing.T, stairs *wrapper.StaircaseCache, packer tam.Packer) []goldenRectangleCell {
 	t.Helper()
 	d := Design()
@@ -103,7 +113,7 @@ func TestRectangleBitIdenticalToGolden(t *testing.T) {
 	g := loadGoldenRectangle(t)
 	base := loadGolden(t)
 	stairs := wrapper.NewStaircaseCache(PaperWidths[len(PaperWidths)-1])
-	cells := gridCells(t, stairs, tam.RectanglePacker{})
+	cells := gridCells(t, stairs, rectanglePacker(t))
 	if len(cells) != len(g.Cells) {
 		t.Fatalf("cells = %d, want %d", len(cells), len(g.Cells))
 	}
@@ -139,7 +149,7 @@ func TestUpdateRectangleGoldenSnapshot(t *testing.T) {
 		t.Skip("pass -update to regenerate testdata/golden_rectangle.json")
 	}
 	stairs := wrapper.NewStaircaseCache(PaperWidths[len(PaperWidths)-1])
-	g := goldenRectangle{Cells: gridCells(t, stairs, tam.RectanglePacker{})}
+	g := goldenRectangle{Cells: gridCells(t, stairs, rectanglePacker(t))}
 	data, err := json.MarshalIndent(&g, "", "  ")
 	if err != nil {
 		t.Fatal(err)

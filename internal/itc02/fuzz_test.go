@@ -24,7 +24,7 @@ func FuzzParse(f *testing.F) {
 	f.Add(strings.Repeat("SocName x\n", 3))
 
 	f.Fuzz(func(t *testing.T, input string) {
-		soc, err := ParseString(input)
+		soc, err := Parse(strings.NewReader(input))
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
@@ -33,7 +33,7 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("parser accepted invalid SOC: %v", verr)
 		}
 		text := Format(soc)
-		back, err := ParseString(text)
+		back, err := Parse(strings.NewReader(text))
 		if err != nil {
 			t.Fatalf("rendered SOC does not reparse: %v\n%s", err, text)
 		}

@@ -34,9 +34,6 @@ type Test struct {
 	TamUse   bool // test is delivered over the TAM
 }
 
-// NewSOC returns an empty SOC with the given name.
-func NewSOC(name string) *SOC { return &SOC{Name: name} }
-
 // AddModule appends m and returns it, for fluent construction.
 func (s *SOC) AddModule(m *Module) *Module {
 	s.Modules = append(s.Modules, m)
@@ -119,18 +116,6 @@ func (m *Module) ScanBits() int {
 		total += l
 	}
 	return total
-}
-
-// LongestScanChain returns the length of the longest internal scan chain,
-// or 0 for combinational modules.
-func (m *Module) LongestScanChain() int {
-	longest := 0
-	for _, l := range m.Scan {
-		if l > longest {
-			longest = l
-		}
-	}
-	return longest
 }
 
 // Patterns returns the total pattern count across all tests of the module.

@@ -6,8 +6,18 @@ import (
 	"testing/quick"
 )
 
+// LongestScanChain returns the length of the longest internal scan chain,
+// or 0 for combinational modules.
+func (m *Module) LongestScanChain() int {
+	longest := 0
+	for _, l := range m.Scan {
+		longest = max(longest, l)
+	}
+	return longest
+}
+
 func TestSOCBasics(t *testing.T) {
-	s := NewSOC("toy")
+	s := &SOC{Name: "toy"}
 	s.AddModule(&Module{ID: 0, Name: "top", Level: 0, Inputs: 4, Outputs: 4})
 	s.AddModule(&Module{
 		ID: 1, Name: "c1", Level: 1, Inputs: 3, Outputs: 2, Bidirs: 1,

@@ -8,15 +8,15 @@ import (
 	"strings"
 )
 
-// ParseError describes a syntax or semantic error in a .soc stream,
+// parseError describes a syntax or semantic error in a .soc stream,
 // including the line on which it occurred.
-type ParseError struct {
-	Line int
-	Msg  string
+type parseError struct {
+	line int
+	msg  string
 }
 
-func (e *ParseError) Error() string {
-	return fmt.Sprintf("itc02: line %d: %s", e.Line, e.Msg)
+func (e *parseError) Error() string {
+	return fmt.Sprintf("itc02: line %d: %s", e.line, e.msg)
 }
 
 // Parse reads a SOC description in the format documented in the package
@@ -34,9 +34,6 @@ func Parse(r io.Reader) (*SOC, error) {
 	return soc, nil
 }
 
-// ParseString is Parse on a string.
-func ParseString(s string) (*SOC, error) { return Parse(strings.NewReader(s)) }
-
 type parser struct {
 	scanner *bufio.Scanner
 	line    int
@@ -46,7 +43,7 @@ type parser struct {
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
+	return &parseError{line: p.line, msg: fmt.Sprintf(format, args...)}
 }
 
 // next returns the next non-empty tokenized line, or nil at EOF.

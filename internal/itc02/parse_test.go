@@ -57,9 +57,9 @@ EndModule
 `
 
 func TestParseToy(t *testing.T) {
-	s, err := ParseString(toySOC)
+	s, err := Parse(strings.NewReader(toySOC))
 	if err != nil {
-		t.Fatalf("ParseString: %v", err)
+		t.Fatalf("Parse: %v", err)
 	}
 	if s.Name != "toy" {
 		t.Errorf("Name = %q", s.Name)
@@ -104,7 +104,7 @@ func TestParseErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseString(tc.in)
+			_, err := Parse(strings.NewReader(tc.in))
 			if err == nil {
 				t.Fatal("parse accepted bad input")
 			}
@@ -116,13 +116,13 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseErrorHasLine(t *testing.T) {
-	_, err := ParseString("SocName x\nBogus 1\n")
-	pe, ok := err.(*ParseError)
+	_, err := Parse(strings.NewReader("SocName x\nBogus 1\n"))
+	pe, ok := err.(*parseError)
 	if !ok {
-		t.Fatalf("error type %T, want *ParseError", err)
+		t.Fatalf("error type %T, want *parseError", err)
 	}
-	if pe.Line != 2 {
-		t.Errorf("line = %d, want 2", pe.Line)
+	if pe.line != 2 {
+		t.Errorf("line = %d, want 2", pe.line)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestParseErrorHasLine(t *testing.T) {
 func TestRoundTrip(t *testing.T) {
 	for _, orig := range []*SOC{P93791(), mustParse(t, toySOC)} {
 		text := Format(orig)
-		back, err := ParseString(text)
+		back, err := Parse(strings.NewReader(text))
 		if err != nil {
 			t.Fatalf("reparse %s: %v", orig.Name, err)
 		}
@@ -143,7 +143,7 @@ func TestRoundTrip(t *testing.T) {
 
 func mustParse(t *testing.T, s string) *SOC {
 	t.Helper()
-	soc, err := ParseString(s)
+	soc, err := Parse(strings.NewReader(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func mustParse(t *testing.T, s string) *SOC {
 // Property: any structurally valid SOC survives a Write/Parse round trip.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(nMod uint8, scanSeed uint16, patSeed uint16) bool {
-		s := NewSOC("q")
+		s := &SOC{Name: "q"}
 		n := int(nMod%6) + 1
 		for i := 1; i <= n; i++ {
 			m := &Module{ID: i, Name: "m", Level: 1,
@@ -167,7 +167,7 @@ func TestRoundTripProperty(t *testing.T) {
 			})
 			s.AddModule(m)
 		}
-		back, err := ParseString(Format(s))
+		back, err := Parse(strings.NewReader(Format(s)))
 		if err != nil {
 			return false
 		}

@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// reference is Enumerate without the memo: a fresh Dedup(All(n), class)
+// reference is Enumerate without the memo: a fresh dedup(all(n), class)
 // filtered by keep.
 func reference(n int, class []int, keep Policy) []Partition {
 	var out []Partition
-	for _, p := range Dedup(All(n), class) {
+	for _, p := range dedup(all(n), class) {
 		if keep == nil || keep(p) {
 			out = append(out, p)
 		}
@@ -26,7 +26,7 @@ var policies = []struct {
 	{"nil", nil},
 	{"paper", PaperPolicy},
 	{"full", FullPolicy},
-	{"allow-all", AllowAllPolicy},
+	{"allow-all", func(Partition) bool { return true }},
 }
 
 // classRelations lists the class vectors the oracle covers for n items:
@@ -35,7 +35,7 @@ var policies = []struct {
 // relabelled vector with multi-digit, out-of-order labels.
 func classRelations(n int) [][]int {
 	var out [][]int
-	for _, p := range All(n) {
+	for _, p := range all(n) {
 		class := make([]int, n)
 		for g, items := range p {
 			for _, it := range items {

@@ -38,9 +38,9 @@ func (p Partition) N() int {
 	return n
 }
 
-// SharedGroups returns the groups with two or more members (the groups
+// sharedGroups returns the groups with two or more members (the groups
 // that actually share a wrapper).
-func (p Partition) SharedGroups() [][]int {
+func (p Partition) sharedGroups() [][]int {
 	var out [][]int
 	for _, g := range p {
 		if len(g) >= 2 {
@@ -75,7 +75,7 @@ func (p Partition) Format(names []string) string {
 // and 4 of the paper use (singletons are implicit), e.g. "{A,B,E}{C,D}".
 // The no-sharing partition renders as "{}".
 func (p Partition) FormatShared(names []string) string {
-	shared := p.SharedGroups()
+	shared := p.sharedGroups()
 	if len(shared) == 0 {
 		return "{}"
 	}
@@ -117,9 +117,10 @@ func (p Partition) Clone() Partition {
 	return c
 }
 
-// All enumerates every set partition of n items (Bell(n) of them) via
+// all enumerates every set partition of n items (the Bell number
+// B(n) of them) via
 // restricted growth strings. Groups and items are in canonical order.
-func All(n int) []Partition {
+func all(n int) []Partition {
 	if n <= 0 {
 		return nil
 	}
@@ -205,10 +206,10 @@ func (p Partition) Key(class []int) string {
 	return sb.String()
 }
 
-// Dedup removes partitions that are equivalent under the item classes,
+// dedup removes partitions that are equivalent under the item classes,
 // keeping the first representative of each equivalence class and the
 // input order otherwise.
-func Dedup(parts []Partition, class []int) []Partition {
+func dedup(parts []Partition, class []int) []Partition {
 	seen := make(map[string]bool, len(parts))
 	var out []Partition
 	for _, p := range parts {
@@ -251,12 +252,9 @@ func PaperPolicy(p Partition) bool {
 	return shared == 1 || (shared >= 2 && singles == 0)
 }
 
-// AllowAllPolicy keeps everything, including the no-sharing partition.
-func AllowAllPolicy(Partition) bool { return true }
-
 // Enumerate lists the candidate partitions of n items: all partitions,
 // deduplicated under class, filtered by keep (nil keeps everything).
-// The order is All's, first representative of each class kept.
+// The order is all's, first representative of each class kept.
 //
 // The returned slice is the caller's own (appending to it or reslicing
 // it never shows in another call's result), but the Partitions in it
@@ -296,13 +294,13 @@ var memo = struct {
 	m map[memoKey][]Partition
 }{m: map[memoKey][]Partition{}}
 
-// dedupAll returns Dedup(All(n), class), memoized for n ≤ memoMaxN.
-// Relabelling the classes does not change which partitions Dedup
+// dedupAll returns dedup(all(n), class), memoized for n ≤ memoMaxN.
+// Relabelling the classes does not change which partitions dedup
 // keeps, so the memo is keyed by the canonical relation and computes
 // with it.
 func dedupAll(n int, class []int) []Partition {
 	if n < 1 || n > memoMaxN || (class != nil && len(class) != n) {
-		return Dedup(All(n), class)
+		return dedup(all(n), class)
 	}
 	key, next := memoKey{n: n}, int8(0)
 	for i := range n {
@@ -327,7 +325,7 @@ func dedupAll(n int, class []int) []Partition {
 	for i := range canon {
 		canon[i] = int(key.class[i])
 	}
-	parts = Dedup(All(n), canon)
+	parts = dedup(all(n), canon)
 	memo.Lock()
 	defer memo.Unlock()
 	if prev, ok := memo.m[key]; ok {
@@ -335,23 +333,4 @@ func dedupAll(n int, class []int) []Partition {
 	}
 	memo.m[key] = parts
 	return parts
-}
-
-// Bell returns the Bell number B(n) for small n, the count All(n)
-// produces. It is exposed for tests and documentation.
-func Bell(n int) int {
-	// Bell triangle.
-	if n == 0 {
-		return 1
-	}
-	row := []int{1}
-	for i := 1; i <= n; i++ {
-		next := make([]int, i+1)
-		next[0] = row[len(row)-1]
-		for j := 1; j <= i; j++ {
-			next[j] = next[j-1] + row[j-1]
-		}
-		row = next
-	}
-	return row[0]
 }

@@ -8,6 +8,25 @@ import (
 	"testing/quick"
 )
 
+// Bell returns the Bell number B(n) for small n, the count all(n)
+// produces.
+func Bell(n int) int {
+	// Bell triangle.
+	if n == 0 {
+		return 1
+	}
+	row := []int{1}
+	for i := 1; i <= n; i++ {
+		next := make([]int, i+1)
+		next[0] = row[len(row)-1]
+		for j := 1; j <= i; j++ {
+			next[j] = next[j-1] + row[j-1]
+		}
+		row = next
+	}
+	return row[0]
+}
+
 func TestBellNumbers(t *testing.T) {
 	want := []int{1, 1, 2, 5, 15, 52, 203, 877}
 	for n, w := range want {
@@ -19,14 +38,14 @@ func TestBellNumbers(t *testing.T) {
 
 func TestAllCountsMatchBell(t *testing.T) {
 	for n := 1; n <= 7; n++ {
-		if got := len(All(n)); got != Bell(n) {
-			t.Errorf("len(All(%d)) = %d, want Bell = %d", n, got, Bell(n))
+		if got := len(all(n)); got != Bell(n) {
+			t.Errorf("len(all(%d)) = %d, want Bell = %d", n, got, Bell(n))
 		}
 	}
 }
 
 func TestAllCanonicalAndComplete(t *testing.T) {
-	for _, p := range All(4) {
+	for _, p := range all(4) {
 		if p.N() != 4 {
 			t.Fatalf("partition %v does not cover 4 items", p)
 		}
@@ -54,7 +73,7 @@ func TestAllCanonicalAndComplete(t *testing.T) {
 var classesAB = []int{0, 0, 1, 2, 3}
 
 func TestDedupFiveCoresWithIdenticalPair(t *testing.T) {
-	parts := Dedup(All(5), classesAB)
+	parts := dedup(all(5), classesAB)
 	// 52 partitions of 5 items collapse to 36 when two items are
 	// interchangeable: 1 no-share + 7 pairs + 9 two-pairs+single +
 	// 7 triples + 7 triple+pair + 4 quads + 1 all-share. PaperPolicy
@@ -72,7 +91,7 @@ func TestPaperPolicyYields26(t *testing.T) {
 	// Structure check: 7 pairs, 7 triples, 4 quads, 7 triple+pair, 1 all.
 	byShape := map[string]int{}
 	for _, p := range cands {
-		shared := p.SharedGroups()
+		shared := p.sharedGroups()
 		switch {
 		case len(shared) == 1 && len(shared[0]) == 2:
 			byShape["pair"]++
@@ -192,7 +211,7 @@ func TestKeyMatchesReference(t *testing.T) {
 			classes[2][i] = i % 2
 			classes[3][i] = []int{10, 2, 123, 9, 2, 45, 1000}[i]
 		}
-		for _, p := range All(n) {
+		for _, p := range all(n) {
 			for _, class := range classes {
 				if got, want := p.Key(class), keyReference(p, class); got != want {
 					t.Fatalf("%v.Key(%v) = %q, want %q", p, class, got, want)
@@ -228,7 +247,7 @@ func TestEnumerateNilPolicy(t *testing.T) {
 	if got := len(Enumerate(5, classesAB, nil)); got != 36 {
 		t.Errorf("Enumerate(nil policy) = %d, want 36", got)
 	}
-	if got := len(Enumerate(5, nil, AllowAllPolicy)); got != 52 {
+	if got := len(Enumerate(5, nil, func(Partition) bool { return true })); got != 52 {
 		t.Errorf("Enumerate(no classes) = %d, want 52", got)
 	}
 }
@@ -242,8 +261,8 @@ func TestDedupProperty(t *testing.T) {
 		for i := range class {
 			class[i] = int(classSeed>>uint(i)) % 2
 		}
-		raw := All(n)
-		dd := Dedup(raw, class)
+		raw := all(n)
+		dd := dedup(raw, class)
 		if len(dd) > len(raw) {
 			return false
 		}
@@ -277,6 +296,6 @@ func BenchmarkEnumerate5(b *testing.B) {
 func BenchmarkAll8(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		All(8)
+		all(8)
 	}
 }

@@ -74,7 +74,11 @@ func checkBackends(t *testing.T, d *core.Design) {
 			best = s.Makespan
 		}
 	}
-	ts, err := core.NewTournamentPacker().Pack(jobs, propWidth)
+	tp, err := core.PackerFor(core.BackendTournament)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := tp.Pack(jobs, propWidth)
 	if err != nil {
 		t.Fatalf("tournament: Pack: %v", err)
 	}
@@ -117,7 +121,7 @@ func checkScheduleContract(t *testing.T, backend string, s *tam.Schedule, jobs [
 	if s.Makespan != maxEnd {
 		t.Fatalf("%s: makespan %d != latest placement end %d", backend, s.Makespan, maxEnd)
 	}
-	if lb := tam.AdmissibleLowerBound(jobs, propWidth); s.Makespan < lb {
+	if lb := tam.AdmissibleFloor(jobs, propWidth).Makespan(propWidth); s.Makespan < lb {
 		t.Fatalf("%s: makespan %d below admissible lower bound %d", backend, s.Makespan, lb)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"mixsoc/internal/core"
 	"mixsoc/internal/registry"
 	"mixsoc/internal/socgen"
+	"mixsoc/internal/tam"
 )
 
 // TestBoundNeverExceedsPackedCost is the admissibility property behind
@@ -29,10 +30,15 @@ func TestBoundNeverExceedsPackedCost(t *testing.T) {
 				t.Fatalf("Exhaustive: %v", err)
 			}
 			for _, ev := range res.Evaluated {
-				lb, err := pl.LowerBound(ev.Partition, res.AllShare)
+				// Bounded mode's bound: the admissible makespan floor
+				// of the candidate's jobs as a CT, plus the exact area
+				// term.
+				jobs, err := core.BuildJobs(d, ev.Partition, propWidth)
 				if err != nil {
-					t.Fatalf("LowerBound: %v", err)
+					t.Fatalf("BuildJobs: %v", err)
 				}
+				ctLB := 100 * float64(tam.AdmissibleFloor(jobs, propWidth).Makespan(propWidth)) / float64(res.AllShare)
+				lb := propWeights.Time*ctLB + propWeights.Area*ev.CA
 				if lb > ev.Cost {
 					t.Fatalf("bound %v exceeds packed cost %v for %s",
 						lb, ev.Cost, ev.Partition.FormatShared(d.AnalogNames()))

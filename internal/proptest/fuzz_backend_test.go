@@ -1,6 +1,7 @@
 package proptest
 
 import (
+	"strings"
 	"testing"
 
 	"mixsoc/internal/core"
@@ -30,7 +31,7 @@ func FuzzPackerEquivalence(f *testing.F) {
 	f.Add("SocName tiny\nTotalModules 1\nModule 0\n  Level 0\n  Inputs 4\n  Outputs 4\nEndModule\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
-		soc, err := itc02.ParseString(input)
+		soc, err := itc02.Parse(strings.NewReader(input))
 		if err != nil {
 			return // rejection is fine; FuzzParse covers the parser itself
 		}
@@ -57,7 +58,7 @@ func FuzzPackerEquivalence(f *testing.F) {
 			if len(s.Placements) != len(jobs) {
 				t.Fatalf("%s: placed %d of %d jobs\n%s", backend, len(s.Placements), len(jobs), input)
 			}
-			if lb := tam.AdmissibleLowerBound(jobs, fuzzWidth); s.Makespan < lb {
+			if lb := tam.AdmissibleFloor(jobs, fuzzWidth).Makespan(fuzzWidth); s.Makespan < lb {
 				t.Fatalf("%s: makespan %d below admissible lower bound %d\n%s", backend, s.Makespan, lb, input)
 			}
 		}

@@ -2,6 +2,7 @@ package proptest
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"mixsoc/internal/analog"
@@ -50,7 +51,7 @@ func FuzzPlanSOC(f *testing.F) {
 	f.Add("SocName tiny\nTotalModules 1\nModule 0\n  Level 0\n  Inputs 4\n  Outputs 4\nEndModule\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
-		soc, err := itc02.ParseString(input)
+		soc, err := itc02.Parse(strings.NewReader(input))
 		if err != nil {
 			return // rejection is fine; FuzzParse covers the parser itself
 		}

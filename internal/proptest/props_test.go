@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"mixsoc/internal/core"
@@ -55,7 +56,7 @@ func checkRoundTrip(t *testing.T, soc *itc02.SOC) {
 		t.Fatalf("generated SOC invalid: %v", err)
 	}
 	text := itc02.Format(soc)
-	again, err := itc02.ParseString(text)
+	again, err := itc02.Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("generated .soc does not parse: %v", err)
 	}
@@ -95,7 +96,7 @@ func checkPacking(t *testing.T, d *core.Design) {
 	if err != nil {
 		t.Fatalf("BuildJobs: %v", err)
 	}
-	s, err := tam.Optimize(jobs, propWidth)
+	s, err := tam.OccupancyPacker{}.Pack(jobs, propWidth)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -120,7 +121,7 @@ func checkPacking(t *testing.T, d *core.Design) {
 	if s.Makespan != maxEnd {
 		t.Fatalf("makespan %d != latest placement end %d", s.Makespan, maxEnd)
 	}
-	if lb := tam.AdmissibleLowerBound(jobs, propWidth); s.Makespan < lb {
+	if lb := tam.AdmissibleFloor(jobs, propWidth).Makespan(propWidth); s.Makespan < lb {
 		t.Fatalf("makespan %d below admissible lower bound %d", s.Makespan, lb)
 	}
 }

@@ -96,7 +96,7 @@ func TestBorrowingSweepByteIdenticalToOneWorker(t *testing.T) {
 		Shard:        1,
 		Of:           3,
 	}
-	resp, err := s.Shard(ctx, shard)
+	resp, err := s.shard(ctx, shard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,16 +143,16 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // complete, carrying every failed shard attempt; the handler maps it to
 // 502 with the failures in the response body.
 type distributedSweepError struct {
-	Failures []WorkerFailure
+	failures []WorkerFailure
 }
 
 func (e *distributedSweepError) Error() string {
 	shards := map[int]bool{}
-	for _, f := range e.Failures {
+	for _, f := range e.failures {
 		shards[f.Shard] = true
 	}
 	return fmt.Sprintf("service: distributed sweep failed: %d shard(s) unrecoverable after %d failed attempt(s)",
-		len(shards), len(e.Failures))
+		len(shards), len(e.failures))
 }
 
 // runShards is the one shard runner behind both distributed
@@ -160,7 +160,7 @@ func (e *distributedSweepError) Error() string {
 // grid, split len(parts) ways, that parts does not already hold: shard
 // s goes to the fleet from home homes[s%len(homes)] through
 // coordinator.runShard, or — when homes is nil — in-process through
-// Server.Shard. Each partial lands in parts and, when onShard is set, is
+// Server.shard. Each partial lands in parts and, when onShard is set, is
 // handed to it as it lands. The caller's homes stand for the whole call:
 // re-assigning here could turn a sweep whose fleet just emptied into
 // local shards queued behind the very pool slot that sweep holds.
@@ -185,7 +185,7 @@ func (s *Server) runShards(ctx context.Context, sp *sweepSpec, req SweepRequest,
 			shardReq := ShardRequest{SweepRequest: req, Shard: shard, Of: len(parts)}
 			if homes != nil {
 				parts[shard], failures[shard] = s.coord.runShard(ctx, sp, shardReq, homes[shard%len(homes)])
-			} else if resp, err := s.Shard(ctx, shardReq); err != nil {
+			} else if resp, err := s.shard(ctx, shardReq); err != nil {
 				failures[shard] = []WorkerFailure{{Shard: shard, Error: err.Error()}}
 			} else {
 				parts[shard] = resp
@@ -204,14 +204,14 @@ func (s *Server) runShards(ctx context.Context, sp *sweepSpec, req SweepRequest,
 		// report that, not a worker failure.
 		return err
 	}
-	return &distributedSweepError{Failures: slices.Concat(failures...)}
+	return &distributedSweepError{failures: slices.Concat(failures...)}
 }
 
 // mergeShards places a complete set of round-robin partials into the
 // dense weights-major point list: shard s owns cells s, s+of, s+2·of, …
 // in order, so the j-th point of shard s lands at cell s + j·of.
 // Placement is all that happens here — every partial already passed the
-// merge contract (verifyShardPartial) or came from Server.Shard — so the
+// merge contract (verifyShardPartial) or came from Server.shard — so the
 // merged bytes equal an unsharded sweep's.
 func mergeShards(sp *sweepSpec, parts []*ShardResponse) *SweepResponse {
 	points := make([]core.SweepPoint, sp.cells())

@@ -464,7 +464,7 @@ func TestCoordinatorReassignsOnMergeContractViolation(t *testing.T) {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			t.Errorf("drifted worker: %v", err)
 		}
-		resp, err := backing.Shard(r.Context(), req)
+		resp, err := backing.shard(r.Context(), req)
 		if err != nil {
 			t.Errorf("drifted worker: %v", err)
 			return

@@ -48,7 +48,7 @@ func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard, err := s.Shard(ctx, ShardRequest{SweepRequest: SweepRequest{Widths: []int{24, 32}}, Shard: 1, Of: 2})
+	shard, err := s.shard(ctx, ShardRequest{SweepRequest: SweepRequest{Widths: []int{24, 32}}, Shard: 1, Of: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ package service
 // distributed sweeps use: on a coordinator with a live fleet each
 // missing shard gets per-attempt deadlines, retry-by-reassignment and
 // fleet state-machine feedback; on a standalone server the shards solve
-// in-process through Server.Shard, each holding one worker-pool slot,
+// in-process through Server.shard, each holding one worker-pool slot,
 // so jobs and interactive requests share the same saturation bound.
 // Either way every partial is bit-identical to the same cells of an
 // unsharded sweep, which is what makes the checkpoint files mergeable
@@ -419,7 +419,7 @@ func (m *jobManager) run(j *job, sp *sweepSpec) {
 		j.finishLocked(sp)
 	} else {
 		if dist, ok := err.(*distributedSweepError); ok {
-			j.failures = dist.Failures
+			j.failures = dist.failures
 			if homes == nil {
 				err = fmt.Errorf("service: sweep job failed: %d of %d shard(s) unsolved", of-j.done, of)
 			}

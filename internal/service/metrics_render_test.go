@@ -11,10 +11,59 @@ import (
 	"time"
 
 	"mixsoc/internal/core"
+	"mixsoc/internal/registry"
 	"mixsoc/internal/tam"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics.golden from the current render")
+
+// blockingPacker packs like the default backend once gate closes, and
+// signals each pack it starts on packing, dropping the signal once the
+// buffer is full.
+type blockingPacker struct {
+	gate    <-chan struct{}
+	packing chan<- struct{}
+}
+
+func (blockingPacker) Name() string { return tam.BackendOccupancy }
+
+func (b blockingPacker) Pack(jobs []*tam.Job, width int, opts ...tam.Option) (*tam.Schedule, error) {
+	select {
+	case b.packing <- struct{}{}:
+	default:
+	}
+	<-b.gate
+	return tam.OccupancyPacker{}.Pack(jobs, width, opts...)
+}
+
+// borrowSlot makes a one-worker sweep of two cells borrow one idle
+// slot of slots: both cells block in their first pack, one on the
+// sweep's own goroutine and one on the borrowed slot, until the
+// returned release lets the sweep finish.
+func borrowSlot(t *testing.T, slots *core.Slots) (release func()) {
+	d, err := registry.Lookup("d695m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate, packing := make(chan struct{}), make(chan struct{}, 2)
+	done := make(chan error, 1)
+	go func() {
+		_, err := core.SweepWith(d, []int{32, 40}, []core.Weights{{Time: 0.5, Area: 0.5}}, core.SweepOptions{
+			Workers:   1,
+			Slots:     slots,
+			Configure: func(pl *core.Planner) { pl.Packer = blockingPacker{gate, packing} },
+		})
+		done <- err
+	}()
+	<-packing
+	<-packing
+	return func() {
+		close(gate)
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}
+}
 
 // normalizeScrape sorts the sample lines within each family block (a
 // # HELP line, its # TYPE line and the samples up to the next # HELP)
@@ -97,9 +146,8 @@ func TestMetricsRenderGolden(t *testing.T) {
 	if err := slots.Acquire(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	if !slots.TryAcquire() {
-		t.Fatal("no idle slot to borrow")
-	}
+	release := borrowSlot(t, slots)
+	defer release()
 	m.addInFlight(1)
 	ms := time.Millisecond
 	m.observeHTTP("/v1/plan", 200, 250*ms)

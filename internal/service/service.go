@@ -227,7 +227,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("POST /v1/plan", s.instrument("/v1/plan", serveJSON(s.Plan)))
 	mux.Handle("POST /v1/batch", s.instrument("/v1/batch", serveJSON(s.Batch)))
 	mux.Handle("POST /v1/sweep", s.instrument("/v1/sweep", serveJSON(s.Sweep)))
-	mux.Handle("POST /v1/shard", s.instrument("/v1/shard", serveJSON(s.Shard)))
+	mux.Handle("POST /v1/shard", s.instrument("/v1/shard", serveJSON(s.shard)))
 	mux.Handle("POST /v1/sweeps", s.instrument("/v1/sweeps", s.handleJobSubmit))
 	mux.Handle("GET /v1/sweeps/{id}", s.instrument("/v1/sweeps/{id}", s.handleJobStatus))
 	mux.Handle("GET /v1/sweeps/{id}/result", s.instrument("/v1/sweeps/{id}/result", s.handleJobResult))
@@ -480,12 +480,12 @@ func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, e
 	return &SweepResponse{DesignHash: sp.hash, Points: points}, nil
 }
 
-// Shard computes the response of POST /v1/shard for req: the shard's
+// shard computes the response of POST /v1/shard for req: the shard's
 // round-robin slice of the full (widths × wts) grid, solved cold
 // through core.SweepOptions.Select so every returned point is
 // bit-identical to the same cell of an unsharded sweep. Shards always
 // solve cold, so warm_start is a 400.
-func (s *Server) Shard(ctx context.Context, req ShardRequest) (*ShardResponse, error) {
+func (s *Server) shard(ctx context.Context, req ShardRequest) (*ShardResponse, error) {
 	if req.WarmStart {
 		return nil, badRequestf("shards solve cold: warm_start chains widths sequentially and cannot be sharded")
 	}
@@ -617,7 +617,7 @@ func statusFor(err error) (status int, workers []WorkerFailure) {
 		status = http.StatusBadRequest
 	case errors.As(err, &dist):
 		status = http.StatusBadGateway
-		workers = dist.Failures
+		workers = dist.failures
 	case errors.As(err, &sat):
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):

@@ -93,7 +93,7 @@ func TestSOCUploadRejections(t *testing.T) {
 	valid, _ := genSOCText(t, 7)
 
 	// A parse-valid SOC with an absurd module count.
-	big := itc02.NewSOC("absurd")
+	big := &itc02.SOC{Name: "absurd"}
 	for i := 1; i <= MaxSOCModules+1; i++ {
 		big.Modules = append(big.Modules, &itc02.Module{ID: i})
 	}

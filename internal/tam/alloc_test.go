@@ -12,12 +12,12 @@ import (
 // places, unplaces and answers earliest-fit and best-placement queries
 // (bounded or not, for an ungrouped and a grouped job) from its own
 // board and scratch, as does the room filter's run length, and a whole
-// Optimize or PackRectangle call on p93791 stays within a small fixed
-// budget of allocations and bytes. With its scratch borrowed from a
-// pooled workspace, a pack allocates its options, the schedule it
-// returns and, for Optimize, the two forked orderings' goroutines:
-// Optimize measured 6 allocations and 1,664 B when pinned,
-// PackRectangle 3 and 1,530 B.
+// optimize or packRectangle call on p93791 stays within a small fixed
+// budget of allocations and bytes. With its scratch and its parsed
+// options borrowed from a pooled workspace, a pack allocates the
+// schedule it returns and, for optimize, the two forked orderings'
+// goroutines: optimize measured 5 allocations and 1,600 B when pinned,
+// packRectangle 2 and 1,466 B.
 func TestPackHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -44,7 +44,7 @@ func TestPackHotPathAllocs(t *testing.T) {
 		t.Errorf("edge is %d bytes, want 16", got)
 	}
 
-	s, err := Optimize(jobs, width)
+	s, err := optimize(jobs, width)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestPackHotPathAllocs(t *testing.T) {
 	// same-group placement skips an instant, and a same-group start
 	// ahead cuts the option walk short.
 	grouped := randomJobs(1, 40, width)
-	gs, err := Optimize(grouped, width)
+	gs, err := optimize(grouped, width)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +141,8 @@ func TestPackHotPathAllocs(t *testing.T) {
 		pack                    func([]*Job, int, ...Option) (*Schedule, error)
 		allocBudget, byteBudget int64
 	}{
-		{"Optimize", Optimize, 8, 2000},
-		{"PackRectangle", PackRectangle, 5, 1750},
+		{"optimize", optimize, 7, 2000},
+		{"packRectangle", packRectangle, 4, 1750},
 	} {
 		if got := testing.AllocsPerRun(20, func() {
 			if _, err := pin.pack(jobs, width); err != nil {

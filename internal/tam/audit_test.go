@@ -12,9 +12,9 @@ import (
 // generated and uploaded SOCs can produce.
 
 func TestOptimizeNoJobs(t *testing.T) {
-	s, err := Optimize(nil, 8)
+	s, err := optimize(nil, 8)
 	if err != nil {
-		t.Fatalf("Optimize(nil jobs): %v", err)
+		t.Fatalf("optimize(nil jobs): %v", err)
 	}
 	if len(s.Placements) != 0 || s.Makespan != 0 {
 		t.Errorf("empty job list: got %d placements, makespan %d", len(s.Placements), s.Makespan)
@@ -26,7 +26,7 @@ func TestOptimizeNoJobs(t *testing.T) {
 
 func TestOptimizeJobWiderThanBin(t *testing.T) {
 	jobs := []*Job{{ID: "wide", Options: []wrapper.Point{{Width: 12, Time: 100}}}}
-	_, err := Optimize(jobs, 8)
+	_, err := optimize(jobs, 8)
 	if err == nil {
 		t.Fatal("job needing 12 wires packed into an 8-wire bin")
 	}
@@ -39,7 +39,7 @@ func TestOptimizeSingleJob(t *testing.T) {
 	jobs := []*Job{{ID: "only", Options: []wrapper.Point{
 		{Width: 1, Time: 400}, {Width: 2, Time: 200}, {Width: 4, Time: 100},
 	}}}
-	s, err := Optimize(jobs, 8)
+	s, err := optimize(jobs, 8)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestGroupSerializationForcesSequence(t *testing.T) {
 		{ID: "b", Group: "g", Options: []wrapper.Point{{Width: 1, Time: 200}}},
 		{ID: "c", Group: "g", Options: []wrapper.Point{{Width: 1, Time: 300}}},
 	}
-	s, err := Optimize(jobs, 64)
+	s, err := optimize(jobs, 64)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}

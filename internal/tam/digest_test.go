@@ -20,8 +20,8 @@ import (
 // search trajectory must reproduce it bit for bit.
 const packScheduleDigest = "fe124cef1cf065007bf6be79f0ab9cb687110474e1143d55ce569eb210550aca"
 
-// TestPackScheduleDigest hashes the placements of Optimize and
-// PackRectangle over the five mixed-signal registry designs at
+// TestPackScheduleDigest hashes the placements of the occupancy and
+// rectangle backends over the five mixed-signal registry designs at
 // W ∈ {16, 24, 32, 48, 64} (the first and last sharing candidate each)
 // and 40 seeded socgen designs. Every job set is packed cold, warm from
 // a narrower seed (W−8, adopted verbatim; skipped below the design's
@@ -32,12 +32,13 @@ func TestPackScheduleDigest(t *testing.T) {
 		t.Skip("packs a few hundred schedules")
 	}
 	h := sha256.New()
-	backends := []struct {
-		name string
-		pack func([]*tam.Job, int, ...tam.Option) (*tam.Schedule, error)
-	}{
-		{"occupancy", tam.Optimize},
-		{"rectangle", tam.PackRectangle},
+	var backends []tam.Packer
+	for _, name := range tam.Backends() {
+		b, err := tam.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends = append(backends, b)
 	}
 	digestCase := func(d *core.Design, ci, w int) {
 		t.Helper()
@@ -53,9 +54,9 @@ func TestPackScheduleDigest(t *testing.T) {
 		jobs := jobsAt(w)
 		for _, b := range backends {
 			pack := func(w int, jobs []*tam.Job, opts ...tam.Option) *tam.Schedule {
-				s, err := b.pack(jobs, w, opts...)
+				s, err := b.Pack(jobs, w, opts...)
 				if err != nil {
-					t.Fatalf("%s %s W=%d: %v", b.name, d.Name, w, err)
+					t.Fatalf("%s %s W=%d: %v", b.Name(), d.Name, w, err)
 				}
 				return s
 			}

@@ -2,17 +2,15 @@ package tam
 
 import (
 	"fmt"
-	"io"
 	"strings"
 )
 
-// WriteCSV exports the schedule as CSV with one row per placement:
-// job, group, width, wire_lo, start, end. Rows are ordered by start
-// time, then wire, for stable diffs. The header row is always written.
-func (s *Schedule) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "job,group,width,wire_lo,start,end"); err != nil {
-		return err
-	}
+// CSV renders the schedule as CSV with one row per placement: job,
+// group, width, wire_lo, start, end. Rows are ordered by start time,
+// then wire, for stable diffs. The header row is always written.
+func (s *Schedule) CSV() string {
+	var sb strings.Builder
+	sb.WriteString("job,group,width,wire_lo,start,end\n")
 	rows := append([]Placement(nil), s.Placements...)
 	// Order: start, wire, ID.
 	for i := 0; i < len(rows); i++ {
@@ -27,19 +25,9 @@ func (s *Schedule) WriteCSV(w io.Writer) error {
 	}
 	for i := range rows {
 		p := &rows[i]
-		if _, err := fmt.Fprintf(w, "%s,%s,%d,%d,%d,%d\n",
-			csvEscape(p.Job.ID), csvEscape(p.Job.Group), p.Width, p.WireLo, p.Start, p.End); err != nil {
-			return err
-		}
+		fmt.Fprintf(&sb, "%s,%s,%d,%d,%d,%d\n",
+			csvEscape(p.Job.ID), csvEscape(p.Job.Group), p.Width, p.WireLo, p.Start, p.End)
 	}
-	return nil
-}
-
-// CSV renders the schedule as a CSV string.
-func (s *Schedule) CSV() string {
-	var sb strings.Builder
-	// strings.Builder never errors.
-	_ = s.WriteCSV(&sb)
 	return sb.String()
 }
 

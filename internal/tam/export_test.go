@@ -11,7 +11,7 @@ func TestScheduleCSV(t *testing.T) {
 		groupJob("a,weird\"name", "g", 1, 5),
 		groupJob("c", "g", 1, 5),
 	}
-	s, err := Optimize(jobs, 4)
+	s, err := optimize(jobs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,9 @@ import (
 // loaded, so steady-state placements and queries allocate nothing.
 // Fitters live in a pooled workspace (see workspace), so a pack reuses
 // the buffers of earlier packs instead of allocating its own. The
-// per-job width options (the Pareto staircase, or the full staircase
-// under WithFullStaircase) are precomputed once per pack and shared
-// read-only between fitters.
+// per-job width options (the Pareto staircase, or in the tests the full
+// staircase) are precomputed once per pack and shared read-only between
+// fitters.
 //
 // Four speedups over the naive rescan live here:
 //

@@ -12,7 +12,7 @@ import (
 	"mixsoc/internal/wrapper"
 )
 
-// Option configures a packing backend (Optimize, PackRectangle).
+// Option configures a packing backend (optimize, packRectangle).
 type Option func(*config)
 
 type config struct {
@@ -36,14 +36,6 @@ func (c *config) ctxErr() error {
 	default:
 		return nil
 	}
-}
-
-// WithFullStaircase makes the packer consider every width from the
-// narrowest option up to the bin width, synthesizing flat staircase
-// steps, instead of only the strictly-improving Pareto points. It exists
-// to measure the value of Pareto pruning; it never improves the result.
-func WithFullStaircase() Option {
-	return func(c *config) { c.paretoOnly = false }
 }
 
 // WithWarmStart seeds the packing with a schedule of the same job set
@@ -180,14 +172,17 @@ func pack(jobs []*Job, width int, opts []Option,
 func (ws *workspace) pack(jobs []*Job, width int, opts []Option,
 	cold func(ws *workspace) (*Schedule, error),
 	polish func(s *Schedule, f *fitter)) (*Schedule, error) {
-	cfg := config{improvePasses: len(jobs), paretoOnly: true}
+	// The config lives in the pooled workspace: built on the stack, it
+	// would escape through the option func values on every pack.
+	ws.cfg = config{improvePasses: len(jobs), paretoOnly: true}
+	cfg := &ws.cfg
 	for _, o := range opts {
-		o(&cfg)
+		o(cfg)
 	}
 	if cfg.ctx != nil {
 		cfg.done = cfg.ctx.Done()
 	}
-	if err := ws.load(jobs, width, cfg); err != nil {
+	if err := ws.load(jobs, width, *cfg); err != nil {
 		return nil, err
 	}
 	shared := &ws.fit[0]
@@ -235,7 +230,7 @@ func warmSeed(jobs []*Job, width int, seeds []*Schedule, f *fitter) *Schedule {
 	return best
 }
 
-// Optimize packs the jobs into a TAM of the given width, at most 65535
+// optimize packs the jobs into a TAM of the given width, at most 65535
 // wires, and returns a validated schedule. The heuristic follows the
 // rectangle-packing formulation: jobs are considered longest-first, each
 // is placed at the position and width option minimizing its finish time
@@ -248,17 +243,17 @@ func warmSeed(jobs []*Job, width int, seeds []*Schedule, f *fitter) *Schedule {
 // the winner is chosen deterministically (smallest makespan, first
 // ordering on ties), making the result identical to a sequential
 // evaluation. Its polish is repack followed by improve.
-func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
+func optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 	return pack(jobs, width, opts, packOrderings, repackImprove)
 }
 
-// repackImprove is Optimize's polish: repack, then improve.
+// repackImprove is optimize's polish: repack, then improve.
 func repackImprove(s *Schedule, f *fitter) {
 	repack(s, f)
 	improve(s, f)
 }
 
-// packOrderings is Optimize's cold step. Greedy list scheduling is
+// packOrderings is optimize's cold step. Greedy list scheduling is
 // sensitive to the job order, so it packs three complementary orderings
 // (chain weight, preferred time, volume), improves each, and keeps the
 // smallest makespan, the first ordering winning ties. The polish runs

@@ -10,8 +10,17 @@ import (
 	"mixsoc/internal/wrapper"
 )
 
+// WithFullStaircase makes the packer consider every width from the
+// narrowest option up to the bin width, synthesizing flat staircase
+// steps, instead of only the strictly-improving Pareto points. It
+// measures the value of Pareto pruning (BenchmarkAblationParetoPruning);
+// it never improves the result.
+func WithFullStaircase() Option {
+	return func(c *config) { c.paretoOnly = false }
+}
+
 // fitterFor builds a fitter over the jobs of a hand-made schedule, the
-// way Optimize would, with the schedule loaded onto its board.
+// way optimize would, with the schedule loaded onto its board.
 func fitterFor(s *Schedule, extra ...*Job) *fitter {
 	jobs := append([]*Job(nil), extra...)
 	for i := range s.Placements {
@@ -161,7 +170,7 @@ func TestRepackAndImproveAreMonotoneAndValid(t *testing.T) {
 // result versus the raw greedy packing.
 func TestPolishNeverWorseThanGreedy(t *testing.T) {
 	jobs := digitalJobs(t, 48)
-	polished, err := Optimize(jobs, 48)
+	polished, err := optimize(jobs, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +194,12 @@ func TestPolishNeverWorseThanGreedy(t *testing.T) {
 // must nevertheless be bit-stable run to run, including placements.
 func TestOptimizeConcurrentOrderingsDeterministic(t *testing.T) {
 	jobs := digitalJobs(t, 40)
-	ref, err := Optimize(jobs, 40)
+	ref, err := optimize(jobs, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		s, err := Optimize(jobs, 40)
+		s, err := optimize(jobs, 40)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,22 +217,22 @@ func TestOptimizeContextCancellation(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Optimize(jobs, 48, WithContext(cancelled)); !errors.Is(err, context.Canceled) {
+	if _, err := optimize(jobs, 48, WithContext(cancelled)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cold pack under cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	seed, err := Optimize(jobs, 40)
+	seed, err := optimize(jobs, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Optimize(jobs, 48, WithWarmStart(seed), WithContext(cancelled)); !errors.Is(err, context.Canceled) {
+	if _, err := optimize(jobs, 48, WithWarmStart(seed), WithContext(cancelled)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("warm pack under cancelled ctx: err = %v, want context.Canceled", err)
 	}
 
-	cold, err := Optimize(jobs, 48)
+	cold, err := optimize(jobs, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := Optimize(jobs, 48, WithContext(context.Background()))
+	live, err := optimize(jobs, 48, WithContext(context.Background()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,11 @@ import "fmt"
 
 // Packer is a pluggable packing backend: given a job set and a bin
 // width it returns a validated Schedule. Every backend honours the same
-// Option set — warm-start seeding (WithWarmStart), cancellation
-// (WithContext) and the WithFullStaircase ablation — and every output
-// passes the one shared feasibility contract, Schedule.Validate, so
-// backends are interchangeable anywhere a schedule is consumed and
-// differ only in search strategy (and therefore makespan).
+// Option set — warm-start seeding (WithWarmStart) and cancellation
+// (WithContext) — and every output passes the one shared feasibility
+// contract, Schedule.Validate, so backends are interchangeable anywhere
+// a schedule is consumed and differ only in search strategy (and
+// therefore makespan).
 type Packer interface {
 	// Name returns the backend's registry name (e.g. "occupancy").
 	Name() string
@@ -21,42 +21,42 @@ type Packer interface {
 // bytes — unchanged.
 const (
 	// BackendOccupancy names the default occupancy-sweep backend
-	// (Optimize): three complementary orderings packed concurrently,
+	// (optimize): three complementary orderings packed concurrently,
 	// then a repack + improve polish.
 	BackendOccupancy = "occupancy"
 	// BackendRectangle names the rectangle bin-packing backend
-	// (PackRectangle): one diagonal-length ordering pass (arXiv
+	// (packRectangle): one diagonal-length ordering pass (arXiv
 	// 1008.4446) plus the shared improve polish.
 	BackendRectangle = "rectangle"
 )
 
-// OccupancyPacker is the default backend, wrapping Optimize.
+// OccupancyPacker is the default backend, wrapping optimize.
 type OccupancyPacker struct{}
 
 // Name implements Packer.
 func (OccupancyPacker) Name() string { return BackendOccupancy }
 
-// Pack implements Packer by calling Optimize.
+// Pack implements Packer by calling optimize.
 func (OccupancyPacker) Pack(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
-	return Optimize(jobs, width, opts...)
+	return optimize(jobs, width, opts...)
 }
 
-// RectanglePacker is the rectangle bin-packing backend, wrapping
-// PackRectangle.
-type RectanglePacker struct{}
+// rectanglePacker is the rectangle bin-packing backend, wrapping
+// packRectangle.
+type rectanglePacker struct{}
 
 // Name implements Packer.
-func (RectanglePacker) Name() string { return BackendRectangle }
+func (rectanglePacker) Name() string { return BackendRectangle }
 
-// Pack implements Packer by calling PackRectangle.
-func (RectanglePacker) Pack(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
-	return PackRectangle(jobs, width, opts...)
+// Pack implements Packer by calling packRectangle.
+func (rectanglePacker) Pack(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
+	return packRectangle(jobs, width, opts...)
 }
 
 // Compile-time interface assertions: every backend satisfies Packer.
 var (
 	_ Packer = OccupancyPacker{}
-	_ Packer = RectanglePacker{}
+	_ Packer = rectanglePacker{}
 )
 
 // Backends lists the registered backend names in registry order (the
@@ -73,7 +73,7 @@ func Lookup(name string) (Packer, error) {
 	case "", BackendOccupancy:
 		return OccupancyPacker{}, nil
 	case BackendRectangle:
-		return RectanglePacker{}, nil
+		return rectanglePacker{}, nil
 	}
 	return nil, fmt.Errorf("tam: unknown packing backend %q (have %v)", name, Backends())
 }

@@ -50,7 +50,7 @@ func TestBackendRegistry(t *testing.T) {
 // be deterministic: same jobs, same bytes, run after run.
 func TestRectanglePackerContract(t *testing.T) {
 	jobs := digitalJobs(t, 48)
-	s, err := RectanglePacker{}.Pack(jobs, 48)
+	s, err := rectanglePacker{}.Pack(jobs, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestRectanglePackerContract(t *testing.T) {
 	if len(s.Placements) != len(jobs) {
 		t.Fatalf("placed %d of %d jobs", len(s.Placements), len(jobs))
 	}
-	if lb := AdmissibleLowerBound(jobs, 48); s.Makespan < lb {
+	if lb := AdmissibleFloor(jobs, 48).Makespan(48); s.Makespan < lb {
 		t.Fatalf("makespan %d below admissible lower bound %d", s.Makespan, lb)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := RectanglePacker{}.Pack(jobs, 48)
+		again, err := rectanglePacker{}.Pack(jobs, 48)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,11 +79,11 @@ func TestRectanglePackerContract(t *testing.T) {
 // it, so the warm result is never worse than the seed.
 func TestRectangleWarmStart(t *testing.T) {
 	jobs := digitalJobs(t, 48)
-	seed, err := RectanglePacker{}.Pack(jobs, 32)
+	seed, err := rectanglePacker{}.Pack(jobs, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RectanglePacker{}.Pack(jobs, 48, WithWarmStart(seed))
+	warm, err := rectanglePacker{}.Pack(jobs, 48, WithWarmStart(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +104,14 @@ func TestRectangleCancellation(t *testing.T) {
 	jobs := digitalJobs(t, 48)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := (RectanglePacker{}).Pack(jobs, 48, WithContext(cancelled)); !errors.Is(err, context.Canceled) {
+	if _, err := (rectanglePacker{}).Pack(jobs, 48, WithContext(cancelled)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cold pack under a cancelled context: err = %v, want context.Canceled", err)
 	}
-	seed, err := RectanglePacker{}.Pack(jobs, 32)
+	seed, err := rectanglePacker{}.Pack(jobs, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (RectanglePacker{}).Pack(jobs, 48, WithWarmStart(seed), WithContext(cancelled)); !errors.Is(err, context.Canceled) {
+	if _, err := (rectanglePacker{}).Pack(jobs, 48, WithWarmStart(seed), WithContext(cancelled)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("warm pack under a cancelled context: err = %v, want context.Canceled", err)
 	}
 }

@@ -1,6 +1,6 @@
 package tam
 
-// PackRectangle packs the jobs into a TAM of the given width, at most
+// packRectangle packs the jobs into a TAM of the given width, at most
 // 65535 wires, using the rectangle bin-packing formulation: each
 // (module, width option) is a width×time rectangle, and jobs are placed
 // one at a time in the diagonal-length order of arXiv 1008.4446 —
@@ -9,26 +9,26 @@ package tam
 // by the bin width, time by the longest preferred duration), so neither
 // axis dominates by unit choice alone. Serialization groups weight the
 // time axis by the whole group's serial duration, for the same reason
-// Optimize does: a chain of short tests behaves like one long rectangle.
+// optimize does: a chain of short tests behaves like one long rectangle.
 //
 // Each job is placed by the same earliest-fit bestPlacement machinery
 // as the occupancy backend — minimizing (end, width, start, wire) over
 // the job's staircase options — and the shared improve polish then
-// re-places the makespan-defining jobs. Unlike Optimize there is no
+// re-places the makespan-defining jobs. Unlike optimize there is no
 // three-ordering race and no repack pass: the backend is a genuinely
 // different (and cheaper) search trajectory, which is what makes the
 // cross-backend differential tests a meaningful oracle.
 //
-// PackRectangle honours the full Option set through the pipeline it
-// shares with Optimize: WithWarmStart seeds are adopted or adapted the
+// packRectangle honours the full Option set through the pipeline it
+// shares with optimize: WithWarmStart seeds are adopted or adapted the
 // same way (best pre-polish makespan wins) and skip the cold ordering,
 // WithContext cancels between placements, and the result always passes
 // Schedule.Validate.
-func PackRectangle(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
+func packRectangle(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 	return pack(jobs, width, opts, packDiagonal, improve)
 }
 
-// packDiagonal is PackRectangle's cold step: one earliest-fit pass in
+// packDiagonal is packRectangle's cold step: one earliest-fit pass in
 // descending order of each job's squared normalized diagonal, into the
 // workspace's first lane on the shared fitter.
 func packDiagonal(ws *workspace) (*Schedule, error) {

@@ -215,19 +215,9 @@ func (s *Schedule) Utilization() float64 {
 // volume taken at its widest usable option, which tracks what greedy
 // packings actually spend but can exceed the area of a schedule that
 // narrows a job — so it is not a bound on every valid schedule.
-// AdmissibleLowerBound is.
+// AdmissibleFloor's is.
 func packTarget(jobs []*Job, width int) int64 {
 	return floorOf(jobs, width, (*Job).volume).Makespan(width)
-}
-
-// AdmissibleLowerBound returns a makespan no valid schedule of the jobs
-// in a bin of the given width — packed by this library or otherwise —
-// can beat: any placement of job j covers at least minVolume(j)
-// wire-cycles and runs at least its widest-option time, and a shared
-// wrapper group's jobs serialize. Branch-and-bound pruning needs exactly
-// that admissibility.
-func AdmissibleLowerBound(jobs []*Job, width int) int64 {
-	return AdmissibleFloor(jobs, width).Makespan(width)
 }
 
 // Floor holds the two sums a makespan lower bound is made of: the
@@ -246,16 +236,20 @@ func (fl Floor) Makespan(width int) int64 {
 	return max((fl.Volume+int64(width)-1)/int64(width), fl.Longest)
 }
 
-// AdmissibleFloor returns the Floor AdmissibleLowerBound reads. Volume
-// adds over jobs and Longest is a maximum over jobs and groups, so a
-// caller extending the job set with jobs in groups of their own can
-// bound the union from this floor plus those jobs' volume and group
-// times, without building the union.
+// AdmissibleFloor returns the floor whose Makespan no valid schedule of
+// the jobs in a bin of the given width — packed by this library or
+// otherwise — can beat: any placement of job j covers at least
+// minVolume(j) wire-cycles and runs at least its widest-option time,
+// and a shared wrapper group's jobs serialize. Branch-and-bound pruning
+// needs exactly that admissibility. Volume adds over jobs and Longest
+// is a maximum over jobs and groups, so a caller extending the job set
+// with jobs in groups of their own can bound the union from this floor
+// plus those jobs' volume and group times, without building the union.
 func AdmissibleFloor(jobs []*Job, width int) Floor {
 	return floorOf(jobs, width, (*Job).minVolume)
 }
 
-// floorOf is the one definition packTarget and AdmissibleLowerBound
+// floorOf is the one definition packTarget and AdmissibleFloor
 // share: the total job volume (as the volume function measures it) and
 // the longest unavoidable job or serialized group time.
 func floorOf(jobs []*Job, width int, volumeOf func(*Job, int) int64) Floor {

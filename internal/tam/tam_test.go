@@ -20,24 +20,24 @@ func groupJob(id, group string, w int, t int64) *Job {
 }
 
 func TestOptimizeEmptyAndErrors(t *testing.T) {
-	s, err := Optimize(nil, 8)
+	s, err := optimize(nil, 8)
 	if err != nil || s.Makespan != 0 {
 		t.Errorf("empty: %v %v", s, err)
 	}
-	if _, err := Optimize([]*Job{fixedJob("a", 1, 10)}, 0); err == nil {
+	if _, err := optimize([]*Job{fixedJob("a", 1, 10)}, 0); err == nil {
 		t.Error("width 0 accepted")
 	}
-	if _, err := Optimize([]*Job{fixedJob("a", 9, 10)}, 8); err == nil {
+	if _, err := optimize([]*Job{fixedJob("a", 9, 10)}, 8); err == nil {
 		t.Error("job wider than bin accepted")
 	}
-	if _, err := Optimize([]*Job{fixedJob("a", 1, 10), fixedJob("a", 1, 5)}, 8); err == nil {
+	if _, err := optimize([]*Job{fixedJob("a", 1, 10), fixedJob("a", 1, 5)}, 8); err == nil {
 		t.Error("duplicate IDs accepted")
 	}
-	if _, err := Optimize([]*Job{{ID: "x"}}, 8); err == nil {
+	if _, err := optimize([]*Job{{ID: "x"}}, 8); err == nil {
 		t.Error("job without options accepted")
 	}
 	bad := &Job{ID: "x", Options: []wrapper.Point{{Width: 2, Time: 10}, {Width: 3, Time: 10}}}
-	if _, err := Optimize([]*Job{bad}, 8); err == nil {
+	if _, err := optimize([]*Job{bad}, 8); err == nil {
 		t.Error("non-improving staircase accepted")
 	}
 }
@@ -48,7 +48,7 @@ func TestPerfectPacking(t *testing.T) {
 		fixedJob("a", 2, 10), fixedJob("b", 2, 10),
 		fixedJob("c", 2, 10), fixedJob("d", 2, 10),
 	}
-	s, err := Optimize(jobs, 8)
+	s, err := optimize(jobs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestPerfectPacking(t *testing.T) {
 
 func TestNarrowBinSerializes(t *testing.T) {
 	jobs := []*Job{fixedJob("a", 2, 10), fixedJob("b", 2, 10)}
-	s, err := Optimize(jobs, 2)
+	s, err := optimize(jobs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestGroupSerialization(t *testing.T) {
 		groupJob("g1", "wrap0", 1, 10),
 		groupJob("g2", "wrap0", 1, 10),
 	}
-	s, err := Optimize(jobs, 8)
+	s, err := optimize(jobs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestGroupSerialization(t *testing.T) {
 	}
 	// Without groups they run in parallel.
 	free := []*Job{fixedJob("g1", 1, 10), fixedJob("g2", 1, 10)}
-	s2, err := Optimize(free, 8)
+	s2, err := optimize(free, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestGroupDoesNotBlockOthers(t *testing.T) {
 		groupJob("g2", "w", 1, 10),
 		fixedJob("solo", 1, 20),
 	}
-	s, err := Optimize(jobs, 4)
+	s, err := optimize(jobs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestFlexibleWidthChoosesWisely(t *testing.T) {
 		{ID: "x", Options: []wrapper.Point{{Width: 2, Time: 25}, {Width: 4, Time: 10}}},
 		fixedJob("y", 2, 10),
 	}
-	s, err := Optimize(jobs, 4)
+	s, err := optimize(jobs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func digitalJobs(t testing.TB, maxW int) []*Job {
 func TestP93791PackingQuality(t *testing.T) {
 	for _, w := range []int{16, 32, 64} {
 		jobs := digitalJobs(t, w)
-		s, err := Optimize(jobs, w)
+		s, err := optimize(jobs, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestP93791PackingQuality(t *testing.T) {
 func TestP93791MonotoneInWidth(t *testing.T) {
 	prev := int64(-1)
 	for _, w := range []int{16, 24, 32, 40, 48, 56, 64} {
-		s, err := Optimize(digitalJobs(t, w), w)
+		s, err := optimize(digitalJobs(t, w), w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,8 +241,8 @@ func TestP93791MonotoneInWidth(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	jobs1 := digitalJobs(t, 32)
 	jobs2 := digitalJobs(t, 32)
-	s1, err1 := Optimize(jobs1, 32)
-	s2, err2 := Optimize(jobs2, 32)
+	s1, err1 := optimize(jobs1, 32)
+	s2, err2 := optimize(jobs2, 32)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -253,7 +253,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestGanttRenders(t *testing.T) {
 	jobs := []*Job{fixedJob("a", 2, 10), groupJob("b", "g", 1, 5), groupJob("c", "g", 1, 5)}
-	s, err := Optimize(jobs, 4)
+	s, err := optimize(jobs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,14 +296,14 @@ func TestOptimizeProperty(t *testing.T) {
 			jobs = append(jobs, &Job{ID: string(rune('a' + i)), Group: g,
 				Options: []wrapper.Point{{Width: w, Time: tt}}})
 		}
-		s, err := Optimize(jobs, width)
+		s, err := optimize(jobs, width)
 		if err != nil {
 			return false
 		}
 		if s.Validate() != nil {
 			return false
 		}
-		return s.Makespan >= AdmissibleLowerBound(jobs, width)
+		return s.Makespan >= AdmissibleFloor(jobs, width).Makespan(width)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -315,7 +315,7 @@ func BenchmarkOptimizeP93791W32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(jobs, 32); err != nil {
+		if _, err := optimize(jobs, 32); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -326,7 +326,7 @@ func BenchmarkOptimizeP93791W64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(jobs, 64); err != nil {
+		if _, err := optimize(jobs, 64); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,11 +13,11 @@ import (
 func TestWarmStartNeverWorseThanSeed(t *testing.T) {
 	jobs := digitalJobs(t, 64)
 	for _, step := range [][2]int{{24, 32}, {32, 40}, {40, 64}} {
-		seed, err := Optimize(jobs, step[0])
+		seed, err := optimize(jobs, step[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := Optimize(jobs, step[1], WithWarmStart(seed))
+		warm, err := optimize(jobs, step[1], WithWarmStart(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +31,7 @@ func TestWarmStartNeverWorseThanSeed(t *testing.T) {
 			t.Errorf("%d->%d: warm makespan %d worse than seed %d", step[0], step[1], warm.Makespan, seed.Makespan)
 		}
 		// And close to cold quality (the polish loops are shared).
-		cold, err := Optimize(jobs, step[1])
+		cold, err := optimize(jobs, step[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,16 +44,16 @@ func TestWarmStartNeverWorseThanSeed(t *testing.T) {
 // Warm-started runs are deterministic: same seed, same result.
 func TestWarmStartDeterministic(t *testing.T) {
 	jobs := digitalJobs(t, 48)
-	seed, err := Optimize(jobs, 32)
+	seed, err := optimize(jobs, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Optimize(jobs, 48, WithWarmStart(seed))
+	ref, err := optimize(jobs, 48, WithWarmStart(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		s, err := Optimize(jobs, 48, WithWarmStart(seed))
+		s, err := optimize(jobs, 48, WithWarmStart(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,14 +67,14 @@ func TestWarmStartDeterministic(t *testing.T) {
 // is exactly the cold packing.
 func TestWarmStartIgnoresForeignSeed(t *testing.T) {
 	jobs := digitalJobs(t, 48)
-	cold, err := Optimize(jobs, 48)
+	cold, err := optimize(jobs, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
 	foreign := &Schedule{Width: 8, Makespan: 10, Placements: []Placement{
 		{Job: fixedJob("not-a-p93791-core", 2, 10), Width: 2, Start: 0, End: 10, WireLo: 0},
 	}}
-	warm, err := Optimize(jobs, 48, WithWarmStart(foreign))
+	warm, err := optimize(jobs, 48, WithWarmStart(foreign))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestWarmStartIgnoresForeignSeed(t *testing.T) {
 		t.Error("foreign seed was not ignored")
 	}
 	// A nil seed is likewise a no-op.
-	warm, err = Optimize(jobs, 48, WithWarmStart(nil))
+	warm, err = optimize(jobs, 48, WithWarmStart(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +97,15 @@ func TestWarmStartIgnoresForeignSeed(t *testing.T) {
 // narrower width that stays close to cold quality.
 func TestWarmStartAdaptsWiderSeed(t *testing.T) {
 	jobs := digitalJobs(t, 64)
-	seed, err := Optimize(jobs, 64)
+	seed, err := optimize(jobs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Optimize(jobs, 32)
+	cold, err := optimize(jobs, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Optimize(jobs, 32, WithWarmStart(seed))
+	warm, err := optimize(jobs, 32, WithWarmStart(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestWarmStartAdaptsWiderSeed(t *testing.T) {
 	if ratio := float64(warm.Makespan) / float64(cold.Makespan); ratio > 1.15 {
 		t.Errorf("shrunk warm makespan %d is %.2fx the cold %d", warm.Makespan, ratio, cold.Makespan)
 	}
-	again, err := Optimize(jobs, 32, WithWarmStart(seed))
+	again, err := optimize(jobs, 32, WithWarmStart(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestWarmStartAdaptsWiderSeed(t *testing.T) {
 	foreign := &Schedule{Width: 96, Makespan: 10, Placements: []Placement{
 		{Job: fixedJob("not-a-p93791-core", 2, 10), Width: 2, Start: 0, End: 10, WireLo: 0},
 	}}
-	fromForeign, err := Optimize(jobs, 32, WithWarmStart(foreign))
+	fromForeign, err := optimize(jobs, 32, WithWarmStart(foreign))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,23 +143,23 @@ func TestWarmStartAdaptsWiderSeed(t *testing.T) {
 // both land on the better seed's result.
 func TestWarmStartBestOfSeveralSeeds(t *testing.T) {
 	jobs := digitalJobs(t, 64)
-	near, err := Optimize(jobs, 56) // narrower, close: adopts verbatim
+	near, err := optimize(jobs, 56) // narrower, close: adopts verbatim
 	if err != nil {
 		t.Fatal(err)
 	}
-	far, err := Optimize(jobs, 8) // narrower, far: much worse makespan
+	far, err := optimize(jobs, 8) // narrower, far: much worse makespan
 	if err != nil {
 		t.Fatal(err)
 	}
 	if far.Makespan <= near.Makespan {
 		t.Fatalf("test premise broken: 8-wire makespan %d not worse than 56-wire %d", far.Makespan, near.Makespan)
 	}
-	ref, err := Optimize(jobs, 64, WithWarmStart(near))
+	ref, err := optimize(jobs, 64, WithWarmStart(near))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seeds := range [][]*Schedule{{near, far}, {far, near}} {
-		got, err := Optimize(jobs, 64, WithWarmStart(seeds[0]), WithWarmStart(seeds[1]))
+		got, err := optimize(jobs, 64, WithWarmStart(seeds[0]), WithWarmStart(seeds[1]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestWarmStartBestOfSeveralSeeds(t *testing.T) {
 		}
 	}
 	// A nil seed among usable ones is skipped, not adopted.
-	got, err := Optimize(jobs, 64, WithWarmStart(nil), WithWarmStart(near))
+	got, err := optimize(jobs, 64, WithWarmStart(nil), WithWarmStart(near))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestAdoptSeedRederivesDurations(t *testing.T) {
 // counters on every query).
 func BenchmarkEarliestFit(b *testing.B) {
 	jobs := digitalJobs(b, 64)
-	s, err := Optimize(jobs, 64)
+	s, err := optimize(jobs, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -241,14 +241,14 @@ func BenchmarkEarliestFit(b *testing.B) {
 // adjacent narrower width.
 func BenchmarkWarmStart(b *testing.B) {
 	jobs := digitalJobs(b, 48)
-	seed, err := Optimize(jobs, 40)
+	seed, err := optimize(jobs, 40)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Optimize(jobs, 48); err != nil {
+			if _, err := optimize(jobs, 48); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -256,7 +256,7 @@ func BenchmarkWarmStart(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Optimize(jobs, 48, WithWarmStart(seed)); err != nil {
+			if _, err := optimize(jobs, 48, WithWarmStart(seed)); err != nil {
 				b.Fatal(err)
 			}
 		}

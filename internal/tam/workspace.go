@@ -13,6 +13,7 @@ import (
 // ordering owns one fitter and one lane, so the concurrent orderings
 // share nothing but read-only data.
 type workspace struct {
+	cfg  config // the pack's options, parsed by workspace.pack
 	in   instance
 	opts optionTable
 	// fit[0] is the shared fitter: the warm seeds, the cold step's first
@@ -49,6 +50,7 @@ func (ws *workspace) release() {
 // pooled workspace never keeps a job set alive. The buffers themselves
 // stay for the next pack.
 func (ws *workspace) scrub() {
+	ws.cfg = config{}
 	ws.in.jobs = nil
 	clear(ws.opts.idx)
 	clear(ws.opts.jobs[:cap(ws.opts.jobs)])

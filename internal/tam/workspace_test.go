@@ -51,8 +51,8 @@ type backend struct {
 }
 
 var (
-	occupancy = backend{Optimize, packOrderings, repackImprove}
-	rectangle = backend{PackRectangle, packDiagonal, improve}
+	occupancy = backend{optimize, packOrderings, repackImprove}
+	rectangle = backend{packRectangle, packDiagonal, improve}
 )
 
 // workspaceCase is one pack call of the workspace tests.
@@ -75,11 +75,11 @@ func workspaceCases(t testing.TB) []workspaceCase {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	p32, p64 := digitalJobs(t, 32), digitalJobs(t, 64)
-	seed24, err := Optimize(p32, 24)
+	seed24, err := optimize(p32, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed64, err := PackRectangle(p32, 64)
+	seed64, err := packRectangle(p32, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

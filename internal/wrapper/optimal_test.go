@@ -1,11 +1,124 @@
 package wrapper
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"mixsoc/internal/itc02"
 )
+
+// This file provides an exact scan-chain partitioner used to measure the
+// quality of the best-fit-decreasing heuristic that Design_wrapper uses
+// (DESIGN.md ablation "BFD vs optimal"). Min-max partitioning is NP-hard,
+// so the exact solver is deliberately bounded to small instances; the
+// production path stays on BFD.
+
+// MaxExactChains bounds the instance size OptimalScanPartition accepts.
+const MaxExactChains = 24
+
+// OptimalScanPartition partitions the scan chain lengths into at most w
+// bins minimizing the maximum bin sum, by branch and bound over items in
+// descending order. It returns the optimal maximum bin sum.
+func OptimalScanPartition(lengths []int, w int) (int, error) {
+	if w < 1 {
+		return 0, fmt.Errorf("wrapper: width %d < 1", w)
+	}
+	if len(lengths) > MaxExactChains {
+		return 0, fmt.Errorf("wrapper: exact partition limited to %d chains, got %d", MaxExactChains, len(lengths))
+	}
+	if len(lengths) == 0 {
+		return 0, nil
+	}
+	items := append([]int(nil), lengths...)
+	sort.Sort(sort.Reverse(sort.IntSlice(items)))
+	for _, l := range items {
+		if l <= 0 {
+			return 0, fmt.Errorf("wrapper: non-positive chain length %d", l)
+		}
+	}
+
+	// Initial incumbent: BFD.
+	best := maxOf(partitionBFD(items, w))
+
+	total := 0
+	for _, l := range items {
+		total += l
+	}
+	// Trivial lower bound: ceiling of the average, and the largest item.
+	lower := (total + w - 1) / w
+	if items[0] > lower {
+		lower = items[0]
+	}
+	if best == lower {
+		return best, nil
+	}
+
+	bins := make([]int, w)
+	suffix := make([]int, len(items)+1) // suffix sums for bounding
+	for i := len(items) - 1; i >= 0; i-- {
+		suffix[i] = suffix[i+1] + items[i]
+	}
+
+	var rec func(i, prevBin int)
+	rec = func(i, prevBin int) {
+		if best == lower {
+			return // proven optimal
+		}
+		if i == len(items) {
+			m := maxOf(bins)
+			if m < best {
+				best = m
+			}
+			return
+		}
+		if maxOf(bins) >= best {
+			return
+		}
+		// Equal items are interchangeable: force them into
+		// non-decreasing bin indices so each multiset of assignments is
+		// explored once.
+		start := 0
+		if i > 0 && items[i] == items[i-1] {
+			start = prevBin
+		}
+		// Also skip bins with duplicate loads (bin symmetry).
+		seen := map[int]bool{}
+		for b := start; b < w; b++ {
+			if seen[bins[b]] {
+				continue
+			}
+			seen[bins[b]] = true
+			if bins[b]+items[i] >= best {
+				continue
+			}
+			bins[b] += items[i]
+			rec(i+1, b)
+			bins[b] -= items[i]
+		}
+	}
+	rec(0, 0)
+	return best, nil
+}
+
+// BFDQuality returns the ratio of the BFD partition's maximum bin to the
+// optimum for module m at width w (1.0 means BFD found an optimal scan
+// partition). Modules with more than MaxExactChains chains are rejected.
+func BFDQuality(m *itc02.Module, w int) (float64, error) {
+	if len(m.Scan) == 0 {
+		return 1, nil
+	}
+	opt, err := OptimalScanPartition(m.Scan, w)
+	if err != nil {
+		return 0, err
+	}
+	if opt == 0 {
+		return 1, nil
+	}
+	bfd := maxOf(partitionBFD(m.SortedScanDescending(), w))
+	return float64(bfd) / float64(opt), nil
+}
 
 func TestOptimalScanPartitionSmallCases(t *testing.T) {
 	cases := []struct {

@@ -13,28 +13,6 @@ type Point struct {
 	Time  int64
 }
 
-// BestTime returns the smallest test time achievable with at most w TAM
-// wires. Because a core connected to w wires can always be configured to
-// use fewer, BestTime is non-increasing in w by construction, which
-// smooths out any partitioning-heuristic anomalies.
-func BestTime(m *itc02.Module, w int) (int64, error) {
-	if m == nil {
-		return 0, fmt.Errorf("wrapper: nil module")
-	}
-	if w < 1 {
-		return 0, fmt.Errorf("wrapper: module %d: width %d < 1", m.ID, w)
-	}
-	buf := newDesignBuf(m, w)
-	best := int64(-1)
-	for wi := 1; wi <= w; wi++ {
-		t := timeWith(m, wi, buf)
-		if best < 0 || t < best {
-			best = t
-		}
-	}
-	return best, nil
-}
-
 // Pareto returns the staircase of useful widths for module m up to maxW:
 // the (width, time) pairs at which the test time strictly improves over
 // every smaller width. The first point always has Width 1, and times are
@@ -60,31 +38,4 @@ func Pareto(m *itc02.Module, maxW int) ([]Point, error) {
 		}
 	}
 	return pts, nil
-}
-
-// TimeAt evaluates a staircase at width w: the time of the widest point
-// with Width ≤ w. It panics if w is below the first point's width.
-func TimeAt(pts []Point, w int) int64 {
-	if len(pts) == 0 || w < pts[0].Width {
-		panic(fmt.Sprintf("wrapper: TimeAt(%d) below staircase start", w))
-	}
-	t := pts[0].Time
-	for _, p := range pts {
-		if p.Width > w {
-			break
-		}
-		t = p.Time
-	}
-	return t
-}
-
-// WidthFor returns the smallest width in the staircase whose time is
-// within the given budget, or 0 if even the widest point exceeds it.
-func WidthFor(pts []Point, budget int64) int {
-	for _, p := range pts {
-		if p.Time <= budget {
-			return p.Width
-		}
-	}
-	return 0
 }

@@ -40,12 +40,6 @@ type Design struct {
 	PerTest []int64 // test time per module test (same order as Module.Tests)
 }
 
-// MaxScanIn returns the longest wrapper scan-in chain.
-func (d *Design) MaxScanIn() int { return maxOf(d.ScanIn) }
-
-// MaxScanOut returns the longest wrapper scan-out chain.
-func (d *Design) MaxScanOut() int { return maxOf(d.ScanOut) }
-
 func maxOf(v []int) int {
 	m := 0
 	for _, x := range v {
@@ -76,7 +70,7 @@ func New(m *itc02.Module, w int) (*Design, error) {
 	d.ScanIn = waterFill(parts, m.Inputs+m.Bidirs, w)
 	d.ScanOut = waterFill(parts, m.Outputs+m.Bidirs, w)
 
-	si, so := d.MaxScanIn(), d.MaxScanOut()
+	si, so := maxOf(d.ScanIn), maxOf(d.ScanOut)
 	for _, t := range m.Tests {
 		var tt int64
 		switch {

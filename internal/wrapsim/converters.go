@@ -29,7 +29,7 @@ type Flash4 struct {
 }
 
 // Convert quantizes v to a 4-bit code, clamping out-of-range inputs.
-func (f *Flash4) Convert(v float64) uint8 {
+func (f *Flash4) convert(v float64) uint8 {
 	lsb := f.FullScale / 16
 	if lsb <= 0 {
 		return 0
@@ -38,7 +38,7 @@ func (f *Flash4) Convert(v float64) uint8 {
 	// (INL/16)·sin(2πk/15) stage LSB — INL is specified in 8-bit LSB.
 	// The S-shape differs from the DAC's single bow deliberately:
 	// independent converters do not share an error shape, so the
-	// DAC→ADC loop exposes both (see SelfTestRamp).
+	// DAC→ADC loop exposes both (see the self-test ramp in the tests).
 	x := v / lsb
 	code := 0
 	for k := 1; k < 16; k++ {
@@ -63,7 +63,7 @@ type DAC4 struct {
 }
 
 // Convert produces the analog value for a 4-bit code.
-func (d *DAC4) Convert(code uint8) float64 {
+func (d *DAC4) convert(code uint8) float64 {
 	code &= 0x0F
 	lsb := d.FullScale / 16
 	shape := math.Sin(math.Pi * float64(code) / 15)
@@ -84,10 +84,10 @@ type Pipeline8 struct {
 	ResidueGain  float64 // ideal 16; deviations model amplifier error
 }
 
-// NewPipeline8 builds the ADC for the given full-scale range with the
+// newPipeline8 builds the ADC for the given full-scale range with the
 // given per-stage INL (LSB units) and residue-gain error (fraction, e.g.
 // 0.002 for +0.2%).
-func NewPipeline8(fullScale, inl, gainError float64) (*Pipeline8, error) {
+func newPipeline8(fullScale, inl, gainError float64) (*Pipeline8, error) {
 	if fullScale <= 0 {
 		return nil, fmt.Errorf("wrapsim: ADC full scale %v <= 0", fullScale)
 	}
@@ -103,18 +103,18 @@ func NewPipeline8(fullScale, inl, gainError float64) (*Pipeline8, error) {
 }
 
 // Convert digitizes v into an 8-bit code.
-func (p *Pipeline8) Convert(v float64) uint8 {
+func (p *Pipeline8) convert(v float64) uint8 {
 	if v < 0 {
 		v = 0
 	}
 	if v >= p.FullScale {
 		v = math.Nextafter(p.FullScale, 0)
 	}
-	coarse := p.Coarse.Convert(v)
-	residue := (v - p.Interstage.Convert(coarse)) * p.ResidueGain / 16
+	coarse := p.Coarse.convert(v)
+	residue := (v - p.Interstage.convert(coarse)) * p.ResidueGain / 16
 	// The residue occupies one coarse LSB = FullScale/16; the fine stage
 	// digitizes it scaled back to full range.
-	fine := p.Fine.Convert(residue * 16)
+	fine := p.Fine.convert(residue * 16)
 	code := int(coarse)<<4 | int(fine&0x0F)
 	if code > 255 {
 		code = 255
@@ -126,10 +126,10 @@ func (p *Pipeline8) Convert(v float64) uint8 {
 }
 
 // ConvertAll digitizes a whole signal.
-func (p *Pipeline8) ConvertAll(v []float64) []uint8 {
+func (p *Pipeline8) convertAll(v []float64) []uint8 {
 	out := make([]uint8, len(v))
 	for i, x := range v {
-		out[i] = p.Convert(x)
+		out[i] = p.convert(x)
 	}
 	return out
 }
@@ -142,8 +142,8 @@ type Modular8 struct {
 	MSB, LSB  DAC4
 }
 
-// NewModular8 builds the DAC with the given per-stage INL in LSB.
-func NewModular8(fullScale, inl float64) (*Modular8, error) {
+// newModular8 builds the DAC with the given per-stage INL in LSB.
+func newModular8(fullScale, inl float64) (*Modular8, error) {
 	if fullScale <= 0 {
 		return nil, fmt.Errorf("wrapsim: DAC full scale %v <= 0", fullScale)
 	}
@@ -155,23 +155,23 @@ func NewModular8(fullScale, inl float64) (*Modular8, error) {
 }
 
 // Convert produces the analog value for an 8-bit code.
-func (m *Modular8) Convert(code uint8) float64 {
-	return m.MSB.Convert(code>>4) + m.LSB.Convert(code&0x0F)/16
+func (m *Modular8) convert(code uint8) float64 {
+	return m.MSB.convert(code>>4) + m.LSB.convert(code&0x0F)/16
 }
 
 // ConvertAll converts a whole code stream.
-func (m *Modular8) ConvertAll(codes []uint8) []float64 {
+func (m *Modular8) convertAll(codes []uint8) []float64 {
 	out := make([]float64, len(codes))
 	for i, c := range codes {
-		out[i] = m.Convert(c)
+		out[i] = m.convert(c)
 	}
 	return out
 }
 
-// QuantizeIdeal converts a voltage in [0, fullScale) to the nearest
+// quantizeIdeal converts a voltage in [0, fullScale) to the nearest
 // 8-bit code with an ideal (INL-free) characteristic: the digital
 // stimulus pattern a tester would compute.
-func QuantizeIdeal(v, fullScale float64) uint8 {
+func quantizeIdeal(v, fullScale float64) uint8 {
 	if fullScale <= 0 {
 		return 0
 	}
@@ -185,7 +185,7 @@ func QuantizeIdeal(v, fullScale float64) uint8 {
 	return uint8(c)
 }
 
-// CodeToVoltage is the ideal inverse of QuantizeIdeal (code centers).
-func CodeToVoltage(code uint8, fullScale float64) float64 {
+// codeToVoltage is the ideal inverse of quantizeIdeal (code centers).
+func codeToVoltage(code uint8, fullScale float64) float64 {
 	return (float64(code) + 0.5) / 256 * fullScale
 }

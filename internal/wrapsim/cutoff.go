@@ -72,16 +72,16 @@ func (e CutoffExperiment) Run() (*CutoffResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := w.SetMode(CoreTest); err != nil {
+	if err := w.setMode(CoreTest); err != nil {
 		return nil, err
 	}
-	fs := w.EffectiveSampleRate()
+	fs := w.effectiveSampleRate()
 
 	filter, err := asim.ButterworthLowpass(e.FilterOrder, e.FilterCutoff, fs)
 	if err != nil {
 		return nil, err
 	}
-	path := AnalogPath(func(x []float64, fs float64) []float64 {
+	path := analogPath(func(x []float64, fs float64) []float64 {
 		return filter.ProcessAll(x)
 	})
 
@@ -93,7 +93,7 @@ func (e CutoffExperiment) Run() (*CutoffResult, error) {
 	// Direct analog measurement.
 	directOut := path(stimulus, fs)
 	// Wrapped measurement.
-	wrappedOut, err := w.ApplyWaveform(stimulus, path)
+	wrappedOut, err := w.applyWaveform(stimulus, path)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,251 @@
 package wrapsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"mixsoc/internal/asim"
+	"mixsoc/internal/dsp"
 )
+
+// The helpers below, test oracles only, implement the specification
+// measurements of Table 2 as wrapper-in-the-loop procedures:
+// pass-band gain, total harmonic distortion, DC offset, and the
+// third-order input intercept. Each drives the core-under-test
+// through the wrapper's DAC and digitizes the response with its ADC,
+// exactly like the cut-off test of cutoff.go, so analog specs are
+// measured with purely digital patterns.
+
+// MeasureGain measures the core's gain at freq: a single tone of the
+// given amplitude is applied and the output/input amplitude ratio
+// returned. The leading eighth of the capture is discarded as settling.
+func (w *Wrapper) MeasureGain(path analogPath, freq, amp float64, samples int) (float64, error) {
+	if err := w.checkMeasure(samples); err != nil {
+		return 0, err
+	}
+	fs := w.effectiveSampleRate()
+	stim, err := asim.MultiTone([]asim.Tone{{Freq: freq, Amp: amp}}, fs, samples)
+	if err != nil {
+		return 0, err
+	}
+	out, err := w.applyWaveform(stim, path)
+	if err != nil {
+		return 0, err
+	}
+	skip := samples / 8
+	in, err := dsp.ToneMagnitude(stim[skip:], freq, fs)
+	if err != nil {
+		return 0, err
+	}
+	if in == 0 {
+		return 0, fmt.Errorf("wrapsim: zero stimulus amplitude at %v Hz", freq)
+	}
+	outMag, err := dsp.ToneMagnitude(out[skip:], freq, fs)
+	if err != nil {
+		return 0, err
+	}
+	return outMag / in, nil
+}
+
+// MeasureTHD measures total harmonic distortion (dB, negative is
+// cleaner) of the core's response to a pure tone at f0. The wrapper's
+// own quantization sets the measurement floor near -(6.02·N+1.76) dB.
+func (w *Wrapper) MeasureTHD(path analogPath, f0, amp float64, samples, maxHarmonic int) (float64, error) {
+	if err := w.checkMeasure(samples); err != nil {
+		return 0, err
+	}
+	fs := w.effectiveSampleRate()
+	stim, err := asim.MultiTone([]asim.Tone{{Freq: f0, Amp: amp}}, fs, samples)
+	if err != nil {
+		return 0, err
+	}
+	out, err := w.applyWaveform(stim, path)
+	if err != nil {
+		return 0, err
+	}
+	skip := samples / 8
+	return THD(out[skip:], f0, fs, maxHarmonic)
+}
+
+// MeasureOffset measures the core's DC offset in volts: a mid-scale
+// (zero) stimulus is applied and the mean response taken. This is the
+// Voffset test of Table 2.
+func (w *Wrapper) MeasureOffset(path analogPath, samples int) (float64, error) {
+	if err := w.checkMeasure(samples); err != nil {
+		return 0, err
+	}
+	stim := make([]float64, samples)
+	out, err := w.applyWaveform(stim, path)
+	if err != nil {
+		return 0, err
+	}
+	skip := samples / 8
+	var sum float64
+	for _, v := range out[skip:] {
+		sum += v
+	}
+	return sum / float64(len(out)-skip), nil
+}
+
+// MeasureIIP3 runs the classic two-tone intermodulation test: tones at
+// f1 and f2 (volts amplitude each) are applied and the third-order
+// products at 2f1-f2 and 2f2-f1 measured. The returned value is the
+// extrapolated third-order input intercept point in dBV:
+//
+//	IIP3 = Pin + ΔP/2,  ΔP = Pfund − PIM3  (all in dB)
+//
+// A perfectly linear core has no IM3; the measurement then returns the
+// wrapper's own floor, reported as +Inf-like large value capped to
+// MaxIIP3dBV.
+func (w *Wrapper) MeasureIIP3(path analogPath, f1, f2, amp float64, samples int) (float64, error) {
+	if err := w.checkMeasure(samples); err != nil {
+		return 0, err
+	}
+	if f1 == f2 || f1 <= 0 || f2 <= 0 {
+		return 0, fmt.Errorf("wrapsim: IIP3 needs two distinct positive tones, got %v and %v", f1, f2)
+	}
+	fs := w.effectiveSampleRate()
+	stim, err := asim.MultiTone([]asim.Tone{{Freq: f1, Amp: amp}, {Freq: f2, Amp: amp, Phase: 1.3}}, fs, samples)
+	if err != nil {
+		return 0, err
+	}
+	out, err := w.applyWaveform(stim, path)
+	if err != nil {
+		return 0, err
+	}
+	skip := samples / 8
+	fund, err := dsp.ToneMagnitude(out[skip:], f1, fs)
+	if err != nil {
+		return 0, err
+	}
+	im3Lo := 2*f1 - f2
+	im3Hi := 2*f2 - f1
+	var im3 float64
+	for _, f := range []float64{im3Lo, im3Hi} {
+		if f <= 0 || f >= fs/2 {
+			continue
+		}
+		m, err := dsp.ToneMagnitude(out[skip:], f, fs)
+		if err != nil {
+			return 0, err
+		}
+		if m > im3 {
+			im3 = m
+		}
+	}
+	pin := amplitudeDB(amp)
+	if im3 <= 0 || fund <= 0 {
+		return MaxIIP3dBV, nil
+	}
+	delta := amplitudeDB(fund) - amplitudeDB(im3)
+	iip3 := pin + delta/2
+	if iip3 > MaxIIP3dBV {
+		iip3 = MaxIIP3dBV
+	}
+	return iip3, nil
+}
+
+// MaxIIP3dBV caps reported intercept points: beyond this the
+// measurement is floor-limited by the wrapper's converters.
+const MaxIIP3dBV = 60.0
+
+func (w *Wrapper) checkMeasure(samples int) error {
+	if samples < 64 {
+		return fmt.Errorf("wrapsim: measurement needs >= 64 samples, got %d", samples)
+	}
+	if w.mode != CoreTest && w.mode != SelfTest {
+		return fmt.Errorf("wrapsim: select core-test (or self-test) mode before measuring")
+	}
+	return nil
+}
+
+// TheoreticalIIP3 returns the intercept point (dBV) of a memoryless
+// cubic nonlinearity y = g·x + c3·x³: IIP3 = sqrt(4g/(3|c3|)) in volts,
+// converted to dBV, the ground truth wrapped measurements are compared
+// against.
+func TheoreticalIIP3(gain, c3 float64) float64 {
+	if c3 == 0 {
+		return MaxIIP3dBV
+	}
+	v := math.Sqrt(4 * gain / (3 * math.Abs(c3)))
+	return amplitudeDB(v)
+}
+
+// amplitudeDB converts a linear amplitude to dB with a -200 dB floor.
+func amplitudeDB(a float64) float64 {
+	if a <= 1e-10 {
+		return -200
+	}
+	return 20 * math.Log10(a)
+}
+
+// THD computes total harmonic distortion of a signal dominated by a tone
+// at f0: the ratio (in dB, negative for clean signals) of the RMS of
+// harmonics 2..maxHarmonic to the fundamental, each measured by
+// Goertzel. Harmonics beyond fs/2 are ignored.
+func THD(x []float64, f0, fs float64, maxHarmonic int) (float64, error) {
+	if f0 <= 0 {
+		return 0, fmt.Errorf("dsp: fundamental %v <= 0", f0)
+	}
+	fund, err := dsp.ToneMagnitude(x, f0, fs)
+	if err != nil {
+		return 0, err
+	}
+	if fund == 0 {
+		return 0, fmt.Errorf("dsp: no fundamental at %v Hz", f0)
+	}
+	var sum float64
+	for h := 2; h <= maxHarmonic; h++ {
+		f := f0 * float64(h)
+		if f > fs/2 {
+			break
+		}
+		m, err := dsp.ToneMagnitude(x, f, fs)
+		if err != nil {
+			return 0, err
+		}
+		sum += m * m
+	}
+	return amplitudeDB(math.Sqrt(sum) / fund), nil
+}
+
+func TestTHD(t *testing.T) {
+	fs := 65536.0
+	n := 8192
+	clean := make([]float64, n)
+	dirty := make([]float64, n)
+	for i := range clean {
+		ti := float64(i) / fs
+		clean[i] = math.Sin(2 * math.Pi * 1024 * ti)
+		// 1% second harmonic, 0.5% third.
+		dirty[i] = clean[i] + 0.01*math.Sin(2*math.Pi*2048*ti) + 0.005*math.Sin(2*math.Pi*3072*ti)
+	}
+	thdClean, err := THD(clean, 1024, fs, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if thdClean > -80 {
+		t.Errorf("clean THD = %v dB, want < -80", thdClean)
+	}
+	thdDirty, err := THD(dirty, 1024, fs, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sqrt(0.01^2+0.005^2) = 0.01118 -> -39.03 dB.
+	if math.Abs(thdDirty+39.03) > 0.2 {
+		t.Errorf("dirty THD = %v dB, want about -39.03", thdDirty)
+	}
+	if _, err := THD(clean, 0, fs, 5); err == nil {
+		t.Error("zero fundamental accepted")
+	}
+}
+
+// amplifier is a memoryless amplifier under test:
+// out = Gain·in + HD3·in³ + Offset.
+type amplifier struct {
+	Gain, HD3, Offset float64
+}
 
 // coreTestWrapper returns a wrapper in core-test mode with the paper's
 // configuration.
@@ -15,21 +255,25 @@ func coreTestWrapper(t testing.TB) *Wrapper {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.SetMode(CoreTest); err != nil {
+	if err := w.setMode(CoreTest); err != nil {
 		t.Fatal(err)
 	}
 	return w
 }
 
-func amplifierPath(a *asim.Amplifier) AnalogPath {
-	return func(x []float64, fs float64) []float64 {
-		return a.ProcessAll(x, fs)
+func amplifierPath(a *amplifier) analogPath {
+	return func(x []float64, _ float64) []float64 {
+		y := make([]float64, len(x))
+		for i, v := range x {
+			y[i] = a.Gain*v + a.HD3*v*v*v + a.Offset
+		}
+		return y
 	}
 }
 
 func TestMeasureGain(t *testing.T) {
 	w := coreTestWrapper(t)
-	amp := &asim.Amplifier{Gain: 1.6}
+	amp := &amplifier{Gain: 1.6}
 	got, err := w.MeasureGain(amplifierPath(amp), 20e3, 0.8, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +288,7 @@ func TestMeasureGainTracksFrequencyRolloff(t *testing.T) {
 	// Measuring a filter through the wrapper must show the filter's
 	// rolloff (plus the wrapper's own, which is small at low tones).
 	w := coreTestWrapper(t)
-	fs := w.EffectiveSampleRate()
+	fs := w.effectiveSampleRate()
 	filt, err := asim.ButterworthLowpass(2, 60e3, fs)
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +312,8 @@ func TestMeasureGainTracksFrequencyRolloff(t *testing.T) {
 
 func TestMeasureTHDDetectsDistortion(t *testing.T) {
 	w := coreTestWrapper(t)
-	clean := &asim.Amplifier{Gain: 1}
-	dirty := &asim.Amplifier{Gain: 1, HD3: 0.08}
+	clean := &amplifier{Gain: 1}
+	dirty := &amplifier{Gain: 1, HD3: 0.08}
 
 	thdClean, err := w.MeasureTHD(amplifierPath(clean), 20e3, 1.0, 4096, 5)
 	if err != nil {
@@ -92,7 +336,7 @@ func TestMeasureTHDDetectsDistortion(t *testing.T) {
 
 func TestMeasureOffset(t *testing.T) {
 	w := coreTestWrapper(t)
-	offs := &asim.Amplifier{Gain: 1, Offset: 0.15}
+	offs := &amplifier{Gain: 1, Offset: 0.15}
 	got, err := w.MeasureOffset(amplifierPath(offs), 2048)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +345,7 @@ func TestMeasureOffset(t *testing.T) {
 	if math.Abs(got-0.15) > 0.04 {
 		t.Errorf("offset = %v V, want 0.15 within 40 mV", got)
 	}
-	zero := &asim.Amplifier{Gain: 1}
+	zero := &amplifier{Gain: 1}
 	got, err = w.MeasureOffset(amplifierPath(zero), 2048)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +360,7 @@ func TestMeasureIIP3(t *testing.T) {
 	// A clearly nonlinear core, so its IM3 sits well above the wrapper's
 	// own ~-42 dBV floor: g=1, c3=-0.3 -> IIP3 = sqrt(4/0.9) = 2.11 V
 	// = 6.48 dBV.
-	nl := &asim.Amplifier{Gain: 1, HD3: -0.3}
+	nl := &amplifier{Gain: 1, HD3: -0.3}
 	want := TheoreticalIIP3(1, -0.3)
 	got, err := w.MeasureIIP3(amplifierPath(nl), 20e3, 25e3, 0.5, 8192)
 	if err != nil {
@@ -129,7 +373,7 @@ func TestMeasureIIP3(t *testing.T) {
 	// above the distorted core's reading: the wrapper's INL limits how
 	// good an IIP3 it can certify (~12 dBV at 0.5 V tones with the paper
 	// wrapper).
-	lin := &asim.Amplifier{Gain: 1}
+	lin := &amplifier{Gain: 1}
 	floor, err := w.MeasureIIP3(amplifierPath(lin), 20e3, 25e3, 0.5, 8192)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +405,7 @@ func TestMeasureValidation(t *testing.T) {
 	if _, err := w.MeasureGain(pathID, 20e3, 0.5, 1024); err == nil {
 		t.Error("measurement allowed in normal mode")
 	}
-	if err := w.SetMode(CoreTest); err != nil {
+	if err := w.setMode(CoreTest); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.MeasureGain(pathID, 20e3, 0.5, 8); err == nil {
@@ -190,10 +434,10 @@ func BenchmarkMeasureTHD(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := w.SetMode(CoreTest); err != nil {
+	if err := w.setMode(CoreTest); err != nil {
 		b.Fatal(err)
 	}
-	amp := &asim.Amplifier{Gain: 1, HD3: 0.05}
+	amp := &amplifier{Gain: 1, HD3: 0.05}
 	path := amplifierPath(amp)
 	b.ReportAllocs()
 	b.ResetTimer()

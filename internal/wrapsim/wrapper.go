@@ -35,9 +35,9 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// AnalogPath is a behavioural analog core path: it consumes a sampled
+// analogPath is a behavioural analog core path: it consumes a sampled
 // input waveform at sample rate fs and produces the output waveform.
-type AnalogPath func(x []float64, fs float64) []float64
+type analogPath func(x []float64, fs float64) []float64
 
 // Config sizes a wrapper instance. The defaults mirror the paper's
 // implementation: an 8-bit wrapper on a 4 V supply with a 50 MHz system
@@ -113,11 +113,11 @@ func New(cfg Config) (*Wrapper, error) {
 		return nil, fmt.Errorf("wrapsim: %d TAM cycles per sample cannot carry %d transfer cycles (%d bits over %d wires)",
 			cpb, transferCycles(cfg), cfg.Resolution, cfg.TAMWidth)
 	}
-	adc, err := NewPipeline8(cfg.FullScale, cfg.ADCINL, cfg.ResidueError)
+	adc, err := newPipeline8(cfg.FullScale, cfg.ADCINL, cfg.ResidueError)
 	if err != nil {
 		return nil, err
 	}
-	dac, err := NewModular8(cfg.FullScale, cfg.DACINL)
+	dac, err := newModular8(cfg.FullScale, cfg.DACINL)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func New(cfg Config) (*Wrapper, error) {
 // settling filter operates on the signal relative to mid-scale so that
 // its transient settles around the operating point, not around 0 V.
 func (w *Wrapper) reconstruct(codes []uint8) []float64 {
-	analog := w.dac.ConvertAll(codes)
+	analog := w.dac.convertAll(codes)
 	if w.settle == nil {
 		return analog
 	}
@@ -162,32 +162,25 @@ func transferCycles(cfg Config) int {
 	return (cfg.Resolution + cfg.TAMWidth - 1) / cfg.TAMWidth
 }
 
-// DivideRatio is the integer system-clock divider the test control logic
+// divideRatio is the integer system-clock divider the test control logic
 // programs to approximate the requested sample rate.
-func (w *Wrapper) DivideRatio() int { return cyclesPerSample(w.cfg) }
+func (w *Wrapper) divideRatio() int { return cyclesPerSample(w.cfg) }
 
-// EffectiveSampleRate is the sample rate actually produced by the
-// divided clock: SystemClock / DivideRatio.
-func (w *Wrapper) EffectiveSampleRate() float64 {
-	return w.cfg.SystemClock / float64(w.DivideRatio())
+// effectiveSampleRate is the sample rate actually produced by the
+// divided clock: SystemClock / divideRatio.
+func (w *Wrapper) effectiveSampleRate() float64 {
+	return w.cfg.SystemClock / float64(w.divideRatio())
 }
-
-// SerialToParallelRatio is the register configuration: TAM cycles spent
-// shifting one sample's bits.
-func (w *Wrapper) SerialToParallelRatio() int { return transferCycles(w.cfg) }
 
 // TestCycles is the TAM clock cost of streaming n samples through the
 // wrapper: one divided sample period per sample. This is how Table 2
 // style cycle counts arise from sample counts.
 func (w *Wrapper) TestCycles(samples int) int64 {
-	return int64(samples) * int64(w.DivideRatio())
+	return int64(samples) * int64(w.divideRatio())
 }
 
-// Mode returns the current mode.
-func (w *Wrapper) Mode() Mode { return w.mode }
-
-// SetMode selects normal, self-test or core-test operation.
-func (w *Wrapper) SetMode(m Mode) error {
+// setMode selects normal, self-test or core-test operation.
+func (w *Wrapper) setMode(m Mode) error {
 	switch m {
 	case Normal, SelfTest, CoreTest:
 		w.mode = m
@@ -199,23 +192,23 @@ func (w *Wrapper) SetMode(m Mode) error {
 // Config returns the wrapper's configuration.
 func (w *Wrapper) Config() Config { return w.cfg }
 
-// ApplyCodes runs one capture: the digital stimulus codes stream in over
+// applyCodes runs one capture: the digital stimulus codes stream in over
 // the TAM, the DAC reconstructs the analog stimulus, the path under test
 // processes it, and the ADC digitizes the response.
 //
 // In SelfTest mode the path is ignored and the DAC output loops straight
 // into the ADC. In CoreTest mode a nil path is an error. Normal mode
 // refuses to run captures — the wrapper is transparent then.
-func (w *Wrapper) ApplyCodes(stimulus []uint8, path AnalogPath) ([]uint8, error) {
+func (w *Wrapper) applyCodes(stimulus []uint8, path analogPath) ([]uint8, error) {
 	if len(stimulus) == 0 {
 		return nil, fmt.Errorf("wrapsim: empty stimulus")
 	}
-	fs := w.EffectiveSampleRate()
+	fs := w.effectiveSampleRate()
 	switch w.mode {
 	case Normal:
 		return nil, fmt.Errorf("wrapsim: wrapper in normal mode; select self-test or core-test")
 	case SelfTest:
-		return w.adc.ConvertAll(w.reconstruct(stimulus)), nil
+		return w.adc.convertAll(w.reconstruct(stimulus)), nil
 	case CoreTest:
 		if path == nil {
 			return nil, fmt.Errorf("wrapsim: core-test mode needs an analog path")
@@ -225,16 +218,16 @@ func (w *Wrapper) ApplyCodes(stimulus []uint8, path AnalogPath) ([]uint8, error)
 		if len(response) != len(analog) {
 			return nil, fmt.Errorf("wrapsim: analog path returned %d samples for %d", len(response), len(analog))
 		}
-		return w.adc.ConvertAll(response), nil
+		return w.adc.convertAll(response), nil
 	}
 	return nil, fmt.Errorf("wrapsim: unknown mode %d", int(w.mode))
 }
 
-// ApplyWaveform quantizes a bipolar waveform (volts around the mid-scale
-// operating point) to stimulus codes, runs ApplyCodes, and converts the
+// applyWaveform quantizes a bipolar waveform (volts around the mid-scale
+// operating point) to stimulus codes, runs applyCodes, and converts the
 // response codes back to a bipolar waveform. It is the convenient entry
 // point for spec tests written in terms of analog waveforms.
-func (w *Wrapper) ApplyWaveform(x []float64, path AnalogPath) ([]float64, error) {
+func (w *Wrapper) applyWaveform(x []float64, path analogPath) ([]float64, error) {
 	mid := w.cfg.FullScale / 2
 	codes := make([]uint8, len(x))
 	clipped := 0
@@ -243,7 +236,7 @@ func (w *Wrapper) ApplyWaveform(x []float64, path AnalogPath) ([]float64, error)
 		if u < 0 || u >= w.cfg.FullScale {
 			clipped++
 		}
-		codes[i] = QuantizeIdeal(u, w.cfg.FullScale)
+		codes[i] = quantizeIdeal(u, w.cfg.FullScale)
 	}
 	if clipped > len(x)/10 {
 		return nil, fmt.Errorf("wrapsim: stimulus clips %d of %d samples; reduce amplitude below ±%v",
@@ -266,20 +259,16 @@ func (w *Wrapper) ApplyWaveform(x []float64, path AnalogPath) ([]float64, error)
 		}
 		return uni
 	}
-	respCodes, err := w.ApplyCodes(codes, shifted)
+	respCodes, err := w.applyCodes(codes, shifted)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(respCodes))
 	for i, c := range respCodes {
-		out[i] = CodeToVoltage(c, w.cfg.FullScale) - mid
+		out[i] = codeToVoltage(c, w.cfg.FullScale) - mid
 	}
 	return out, nil
 }
-
-// SNRIdeal returns the ideal quantization-limited SNR in dB for the
-// wrapper's resolution (6.02·N + 1.76), a useful sanity reference.
-func (w *Wrapper) SNRIdeal() float64 { return 6.02*float64(w.cfg.Resolution) + 1.76 }
 
 // wrapperAreaMM2 is the paper's measured test-chip area for the 8-bit
 // wrapper in the 0.5 µm process ("its area ... is only 0.02 mm²").

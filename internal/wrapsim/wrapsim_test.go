@@ -16,7 +16,7 @@ func TestFlash4Ideal(t *testing.T) {
 		want uint8
 	}{{0, 0}, {0.99, 0}, {1.0, 1}, {7.5, 7}, {15.0, 15}, {15.99, 15}, {100, 15}, {-3, 0}}
 	for _, tc := range cases {
-		if got := f.Convert(tc.v); got != tc.want {
+		if got := f.convert(tc.v); got != tc.want {
 			t.Errorf("Flash4(%v) = %d, want %d", tc.v, got, tc.want)
 		}
 	}
@@ -26,7 +26,7 @@ func TestFlash4Monotone(t *testing.T) {
 	f := Flash4{FullScale: 4, INL: 0.9}
 	prev := uint8(0)
 	for v := 0.0; v < 4; v += 0.001 {
-		got := f.Convert(v)
+		got := f.convert(v)
 		if got < prev {
 			t.Fatalf("flash not monotone at %v: %d < %d", v, got, prev)
 		}
@@ -38,7 +38,7 @@ func TestDAC4Monotone(t *testing.T) {
 	d := DAC4{FullScale: 4, INL: 0.9}
 	prev := math.Inf(-1)
 	for c := 0; c < 16; c++ {
-		v := d.Convert(uint8(c))
+		v := d.convert(uint8(c))
 		if v <= prev {
 			t.Fatalf("DAC not monotone at code %d: %v <= %v", c, v, prev)
 		}
@@ -47,34 +47,34 @@ func TestDAC4Monotone(t *testing.T) {
 }
 
 func TestPipeline8IdealTransfer(t *testing.T) {
-	adc, err := NewPipeline8(4.0, 0, 0)
+	adc, err := newPipeline8(4.0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With no INL the pipeline implements a clean 8-bit floor quantizer.
 	for code := 0; code < 256; code++ {
 		v := (float64(code) + 0.5) * 4.0 / 256
-		if got := adc.Convert(v); got != uint8(code) {
+		if got := adc.convert(v); got != uint8(code) {
 			t.Fatalf("Pipeline8(%v) = %d, want %d", v, got, code)
 		}
 	}
 	// Clamping.
-	if adc.Convert(-1) != 0 {
+	if adc.convert(-1) != 0 {
 		t.Error("negative input not clamped to 0")
 	}
-	if adc.Convert(99) != 255 {
+	if adc.convert(99) != 255 {
 		t.Error("overrange input not clamped to 255")
 	}
 }
 
 func TestPipeline8MonotoneWithINL(t *testing.T) {
-	adc, err := NewPipeline8(4.0, 0.6, 0.004)
+	adc, err := newPipeline8(4.0, 0.6, 0.004)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := uint8(0)
 	for v := 0.0; v < 4; v += 0.0005 {
-		got := adc.Convert(v)
+		got := adc.convert(v)
 		if got < prev && prev-got > 1 {
 			t.Fatalf("pipeline grossly non-monotone at %v: %d after %d", v, got, prev)
 		}
@@ -85,26 +85,26 @@ func TestPipeline8MonotoneWithINL(t *testing.T) {
 }
 
 func TestModular8IdealMatchesBinary(t *testing.T) {
-	dac, err := NewModular8(4.0, 0)
+	dac, err := newModular8(4.0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for code := 0; code < 256; code++ {
 		want := float64(code) * 4.0 / 256
-		if got := dac.Convert(uint8(code)); math.Abs(got-want) > 1e-12 {
+		if got := dac.convert(uint8(code)); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("Modular8(%d) = %v, want %v", code, got, want)
 		}
 	}
 }
 
 func TestConverterRoundTripProperty(t *testing.T) {
-	adc, _ := NewPipeline8(4.0, 0, 0)
-	dac, _ := NewModular8(4.0, 0)
+	adc, _ := newPipeline8(4.0, 0, 0)
+	dac, _ := newModular8(4.0, 0)
 	f := func(code uint8) bool {
 		// DAC then ADC recovers the code (ideal converters, half-LSB
 		// shifted sampling).
-		v := dac.Convert(code) + 0.5*4.0/256
-		return adc.Convert(v) == code
+		v := dac.convert(code) + 0.5*4.0/256
+		return adc.convert(v) == code
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -113,12 +113,12 @@ func TestConverterRoundTripProperty(t *testing.T) {
 
 func TestQuantizeIdealInverse(t *testing.T) {
 	for code := 0; code < 256; code++ {
-		v := CodeToVoltage(uint8(code), 4.0)
-		if got := QuantizeIdeal(v, 4.0); got != uint8(code) {
-			t.Fatalf("QuantizeIdeal(CodeToVoltage(%d)) = %d", code, got)
+		v := codeToVoltage(uint8(code), 4.0)
+		if got := quantizeIdeal(v, 4.0); got != uint8(code) {
+			t.Fatalf("quantizeIdeal(codeToVoltage(%d)) = %d", code, got)
 		}
 	}
-	if QuantizeIdeal(-1, 4) != 0 || QuantizeIdeal(5, 4) != 255 {
+	if quantizeIdeal(-1, 4) != 0 || quantizeIdeal(5, 4) != 255 {
 		t.Error("clamping broken")
 	}
 }
@@ -153,21 +153,18 @@ func TestWrapperClocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.DivideRatio(); got != 29 {
-		t.Errorf("DivideRatio = %d, want 29 (50 MHz / 1.7 MHz)", got)
+	if got := w.divideRatio(); got != 29 {
+		t.Errorf("divideRatio = %d, want 29 (50 MHz / 1.7 MHz)", got)
 	}
-	fs := w.EffectiveSampleRate()
+	fs := w.effectiveSampleRate()
 	if math.Abs(fs-50e6/29) > 1 {
-		t.Errorf("EffectiveSampleRate = %v", fs)
+		t.Errorf("effectiveSampleRate = %v", fs)
 	}
-	if got := w.SerialToParallelRatio(); got != 8 {
-		t.Errorf("SerialToParallelRatio = %d, want 8 (8 bits over 1 wire)", got)
+	if got := transferCycles(w.cfg); got != 8 {
+		t.Errorf("transferCycles = %d, want 8 (8 bits over 1 wire)", got)
 	}
 	if got := w.TestCycles(4551); got != 4551*29 {
 		t.Errorf("TestCycles = %d", got)
-	}
-	if snr := w.SNRIdeal(); math.Abs(snr-49.92) > 0.01 {
-		t.Errorf("SNRIdeal = %v, want 49.92", snr)
 	}
 	if TestChipAreaMM2() != 0.02 {
 		t.Error("paper test chip area constant wrong")
@@ -179,16 +176,16 @@ func TestModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Mode() != Normal {
+	if w.mode != Normal {
 		t.Error("initial mode not normal")
 	}
-	if _, err := w.ApplyCodes([]uint8{1, 2, 3}, nil); err == nil {
+	if _, err := w.applyCodes([]uint8{1, 2, 3}, nil); err == nil {
 		t.Error("capture allowed in normal mode")
 	}
-	if err := w.SetMode(SelfTest); err != nil {
+	if err := w.setMode(SelfTest); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.SetMode(Mode(9)); err == nil {
+	if err := w.setMode(Mode(9)); err == nil {
 		t.Error("bogus mode accepted")
 	}
 	for _, m := range []Mode{Normal, SelfTest, CoreTest} {
@@ -203,14 +200,14 @@ func TestSelfTestLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.SetMode(SelfTest); err != nil {
+	if err := w.setMode(SelfTest); err != nil {
 		t.Fatal(err)
 	}
 	codes := make([]uint8, 256)
 	for i := range codes {
 		codes[i] = uint8(i)
 	}
-	back, err := w.ApplyCodes(codes, nil)
+	back, err := w.applyCodes(codes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,35 +219,35 @@ func TestSelfTestLoopback(t *testing.T) {
 			t.Errorf("self-test code %d came back as %d", c, back[i])
 		}
 	}
-	if _, err := w.ApplyCodes(nil, nil); err == nil {
+	if _, err := w.applyCodes(nil, nil); err == nil {
 		t.Error("empty stimulus accepted")
 	}
 }
 
 func TestCoreTestNeedsPath(t *testing.T) {
 	w, _ := New(PaperConfig())
-	if err := w.SetMode(CoreTest); err != nil {
+	if err := w.setMode(CoreTest); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.ApplyCodes([]uint8{1, 2}, nil); err == nil {
+	if _, err := w.applyCodes([]uint8{1, 2}, nil); err == nil {
 		t.Error("core-test without path accepted")
 	}
 	short := func(x []float64, fs float64) []float64 { return x[:1] }
-	if _, err := w.ApplyCodes([]uint8{1, 2}, short); err == nil {
+	if _, err := w.applyCodes([]uint8{1, 2}, short); err == nil {
 		t.Error("length-changing path accepted")
 	}
 }
 
 func TestApplyWaveformClippingGuard(t *testing.T) {
 	w, _ := New(PaperConfig())
-	if err := w.SetMode(SelfTest); err != nil {
+	if err := w.setMode(SelfTest); err != nil {
 		t.Fatal(err)
 	}
 	huge := make([]float64, 100)
 	for i := range huge {
 		huge[i] = 10 // way beyond ±2 V
 	}
-	if _, err := w.ApplyWaveform(huge, nil); err == nil {
+	if _, err := w.applyWaveform(huge, nil); err == nil {
 		t.Error("clipping stimulus accepted")
 	}
 }
@@ -260,17 +257,17 @@ func TestWrappedSNRNearIdeal(t *testing.T) {
 	// neighbourhood of the 8-bit ideal (49.9 dB); INL costs a few dB.
 	cfg := PaperConfig()
 	w, _ := New(cfg)
-	if err := w.SetMode(SelfTest); err != nil {
+	if err := w.setMode(SelfTest); err != nil {
 		t.Fatal(err)
 	}
-	fs := w.EffectiveSampleRate()
+	fs := w.effectiveSampleRate()
 	n := 4096
 	tone := 15e3
 	x, err := asim.MultiTone([]asim.Tone{{Freq: tone, Amp: 1.8}}, fs, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := w.ApplyWaveform(x, nil)
+	y, err := w.applyWaveform(x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +300,14 @@ func TestPaperCutoffExperiment(t *testing.T) {
 	t.Logf("fc: true %.1f kHz, direct %.2f kHz, wrapped %.2f kHz, error %.2f%% (paper: 61 vs 58 kHz, ~5%%)",
 		res.TrueFc/1e3, res.DirectFc/1e3, res.WrappedFc/1e3, res.ErrorPercent)
 	// Spectra exist and the stimulus has its three tones.
-	peaks := res.StimulusSpectrum.Peaks(3, 0.1)
-	if len(peaks) != 3 {
-		t.Errorf("stimulus peaks = %v", peaks)
+	s, peaks := res.StimulusSpectrum, 0
+	for k := 1; k < len(s.Mag)-1; k++ {
+		if s.Mag[k] >= 0.1 && s.Mag[k] >= s.Mag[k-1] && s.Mag[k] > s.Mag[k+1] {
+			peaks++
+		}
+	}
+	if peaks < 3 {
+		t.Errorf("stimulus has %d peaks above 0.1, want 3", peaks)
 	}
 	if res.TestCycles != 4551*29 {
 		t.Errorf("TestCycles = %d", res.TestCycles)
@@ -341,9 +343,9 @@ func BenchmarkCutoffExperiment(b *testing.B) {
 }
 
 func BenchmarkPipeline8(b *testing.B) {
-	adc, _ := NewPipeline8(4.0, 0.6, 0.004)
+	adc, _ := newPipeline8(4.0, 0.6, 0.004)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		adc.Convert(float64(i%4000) / 1000)
+		adc.convert(float64(i%4000) / 1000)
 	}
 }

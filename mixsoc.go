@@ -319,8 +319,8 @@ func NewPlanner(d *Design, w int, weights Weights) *Planner {
 }
 
 // ScheduleFor packs a TAM schedule for one specific sharing
-// configuration p at width w (use d.AllShare(), d.NoShare(), or any
-// enumeration result). It runs on DefaultEngine; the returned schedule
+// configuration p at width w (use d.AllShare(), or any enumeration
+// result). It runs on DefaultEngine; the returned schedule
 // may be cached and shared, so treat it as read-only.
 func ScheduleFor(d *Design, p Partition, w int) (*Schedule, error) {
 	return defaultEngine.Schedule(context.Background(), d, p, w, "")
